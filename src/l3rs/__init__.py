@@ -10,7 +10,7 @@ from .controller import (
     TimeFeatureConfig,
     Variant,
     compose_update,
-    controller_forward,
+    controller_forward_batch,
     flatten,
     init_meta_params,
     load_psi,
@@ -23,7 +23,6 @@ from .meta import (
     NesState,
     Task,
     TaskDistributionSpec,
-    fitness,
     inner_loop_eval,
     make_task,
     meta_train,
@@ -43,6 +42,6 @@ from .nnlite import (
     init_params,
     loss_and_grad,
 )
-from .optdir import DirectionBank, HyperParams, OptimizerKind
+from .optdir import DirectionBank, HyperParams, OptimizerKind, segment_norms
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import bench, meta
 from .controller import (
+    CheckpointError,
     PsiLayout,
     Variant,
     load_psi,
@@ -537,7 +538,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, CheckpointError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

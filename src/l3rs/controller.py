@@ -9,6 +9,13 @@ emits P+1 logits per component: a softmax over the P mixing coefficients and
 an exponential head for lambda, so mu is always a distribution and lambda is
 always positive.
 
+One inner step works on flat vectors: parameters, gradients and the [P, n]
+directions of the bank are split into components at the segment offsets,
+all per-component norms come from optdir.segment_norms, and the update is
+one flat expression over [P, n]. The controller MLPs are stacked (a leading
+n_mlps axis: 1, or L for per_layer_mlp), so every variant takes one batched
+forward pass.
+
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
 loop can perturb them; flatten/unflatten is an exact bijection.
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import optdir
 from .nnlite import DivergenceError, ParamSet
-from .optdir import DirectionBank, DirectionSet, HyperParams, OptimizerKind
+from .optdir import DirectionBank, HyperParams, OptimizerKind, segment_norms
 
 DEFAULT_GAMMAS = (0.0, 0.9, 0.99)
 EMBED_DIM = 16
@@ -195,6 +202,8 @@ class PsiLayout:
 
 @dataclass
 class Mlp:
+    """The controller MLPs, stacked: every array has a leading n_mlps axis."""
+
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
@@ -216,7 +225,7 @@ class MetaParams:
 
     layout: PsiLayout
     flat: np.ndarray
-    mlps: list[Mlp]
+    mlp: Mlp
     embeddings: np.ndarray | None
     hyper_raw: np.ndarray
 
@@ -226,26 +235,25 @@ def flatten(psi: MetaParams) -> np.ndarray:
 
 
 def unflatten(vec: np.ndarray, layout: PsiLayout) -> MetaParams:
-    """Views into ``vec``: MLPs (w1,b1,w2,b2,w3,b3 each), embeddings row-major,
-    then raw hyperparameters in declaration order."""
+    """Views into ``vec``: n_mlps MLPs (w1,b1,w2,b2,w3,b3 each), embeddings
+    row-major, then raw hyperparameters in declaration order. The stacked
+    MLP arrays are strided views across the consecutive MLP blocks."""
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (layout.flat_size,):
         raise ValueError(f"flat vector has length {vec.shape}, expected {layout.flat_size}")
-    offset = 0
-
-    def take(shape):
-        nonlocal offset
+    n_mlp_values = layout.n_mlps * layout.mlp_size
+    blocks = vec[:n_mlp_values].reshape(layout.n_mlps, layout.mlp_size)
+    arrays, offset = [], 0
+    for shape in layout.mlp_shapes:
         n = int(np.prod(shape))
-        out = vec[offset:offset + n].reshape(shape)
+        arrays.append(blocks[:, offset:offset + n].reshape(layout.n_mlps, *shape))
         offset += n
-        return out
-
-    mlps = [Mlp(*(take(s) for s in layout.mlp_shapes)) for _ in range(layout.n_mlps)]
     embeddings = None
     if layout.variant == Variant.FULL:
-        embeddings = take((layout.n_components, EMBED_DIM))
-    hyper_raw = take((layout.n_hyper,))
-    return MetaParams(layout=layout, flat=vec, mlps=mlps,
+        embeddings = vec[n_mlp_values:n_mlp_values + layout.embedding_size].reshape(
+            layout.n_components, EMBED_DIM)
+    hyper_raw = vec[layout.flat_size - layout.n_hyper:]
+    return MetaParams(layout=layout, flat=vec, mlp=Mlp(*arrays),
                       embeddings=embeddings, hyper_raw=hyper_raw)
 
 
@@ -259,10 +267,10 @@ def init_meta_params(layout: PsiLayout, seed: int) -> MetaParams:
     """
     rng = np.random.default_rng(seed)
     psi = unflatten(np.zeros(layout.flat_size), layout)
-    for mlp in psi.mlps:
-        mlp.w1[:] = rng.normal(0.0, 1.0 / np.sqrt(layout.feature_dim), mlp.w1.shape)
-        mlp.w2[:] = rng.normal(0.0, 1.0 / np.sqrt(HIDDEN_1), mlp.w2.shape)
-        mlp.b3[layout.n_providers] = math.log(LAMBDA_INIT)
+    for w1, w2 in zip(psi.mlp.w1, psi.mlp.w2):  # draws interleave MLP by MLP
+        w1[:] = rng.normal(0.0, 1.0 / np.sqrt(layout.feature_dim), w1.shape)
+        w2[:] = rng.normal(0.0, 1.0 / np.sqrt(HIDDEN_1), w2.shape)
+    psi.mlp.b3[:, layout.n_providers] = math.log(LAMBDA_INIT)
     if psi.embeddings is not None:
         psi.embeddings[:] = rng.normal(0.0, 0.1, psi.embeddings.shape)
     idx = 0
@@ -310,23 +318,21 @@ def build_features(ema_comp: np.ndarray, ema_loss: np.ndarray, tf: np.ndarray,
     return np.concatenate(parts, axis=1)
 
 
-def controller_forward(mlp: Mlp, features: np.ndarray) -> tuple[np.ndarray, float]:
-    """(mu, lambda) for one feature frame. mu is a max-shifted softmax over
-    the first P logits; lambda = exp of the last logit."""
-    mu, lam = controller_forward_batch(mlp, features[None, :])
-    return mu[0], float(lam[0])
-
-
 def controller_forward_batch(mlp: Mlp, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if frames.shape[1] != mlp.w1.shape[0]:
+    """(mu [R, P], lambda [R]) for feature frames [R, F]. With n_mlps
+    stacked MLPs, consecutive blocks of R / n_mlps frames go through MLP 0,
+    1, ... in one batched pass. mu is a max-shifted softmax over the first P
+    logits; lambda = exp of the last logit."""
+    n_mlps, width = mlp.w1.shape[:2]
+    if frames.shape[1] != width:
         raise ValueError(
-            f"feature frames have width {frames.shape[1]}, MLP expects {mlp.w1.shape[0]}"
+            f"feature frames have width {frames.shape[1]}, MLP expects {width}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.maximum(frames @ mlp.w1 + mlp.b1, 0.0)
-        h = np.maximum(h @ mlp.w2 + mlp.b2, 0.0)
-        logits = h @ mlp.w3 + mlp.b3
-    if not np.all(np.isfinite(logits)):
+        h = np.maximum(frames.reshape(n_mlps, -1, width) @ mlp.w1 + mlp.b1[:, None], 0.0)
+        h = np.maximum(h @ mlp.w2 + mlp.b2[:, None], 0.0)
+        logits = (h @ mlp.w3 + mlp.b3[:, None]).reshape(len(frames), -1)
+    if not np.isfinite(logits).all():
         raise DivergenceError("controller produced non-finite logits")
     mix = logits[:, :-1]
     mix = mix - mix.max(axis=1, keepdims=True)
@@ -334,32 +340,31 @@ def controller_forward_batch(mlp: Mlp, frames: np.ndarray) -> tuple[np.ndarray, 
     mu = e / e.sum(axis=1, keepdims=True)
     with np.errstate(over="ignore"):
         lam = np.exp(logits[:, -1])
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise DivergenceError("controller step size overflowed")
     return mu, lam
 
 
-def compose_update(lam: float, mu: np.ndarray, dirs: list[np.ndarray],
-                   norms: np.ndarray | None = None,
-                   renormalize: bool = False) -> np.ndarray:
-    """lambda-scaled convex blend of unit directions for one component.
+def compose_update(lam: np.ndarray, mu: np.ndarray, dirs: np.ndarray, norms: np.ndarray,
+                   offsets: np.ndarray, renormalize: bool = False) -> np.ndarray:
+    """Flat update [n]: per segment l, the lambda[l]-scaled convex blend of
+    the unit directions dirs [P, n] with weights mu [L, P]; norms [L, P] are
+    the segment norms of dirs.
 
     Directions with norm below NORM_FLOOR contribute zero. With
-    ``renormalize`` the blend itself is rescaled to unit norm before lambda,
-    making lambda the exact update norm rather than an upper bound; off by
-    default.
+    ``renormalize`` each segment's blend is rescaled to unit norm before
+    lambda, making lambda the exact update norm rather than an upper bound;
+    off by default.
     """
-    if norms is None:
-        norms = np.array([np.linalg.norm(d) for d in dirs])
-    out = np.zeros_like(dirs[0])
-    for p, d in enumerate(dirs):
-        if norms[p] >= optdir.NORM_FLOOR:
-            out += (mu[p] / norms[p]) * d
+    sizes = np.diff(offsets)
+    coef = np.divide(mu, norms, out=np.zeros_like(mu), where=norms >= optdir.NORM_FLOOR)
+    out = np.zeros(dirs.shape[1])
+    for c, d in zip(coef.T, dirs):
+        out += np.repeat(c, sizes) * d
     if renormalize:
-        blend_norm = float(np.linalg.norm(out))
-        if blend_norm >= optdir.NORM_FLOOR:
-            out /= blend_norm
-    return lam * out
+        blend = segment_norms(out[None, :], offsets)[:, 0]
+        out /= np.repeat(np.where(blend >= optdir.NORM_FLOOR, blend, 1.0), sizes)
+    return np.repeat(lam, sizes) * out
 
 
 class ControllerContext:
@@ -387,85 +392,79 @@ class ControllerContext:
         self.time_cfg = time_cfg
         self.renormalize = renormalize
         self.policy = policy
-        self.bank = DirectionBank(list(layout.base_kinds), hyper_params_of(psi), template)
+        self._shapes = [t.shape for t in template.tensors]
+        offsets = np.concatenate([[0], np.cumsum([t.size for t in template.tensors])])
+        self.bank = DirectionBank(list(layout.base_kinds), hyper_params_of(psi), offsets)
         tracked = 1 if layout.variant == Variant.GLOBAL else n_comp
         self.tracker = EmaTracker(tracked, layout.gammas)
         self.n_model_components = n_comp
 
-    def _stats(self, weights: ParamSet, grads: ParamSet) -> np.ndarray:
-        w_norms = np.array([np.linalg.norm(t) for t in weights.tensors])
-        g_norms = np.array([np.linalg.norm(t) for t in grads.tensors])
+    def _stats(self, wg_norms: np.ndarray) -> np.ndarray:
+        """[L, 2] log (||w||, ||g||), or [1, 2] whole-model norms for global."""
         if self.layout.variant == Variant.GLOBAL:
-            w_norms = np.array([np.sqrt(np.sum(w_norms ** 2))])
-            g_norms = np.array([np.sqrt(np.sum(g_norms ** 2))])
-        stats = np.stack([w_norms, g_norms], axis=1)
-        return np.log(np.maximum(stats, optdir.NORM_FLOOR))
+            # sum along contiguous rows: the same pairwise order as np.sum of
+            # a 1-D array, which a sum over axis 0 of [L, 2] is not for L >= 8
+            wg_norms = np.sqrt(np.sum(np.ascontiguousarray(wg_norms.T) ** 2, axis=1))[None, :]
+        return np.log(np.maximum(wg_norms, optdir.NORM_FLOOR))
 
-    def decide(self, dirs: DirectionSet, loss: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(mu [L, P], lambda [L]) for the current step, after the tracker
-        has been updated with this step's statistics."""
+    def decide(self, norms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mu [L, P], lambda [L]) from the direction norms [L, P], after
+        the tracker has been updated with this step's statistics."""
         layout = self.layout
         n_comp = self.n_model_components
+        log_norms = np.log(np.maximum(norms, optdir.NORM_FLOOR))
         if self.policy is not None:
             mu = np.zeros((n_comp, layout.n_providers))
             lam = np.zeros(n_comp)
             for i in range(n_comp):
-                mu[i], lam[i] = self.policy(i, dirs.log_norms[i])
+                mu[i], lam[i] = self.policy(i, log_norms[i])
             return mu, lam
 
         ema_comp, ema_loss = self.tracker.read()
         tf = time_features(k, self.K, self.time_cfg)
         if layout.variant == Variant.GLOBAL:
-            whole = 0.5 * np.log(np.maximum(np.sum(dirs.norms ** 2, axis=0),
+            whole = 0.5 * np.log(np.maximum(np.sum(norms ** 2, axis=0),
                                             optdir.NORM_FLOOR ** 2))
             frames = build_features(ema_comp, ema_loss, tf, None, whole[None, :])
-            mu, lam = controller_forward_batch(self.psi.mlps[0], frames)
+            mu, lam = controller_forward_batch(self.psi.mlp, frames)
             return np.tile(mu, (n_comp, 1)), np.full(n_comp, lam[0])
-        frames = build_features(ema_comp, ema_loss, tf, self.psi.embeddings,
-                                dirs.log_norms)
-        if layout.variant == Variant.PER_LAYER_MLP:
-            mu = np.zeros((n_comp, layout.n_providers))
-            lam = np.zeros(n_comp)
-            for i in range(n_comp):
-                mu[i], lam[i] = controller_forward(self.psi.mlps[i], frames[i])
-            return mu, lam
-        return controller_forward_batch(self.psi.mlps[0], frames)
+        frames = build_features(ema_comp, ema_loss, tf, self.psi.embeddings, log_norms)
+        return controller_forward_batch(self.psi.mlp, frames)
 
     def step(self, params: ParamSet, grads: ParamSet, loss: float, k: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
-        """One update: returns (new params, mu [L, P], lambda [L]).
+        """One update: returns (new params, mu [L, P], lambda [L]); the new
+        tensors are views into one flat vector.
 
         Order of effects: directions from pre-update weights and gradients,
         then the EMA recursion on pre-update statistics, then the controller
         and the composed update.
         """
-        dirs = self.bank.step(grads, params, loss)
-        self.tracker.update(loss, self._stats(params, grads))
-        mu, lam = self.decide(dirs, loss, k)
-        new_tensors = []
-        for i, t in enumerate(params.tensors):
-            delta = compose_update(float(lam[i]), mu[i], dirs.directions[i],
-                                   norms=dirs.norms[i], renormalize=self.renormalize)
-            new_tensors.append(t + delta)
-        return ParamSet(list(params.ids), new_tensors), mu, lam
+        wg = np.concatenate([*params.tensors, *grads.tensors], axis=None).reshape(2, -1)
+        w, g = wg
+        offsets = self.bank.offsets
+        wg_norms = segment_norms(wg, offsets)
+        dirs, norms = self.bank.step(g, w, wg_norms[:, 0])
+        self.tracker.update(loss, self._stats(wg_norms))
+        mu, lam = self.decide(norms, k)
+        new = w + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
+        tensors = [new[a:b].reshape(shape)
+                   for a, b, shape in zip(offsets[:-1], offsets[1:], self._shapes)]
+        return ParamSet(list(params.ids), tensors), mu, lam
 
 
-def l3rs_step(ctx: ControllerContext, params: ParamSet, grads: ParamSet,
-              loss: float, k: int) -> ParamSet:
-    """Apply one controller update; the context carries K and all state."""
-    new_params, _, _ = ctx.step(params, grads, loss, k)
-    return new_params
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read as the format it claims."""
 
 
-def save_psi(path, psi: MetaParams, extra: dict | None = None) -> None:
-    """Checkpoint the flat vector as decimal text, 17 significant digits.
+def _write_checkpoint(path, header: dict, key: str, values: np.ndarray,
+                      extra: dict | None = None) -> None:
+    """One JSON document: format version, header, the float vector under
+    ``key`` as decimal text with 17 significant digits, then ``extra``.
 
     float64 -> %.17g -> float64 is the identity, so loads are value-exact.
     """
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "layout": psi.layout.to_dict(),
-        "psi": [format(v, ".17g") for v in psi.flat],
-    }
+    doc = {"format_version": CHECKPOINT_VERSION, **header,
+           key: [format(v, ".17g") for v in values]}
     if extra:
         doc.update(extra)
     with open(path, "w") as fh:
@@ -473,13 +472,38 @@ def save_psi(path, psi: MetaParams, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_psi(path) -> tuple[MetaParams, dict]:
-    """Load a checkpoint; returns (psi, full document) for callers that need
-    the extra fields. Rejects unknown format versions."""
+def _read_checkpoint(path, header_key: str, parse, key: str):
+    """(parsed header, float vector, full document) of a checkpoint written
+    by _write_checkpoint. ``parse(header)`` returns (object, expected value
+    count); the count is checked before the caller reshapes anything."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('format_version')}")
-    layout = PsiLayout.from_dict(doc["layout"])
-    flat = np.array([float(v) for v in doc["psi"]])
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        obj, size = parse(doc[header_key])
+        values = np.array([float(v) for v in doc[key]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+    if values.shape != (size,):
+        raise CheckpointError(
+            f"{path}: {len(values)} values, but its {header_key} needs {size}")
+    return obj, values, doc
+
+
+def save_psi(path, psi: MetaParams, extra: dict | None = None) -> None:
+    """Checkpoint the layout and the flat vector, value-exact on reload."""
+    _write_checkpoint(path, {"layout": psi.layout.to_dict()}, "psi", psi.flat, extra)
+
+
+def load_psi(path) -> tuple[MetaParams, dict]:
+    """Load a checkpoint; returns (psi, full document) for callers that need
+    the extra fields. Raises CheckpointError on unknown format versions and
+    malformed files."""
+    def parse(d):
+        layout = PsiLayout.from_dict(d)
+        return layout, layout.flat_size
+
+    layout, flat, doc = _read_checkpoint(path, "layout", parse, "psi")
     return unflatten(flat, layout), doc

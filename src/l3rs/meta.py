@@ -22,6 +22,8 @@ import numpy as np
 from .controller import (
     ControllerContext,
     PsiLayout,
+    _read_checkpoint,
+    _write_checkpoint,
     flatten,
     init_meta_params,
     unflatten,
@@ -277,14 +279,6 @@ def inner_loop_eval(make_stepper, task: Task, record_trajectory: bool = False) -
                           trajectory=getattr(stepper, "rows", None))
 
 
-def fitness(psi_flat: np.ndarray, layout: PsiLayout, tasks: list[Task],
-            renormalize: bool = False) -> float:
-    """Negative mean meta-loss of one candidate over a batch of tasks."""
-    factory = controller_stepper_factory(psi_flat, layout, renormalize=renormalize)
-    losses = [inner_loop_eval(factory, t).meta_loss for t in tasks]
-    return -float(np.mean(losses))
-
-
 def shaped_utilities(fitnesses) -> np.ndarray:
     """Centered-rank fitness shaping: ranks ascending (ties broken by
     candidate index), mapped to rank/(c-1) - 0.5, returned in input order."""
@@ -526,35 +520,20 @@ def pretrain_eval(dist: TaskDistributionSpec, params: ParamSet, seed: int,
 
 def save_pretrained(path, spec: NetworkSpec, params: ParamSet) -> None:
     """Model checkpoint as decimal text; value-exact on reload."""
-    import json
-
-    doc = {
-        "format_version": 1,
-        "network": {"input_dim": spec.input_dim, "hidden": list(spec.hidden),
-                    "output_dim": spec.output_dim},
-        "values": [format(v, ".17g") for v in params.flat()],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    network = {"input_dim": spec.input_dim, "hidden": list(spec.hidden),
+               "output_dim": spec.output_dim}
+    _write_checkpoint(path, {"network": network}, "values", params.flat())
 
 
 def load_pretrained(path) -> tuple[NetworkSpec, ParamSet]:
-    import json
+    """Inverse of save_pretrained; raises CheckpointError on unknown format
+    versions and on files whose values do not fit their declared network."""
+    def parse(net):
+        spec = NetworkSpec(int(net["input_dim"]), tuple(net["hidden"]), int(net["output_dim"]))
+        return spec, sum(int(np.prod(shape)) for shape in spec.component_shapes())
 
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != 1:
-        raise ValueError("unsupported checkpoint version")
-    net = doc["network"]
-    spec = NetworkSpec(int(net["input_dim"]), tuple(net["hidden"]), int(net["output_dim"]))
-    flat = np.array([float(v) for v in doc["values"]])
-    tensors = []
-    offset = 0
-    for shape in spec.component_shapes():
-        n = int(np.prod(shape))
-        tensors.append(flat[offset:offset + n].reshape(shape).copy())
-        offset += n
-    if offset != len(flat):
-        raise ValueError("checkpoint does not match its declared network")
+    spec, flat, _ = _read_checkpoint(path, "network", parse, "values")
+    shapes = spec.component_shapes()
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    tensors = [t.reshape(shape) for t, shape in zip(np.split(flat, ends[:-1]), shapes)]
     return spec, ParamSet(spec.components(), tensors)

@@ -1,12 +1,14 @@
 """Base optimizers exposed as direction providers.
 
 Each provider consumes the shared per-step gradient, advances its own state,
-and emits a raw update vector per parameter component. Sign convention:
-every direction is a descent step, i.e. what a unit-learning-rate optimizer
-would ADD to the weights.
+and emits a raw update vector. Sign convention: every direction is a descent
+step, i.e. what a unit-learning-rate optimizer would ADD to the weights.
 
-A DirectionBank runs several providers off one backward pass, keeping their
-states flat over all components for speed and exposing per-component views.
+Parameters, gradients and directions are flat vectors; the parameter
+components (one tensor each) are the segments between consecutive entries of
+an offsets array. A DirectionBank runs several providers off one backward
+pass and returns all directions as one [P, n] array together with their
+[L, P] segment norms from segment_norms().
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .nnlite import DivergenceError, ParamSet
+from .nnlite import DivergenceError
 
 NORM_FLOOR = 1e-12  # l2 norms are floored here before logs and normalization
 
@@ -109,49 +111,34 @@ def dir_lion(state: dict, grad: np.ndarray, beta1: float, beta2: float) -> np.nd
     return d
 
 
-def dir_lamb(state: dict, grad: np.ndarray, beta1: float, beta2: float,
-             eps: float, k: int, weights: np.ndarray) -> np.ndarray:
-    """LAMB direction: Adam ratio scaled by the trust ratio ||w|| / ||r||.
-
-    No weight-decay term, no clipping; the trust ratio degenerates to 1 when
-    either norm is zero. The subsequent unit normalization makes the ratio
-    immaterial to the blended update, so this is the simplest faithful form.
-    """
-    r = -dir_adam(state, grad, beta1, beta2, eps, k)
-    w_norm = float(np.linalg.norm(weights))
-    r_norm = float(np.linalg.norm(r))
-    trust = w_norm / r_norm if w_norm > 0.0 and r_norm > 0.0 else 1.0
-    return -trust * r
-
-
 def dir_weight_decay(weights: np.ndarray) -> np.ndarray:
     """Pull toward the origin: d = -w."""
     return -weights
 
 
-@dataclass
-class DirectionSet:
-    """Raw directions per component per provider, with their l2 norms.
+def segment_norms(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """l2 norms [L, R] of every row of ``rows`` [R, n] over every segment
+    [offsets[l], offsets[l + 1]).
 
-    directions[l][p] has the shape of component l; norms and log_norms are
-    [L, P], the latter computed as log(max(norm, NORM_FLOOR)).
+    One batched dot per segment: bit-identical to np.linalg.norm of each
+    slice, which np.add.reduceat is not.
     """
-
-    directions: list[list[np.ndarray]]
-    norms: np.ndarray
-    log_norms: np.ndarray
+    sq = np.empty((len(offsets) - 1, rows.shape[0]))
+    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        sq[i] = (rows[:, None, a:b] @ rows[:, a:b, None])[:, 0, 0]
+    return np.sqrt(sq)
 
 
 class DirectionBank:
-    """P providers sharing one gradient stream over one component structure.
+    """P providers sharing one gradient stream over one flat parameter vector
+    split into L segments at ``offsets``.
 
-    States are kept flat over all components; the per-component views handed
-    out by step() alias that flat storage. A bank belongs to exactly one
+    States are flat over all segments. A bank belongs to exactly one
     inner-loop evaluation and is never shared.
     """
 
     def __init__(self, kinds: list[OptimizerKind], hypers: list[HyperParams],
-                 template: ParamSet):
+                 offsets: np.ndarray):
         if len(kinds) != len(set(kinds)):
             raise ValueError("each optimizer kind may appear at most once")
         if len(hypers) != len(kinds):
@@ -159,75 +146,57 @@ class DirectionBank:
         self.kinds = list(kinds)
         self.hypers = list(hypers)
         self.step_count = 0
-        self._shapes = [t.shape for t in template.tensors]
-        sizes = [t.size for t in template.tensors]
-        self._offsets = np.concatenate([[0], np.cumsum(sizes)])
-        self._n_total = int(self._offsets[-1])
-        self._state: list[dict] = []
-        for kind in kinds:
-            slots = {}
-            if kind in (OptimizerKind.ADAM, OptimizerKind.LAMB):
-                slots = {"m": np.zeros(self._n_total), "v": np.zeros(self._n_total)}
-            elif kind == OptimizerKind.ADAMAX:
-                slots = {"m": np.zeros(self._n_total), "u": np.zeros(self._n_total)}
-            elif kind == OptimizerKind.LION:
-                slots = {"m": np.zeros(self._n_total)}
-            self._state.append(slots)
+        self.offsets = np.asarray(offsets)
+        self.sizes = np.diff(self.offsets)
+        n = int(self.offsets[-1])
+        slots = {OptimizerKind.ADAM: ("m", "v"), OptimizerKind.LAMB: ("m", "v"),
+                 OptimizerKind.ADAMAX: ("m", "u"), OptimizerKind.LION: ("m",)}
+        self._state = [{name: np.zeros(n) for name in slots.get(kind, ())}
+                       for kind in kinds]
 
     @property
     def n_providers(self) -> int:
         return len(self.kinds)
 
-    def _component_views(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [
-            flat[self._offsets[i]:self._offsets[i + 1]].reshape(shape)
-            for i, shape in enumerate(self._shapes)
-        ]
-
-    def _flat_direction(self, kind: OptimizerKind, hp: HyperParams, state: dict,
-                        grad_flat: np.ndarray, weights: ParamSet) -> np.ndarray:
+    def _direction(self, kind: OptimizerKind, hp: HyperParams, state: dict,
+                   grad: np.ndarray, weights: np.ndarray,
+                   w_norms: np.ndarray) -> np.ndarray:
         k = self.step_count
         if kind == OptimizerKind.SGD:
-            return dir_sgd(grad_flat)
+            return dir_sgd(grad)
         if kind == OptimizerKind.ADAM:
-            return dir_adam(state, grad_flat, hp.beta1, hp.beta2, hp.eps, k)
+            return dir_adam(state, grad, hp.beta1, hp.beta2, hp.eps, k)
         if kind == OptimizerKind.ADAMAX:
-            return dir_adamax(state, grad_flat, hp.beta1, hp.beta2, hp.eps, k)
+            return dir_adamax(state, grad, hp.beta1, hp.beta2, hp.eps, k)
         if kind == OptimizerKind.LION:
-            return dir_lion(state, grad_flat, hp.beta1, hp.beta2)
+            return dir_lion(state, grad, hp.beta1, hp.beta2)
         if kind == OptimizerKind.LAMB:
-            # per-component trust ratios, so apply LAMB on component views
-            d = -dir_adam(state, grad_flat, hp.beta1, hp.beta2, hp.eps, k)
-            out = d.copy()
-            for i, (a, b) in enumerate(zip(self._offsets[:-1], self._offsets[1:])):
-                w_norm = float(np.linalg.norm(weights.tensors[i]))
-                r_norm = float(np.linalg.norm(d[a:b]))
-                trust = w_norm / r_norm if w_norm > 0.0 and r_norm > 0.0 else 1.0
-                out[a:b] = -trust * d[a:b]
-            return out
+            # Adam ratio scaled per segment by the trust ratio ||w|| / ||r||,
+            # which degenerates to 1 when either norm is zero. No weight-decay
+            # term, no clipping: unit normalization downstream makes the ratio
+            # immaterial to the blended update.
+            r = -dir_adam(state, grad, hp.beta1, hp.beta2, hp.eps, k)
+            r_norms = segment_norms(r[None, :], self.offsets)[:, 0]
+            trust = np.divide(w_norms, r_norms, out=np.ones_like(w_norms),
+                              where=(w_norms > 0.0) & (r_norms > 0.0))
+            return -np.repeat(trust, self.sizes) * r
         if kind == OptimizerKind.WEIGHT_DECAY:
-            return dir_weight_decay(weights.flat())
+            return dir_weight_decay(weights)
         raise ValueError(f"unknown optimizer kind {kind}")
 
-    def step(self, grads: ParamSet, weights: ParamSet, loss: float) -> DirectionSet:
-        """Advance every provider once and return all directions.
+    def step(self, grad: np.ndarray, weights: np.ndarray,
+             w_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every provider once: (directions [P, n], norms [L, P]).
 
-        grads and weights are the pre-update values for the current step;
-        loss is accepted for parity with stateful providers that may use it.
+        grad and weights are the flat pre-update values for the current
+        step; w_norms [L] are the segment norms of weights.
         """
-        del loss
         self.step_count += 1
-        grad_flat = grads.flat()
-        n_comp = len(self._shapes)
-        directions: list[list[np.ndarray]] = [[] for _ in range(n_comp)]
-        norms = np.zeros((n_comp, self.n_providers))
-        for p, (kind, hp, state) in enumerate(zip(self.kinds, self.hypers, self._state)):
-            with np.errstate(over="ignore", invalid="ignore"):
-                flat = self._flat_direction(kind, hp, state, grad_flat, weights)
-            if not np.all(np.isfinite(flat)):
-                raise DivergenceError(f"non-finite {kind.value} direction")
-            for i, view in enumerate(self._component_views(flat)):
-                directions[i].append(view)
-                norms[i, p] = np.linalg.norm(view)
-        log_norms = np.log(np.maximum(norms, NORM_FLOOR))
-        return DirectionSet(directions=directions, norms=norms, log_norms=log_norms)
+        dirs = np.empty((self.n_providers, len(grad)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, (kind, hp, state) in enumerate(zip(self.kinds, self.hypers, self._state)):
+                dirs[p] = self._direction(kind, hp, state, grad, weights, w_norms)
+        finite = np.isfinite(dirs).all(axis=1)
+        if not finite.all():
+            raise DivergenceError(f"non-finite {self.kinds[finite.argmin()].value} direction")
+        return dirs, segment_norms(dirs, self.offsets)

@@ -31,7 +31,7 @@ from l3rs.controller import (
     PsiLayout,
     Variant,
     compose_update,
-    controller_forward,
+    controller_forward_batch,
     flatten,
     init_meta_params,
     time_features,
@@ -55,7 +55,7 @@ from l3rs.nnlite import (
     loss_and_grad,
     mean_cross_entropy,
 )
-from l3rs.optdir import OptimizerKind
+from l3rs.optdir import OptimizerKind, segment_norms
 
 SGD_ADAM = (OptimizerKind.SGD, OptimizerKind.ADAM)
 
@@ -114,29 +114,34 @@ def test_criterion_2_update_invariants():
                             base_kinds=tuple(OptimizerKind)[:p],
                             variant=Variant.NO_EMBEDDING)
                for p in (1, 2, 3, 4)}
-    zero_mlps = {p: unflatten(np.zeros(lay.flat_size), lay).mlps[0]
+    zero_mlps = {p: unflatten(np.zeros(lay.flat_size), lay).mlp
                  for p, lay in layouts.items()}
+
+    def compose(lam, mu, dirs):
+        offsets = np.array([0, dirs.shape[1]])
+        return compose_update(lam, mu, dirs, segment_norms(dirs, offsets), offsets)
+
     for _ in range(10_000):
         p = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 9))
         logits = rng.normal(scale=1.5, size=p + 1)
         mlp, lay = zero_mlps[p], layouts[p]
         mlp.b3[:] = logits
-        mu, lam = controller_forward(mlp, np.zeros(lay.feature_dim))
+        mu, lam = controller_forward_batch(mlp, np.zeros((1, lay.feature_dim)))
         assert abs(mu.sum() - 1.0) <= 1e-12
-        assert lam > 0.0
-        dirs = [rng.normal(size=dim) * (10.0 ** rng.integers(-14, 3))
-                for _ in range(p)]
-        delta = compose_update(lam, mu, dirs)
+        assert lam[0] > 0.0
+        dirs = np.stack([rng.normal(size=dim) * (10.0 ** rng.integers(-14, 3))
+                         for _ in range(p)])
+        delta = compose(lam, mu, dirs)
         norm = np.linalg.norm(delta)
-        assert norm <= lam * (1.0 + 1e-12)
+        assert norm <= lam[0] * (1.0 + 1e-12)
         if p == 1 and np.linalg.norm(dirs[0]) >= 1e-12:
-            assert abs(norm - lam) <= 1e-12 * lam
+            assert abs(norm - lam[0]) <= 1e-12 * lam[0]
         scale_p = int(rng.integers(0, p))
         factor = 10.0 ** rng.integers(-6, 7)
-        scaled = list(dirs)
+        scaled = dirs.copy()
         scaled[scale_p] = dirs[scale_p] * factor
-        delta2 = compose_update(lam, mu, scaled)
+        delta2 = compose(lam, mu, scaled)
         tiny = np.linalg.norm(dirs[scale_p]) < 1e-12
         crossed = tiny != (np.linalg.norm(scaled[scale_p]) < 1e-12)
         if not crossed:  # rescaling may not cross the norm floor

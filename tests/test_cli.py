@@ -3,6 +3,7 @@ import json
 import shutil
 
 import numpy as np
+import pytest
 
 from l3rs import cli
 from l3rs.meta import derived_rng
@@ -223,6 +224,39 @@ class TestEvaluate:
                        "--baseline", "adam_const", "--regime", "random_init",
                        "--label", "adam") == 0
         assert (out / "eval_adam_summary.json").exists()
+
+
+def rewrite_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+class TestMalformedCheckpoints:
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(format_version=2), "unsupported checkpoint version 2"),
+        (lambda doc: doc.update(psi=doc["psi"][:1]), "1 values, but its layout needs"),
+    ], ids=["version", "truncated"])
+    def test_evaluate_reports_bad_psi(self, tmp_path, capsys, edit, message):
+        cfg, psi_path = train_tiny_psi(tmp_path)
+        rewrite_json(psi_path, edit)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(tmp_path / "e"),
+                       "--psi", str(psi_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_meta_train_reports_truncated_checkpoint(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "pre"
+        assert run_cli("pretrain", "--config", cfg, "--out-dir", str(out)) == 0
+        path = out / "checkpoint_pretrain.json"
+        rewrite_json(path, lambda doc: doc.update(values=doc["values"][:1]))
+        capsys.readouterr()
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(tmp_path / "m"),
+                       "--checkpoint", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1 values, but its network needs" in err
 
 
 class TestInspect:

@@ -10,11 +10,12 @@ from l3rs.controller import (
     LAMBDA_INIT,
     ControllerContext,
     EmaTracker,
+    Mlp,
     PsiLayout,
     Variant,
     build_features,
     compose_update,
-    controller_forward,
+    controller_forward_batch,
     flatten,
     hyper_params_of,
     init_meta_params,
@@ -24,14 +25,45 @@ from l3rs.controller import (
     unflatten,
 )
 from l3rs.nnlite import NetworkSpec, ParamSet, init_params
-from l3rs.optdir import OptimizerKind
+from l3rs.optdir import NORM_FLOOR, OptimizerKind, segment_norms
 
 SGD_ADAM = (OptimizerKind.SGD, OptimizerKind.ADAM)
 
 
 def zero_mlp(layout):
     psi = unflatten(np.zeros(layout.flat_size), layout)
-    return psi.mlps[0]
+    return psi.mlp
+
+
+def forward_one(mlp, features):
+    """(mu [P], lambda) of a single frame through a one-MLP stack."""
+    mu, lam = controller_forward_batch(mlp, features[None, :])
+    return mu[0], float(lam[0])
+
+
+def compose_one(lam, mu, dirs, renormalize=False):
+    """compose_update for a single segment holding every direction."""
+    dirs = np.stack(dirs)
+    offsets = np.array([0, dirs.shape[1]])
+    return compose_update(np.array([lam]), mu[None, :], dirs,
+                          segment_norms(dirs, offsets), offsets, renormalize)
+
+
+def compose_reference(lam, mu, dirs, offsets, renormalize):
+    """The per-segment, per-provider loop that compose_update vectorizes."""
+    out = []
+    for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        blend = np.zeros(b - a)
+        for p, d in enumerate(dirs):
+            norm = np.linalg.norm(d[a:b])
+            if norm >= NORM_FLOOR:
+                blend += (mu[i, p] / norm) * d[a:b]
+        if renormalize:
+            blend_norm = float(np.linalg.norm(blend))
+            if blend_norm >= NORM_FLOOR:
+                blend /= blend_norm
+        out.append(float(lam[i]) * blend)
+    return np.concatenate(out)
 
 
 class TestEmaTracker:
@@ -153,12 +185,23 @@ class TestLayoutAndCodec:
             bumped = vec.copy()
             bumped[slot] += 1.0
             a, b = unflatten(vec, layout), unflatten(bumped, layout)
-            arrays_a = [*a.mlps[0].arrays(), a.embeddings, a.hyper_raw]
-            arrays_b = [*b.mlps[0].arrays(), b.embeddings, b.hyper_raw]
+            arrays_a = [*a.mlp.arrays(), a.embeddings, a.hyper_raw]
+            arrays_b = [*b.mlp.arrays(), b.embeddings, b.hyper_raw]
             changed = sum(int(not np.array_equal(x, y)) for x, y in zip(arrays_a, arrays_b))
             assert changed == 1
             total_diff = sum(int(np.sum(x != y)) for x, y in zip(arrays_a, arrays_b))
             assert total_diff == 1
+
+    def test_stacked_mlp_views_alias_flat(self):
+        layout = PsiLayout(n_components=3, base_kinds=SGD_ADAM, variant=Variant.PER_LAYER_MLP)
+        vec = np.arange(layout.flat_size, dtype=float)
+        psi = unflatten(vec, layout)
+        for arr, shape in zip(psi.mlp.arrays(), layout.mlp_shapes):
+            assert arr.shape == (3, *shape)
+            assert np.shares_memory(arr, vec)
+        # MLP i is the i-th consecutive block of mlp_size values
+        assert psi.mlp.w1[1, 0, 0] == layout.mlp_size
+        assert psi.mlp.b3[2, -1] == 3 * layout.mlp_size - 1
 
     def test_length_mismatch_rejected(self):
         layout = PsiLayout(n_components=2, base_kinds=SGD_ADAM)
@@ -190,7 +233,7 @@ class TestInitMetaParams:
         layout = PsiLayout(n_components=4, base_kinds=SGD_ADAM)
         psi = init_meta_params(layout, seed=3)
         features = np.random.default_rng(5).normal(size=layout.feature_dim)
-        mu, lam = controller_forward(psi.mlps[0], features)
+        mu, lam = forward_one(psi.mlp, features)
         np.testing.assert_allclose(mu, [0.5, 0.5], rtol=0, atol=1e-15)
         assert lam == pytest.approx(LAMBDA_INIT, rel=1e-14)
 
@@ -213,7 +256,7 @@ class TestControllerForward:
         layout = PsiLayout(n_components=1, base_kinds=SGD_ADAM)
         mlp = zero_mlp(layout)
         mlp.b3[:] = [math.log(3.0), 0.0, 0.0]
-        mu, lam = controller_forward(mlp, np.zeros(layout.feature_dim))
+        mu, lam = forward_one(mlp, np.zeros(layout.feature_dim))
         np.testing.assert_allclose(mu, [0.75, 0.25], rtol=0, atol=1e-15)
         assert lam == 1.0
 
@@ -221,9 +264,9 @@ class TestControllerForward:
         layout = PsiLayout(n_components=1, base_kinds=SGD_ADAM)
         mlp = zero_mlp(layout)
         mlp.b3[:] = [0.4, -1.1, 0.0]
-        mu1, _ = controller_forward(mlp, np.zeros(layout.feature_dim))
-        mlp.b3[:2] += 17.0
-        mu2, _ = controller_forward(mlp, np.zeros(layout.feature_dim))
+        mu1, _ = forward_one(mlp, np.zeros(layout.feature_dim))
+        mlp.b3[0, :2] += 17.0
+        mu2, _ = forward_one(mlp, np.zeros(layout.feature_dim))
         np.testing.assert_allclose(mu1, mu2, rtol=0, atol=1e-15)
 
     @given(st.integers(0, 2**31 - 1))
@@ -232,38 +275,56 @@ class TestControllerForward:
         layout = PsiLayout(n_components=1, base_kinds=SGD_ADAM)
         rng = np.random.default_rng(seed)
         psi = unflatten(rng.normal(scale=0.7, size=layout.flat_size), layout)
-        mu, lam = controller_forward(psi.mlps[0], rng.normal(size=layout.feature_dim))
+        mu, lam = forward_one(psi.mlp, rng.normal(size=layout.feature_dim))
         assert abs(mu.sum() - 1.0) <= 1e-12
         assert np.all(mu > 0)
         assert lam > 0
+
+    def test_stacked_forward_equals_each_mlp_alone(self):
+        layout = PsiLayout(n_components=4, base_kinds=tuple(OptimizerKind),
+                           variant=Variant.PER_LAYER_MLP)
+        rng = np.random.default_rng(13)
+        psi = unflatten(rng.normal(scale=0.3, size=layout.flat_size), layout)
+        frames = rng.normal(size=(4, layout.feature_dim))
+        mu, lam = controller_forward_batch(psi.mlp, frames)
+        for i in range(4):
+            alone = Mlp(*(a[i:i + 1] for a in psi.mlp.arrays()))
+            mu_i, lam_i = forward_one(alone, frames[i])
+            np.testing.assert_array_equal(mu[i], mu_i)
+            assert lam[i] == lam_i
+
+    def test_width_mismatch_rejected(self):
+        layout = PsiLayout(n_components=1, base_kinds=SGD_ADAM)
+        with pytest.raises(ValueError):
+            controller_forward_batch(zero_mlp(layout), np.zeros((1, layout.feature_dim + 1)))
 
 
 class TestComposeUpdate:
     def test_single_direction_norm_is_lambda(self):
         d = np.array([3.0, -4.0])
-        out = compose_update(0.37, np.array([1.0]), [d])
+        out = compose_one(0.37, np.array([1.0]), [d])
         assert np.linalg.norm(out) == pytest.approx(0.37, rel=1e-14)
 
     def test_antipodal_cancellation(self):
         d = np.array([1.0, 2.0, -1.0])
-        out = compose_update(1.0, np.array([0.5, 0.5]), [d, -d])
+        out = compose_one(1.0, np.array([0.5, 0.5]), [d, -d])
         assert np.abs(out).max() < 1e-15
 
     def test_orthonormal_pythagoras(self):
         d1 = np.array([1.0, 0.0])
         d2 = np.array([0.0, 1.0])
-        out = compose_update(1.0, np.array([0.5, 0.5]), [d1, d2])
+        out = compose_one(1.0, np.array([0.5, 0.5]), [d1, d2])
         assert np.linalg.norm(out) == pytest.approx(math.sqrt(0.5), rel=1e-12)
         assert np.linalg.norm(out) == pytest.approx(0.70711, abs=1e-5)
 
     def test_tiny_direction_contributes_zero(self):
         d1 = np.array([0.0, 1e-13])
         d2 = np.array([2.0, 0.0])
-        out = compose_update(1.0, np.array([0.5, 0.5]), [d1, d2])
+        out = compose_one(1.0, np.array([0.5, 0.5]), [d1, d2])
         np.testing.assert_allclose(out, [0.5, 0.0], rtol=0, atol=1e-15)
 
     def test_zero_lambda_zero_update(self):
-        out = compose_update(0.0, np.array([0.6, 0.4]),
+        out = compose_one(0.0, np.array([0.6, 0.4]),
                              [np.array([5.0, 1.0]), np.array([-2.0, 7.0])])
         assert np.all(out == 0.0)
 
@@ -271,15 +332,30 @@ class TestComposeUpdate:
         rng = np.random.default_rng(2)
         dirs = [rng.normal(size=5) for _ in range(3)]
         mu = np.array([0.2, 0.5, 0.3])
-        base = compose_update(1.3, mu, dirs)
-        scaled = compose_update(1.3, mu, [dirs[0], 1e6 * dirs[1], dirs[2]])
+        base = compose_one(1.3, mu, dirs)
+        scaled = compose_one(1.3, mu, [dirs[0], 1e6 * dirs[1], dirs[2]])
         assert np.abs(base - scaled).max() <= 1e-12
 
     def test_renormalized_variant_norm_is_exactly_lambda(self):
         rng = np.random.default_rng(3)
         dirs = [rng.normal(size=4) for _ in range(2)]
-        out = compose_update(0.9, np.array([0.5, 0.5]), dirs, renormalize=True)
+        out = compose_one(0.9, np.array([0.5, 0.5]), dirs, renormalize=True)
         assert np.linalg.norm(out) == pytest.approx(0.9, rel=1e-12)
+
+    def test_flat_segments_equal_per_segment_loop(self):
+        rng = np.random.default_rng(14)
+        offsets = np.array([0, 6, 9, 17, 18])
+        for trial in range(50):
+            P = int(rng.integers(1, 5))
+            dirs = rng.normal(size=(P, 18)) * 10.0 ** rng.integers(-14, 3, size=(P, 1))
+            dirs[:, 9:17] *= trial % 2  # whole segments of zero directions
+            mu = rng.dirichlet(np.ones(P), size=4)
+            lam = rng.uniform(0.0, 2.0, size=4)
+            for renormalize in (False, True):
+                out = compose_update(lam, mu, dirs, segment_norms(dirs, offsets),
+                                     offsets, renormalize)
+                ref = compose_reference(lam, mu, dirs, offsets, renormalize)
+                np.testing.assert_array_equal(out, ref)
 
 
 class TestBuildFeatures:
@@ -324,8 +400,8 @@ class TestVariants:
             ema_comp = np.tile(np.array([[0.3], [0.3]])[:, :, None], (1, 2, 3))
             frames = build_features(ema_comp, np.zeros(3), time_features(1, 10),
                                     psi.embeddings, np.zeros((2, 2)))
-            mu0, lam0 = controller_forward(psi.mlps[0], frames[0])
-            mu1, lam1 = controller_forward(psi.mlps[0], frames[1])
+            mu0, lam0 = forward_one(psi.mlp, frames[0])
+            mu1, lam1 = forward_one(psi.mlp, frames[1])
             same = np.allclose(mu0, mu1) and lam0 == pytest.approx(lam1)
             assert same == expect_equal
 

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from l3rs.controller import PsiLayout, flatten, init_meta_params
 from l3rs.meta import (
+    CandidateEvaluator,
     NesConfig,
     NesState,
     Task,
     TaskDistributionSpec,
     controller_stepper_factory,
     derived_rng,
-    fitness,
     generation_perturbations,
     generation_task_seeds,
     initial_psi,
@@ -163,24 +163,37 @@ class TestInnerLoopEval:
 
 
 class TestFitness:
+    """Candidate fitness as the NES loop computes it: CandidateEvaluator
+    against the generation's shared tasks, checked with inner_loop_eval."""
+
+    def evaluate(self, cfg, dist, layout, candidates):
+        with CandidateEvaluator(cfg, dist, layout, init_from=None) as ev:
+            return ev(np.stack(candidates), 0)
+
     def test_single_task(self):
-        layout = layout_for(DIST)
+        dist = dataclasses.replace(DIST, k_min=1, k_max=3)
+        cfg = NesConfig(population=2, meta_batch=1, seed=0)
+        layout = layout_for(dist)
         psi = flatten(init_meta_params(layout, seed=0))
-        task = make_task(DIST, seed=1, k_override=0)
-        f = fitness(psi, layout, [task])
+        f = self.evaluate(cfg, dist, layout, [psi, psi])
+        task = make_task(dist, generation_task_seeds(cfg, 0)[0])
         res = inner_loop_eval(controller_stepper_factory(psi, layout), task)
-        assert f == -res.meta_loss
+        assert f[0] == f[1] == -res.meta_loss
 
     def test_mean_and_permutation_invariance(self):
-        layout = layout_for(DIST)
+        dist = dataclasses.replace(DIST, k_min=2, k_max=2)
+        cfg = NesConfig(population=2, meta_batch=3, seed=0)
+        layout = layout_for(dist)
         psi = flatten(init_meta_params(layout, seed=0))
-        tasks = [make_task(DIST, seed=s, k_override=2) for s in range(3)]
-        f = fitness(psi, layout, tasks)
-        f_perm = fitness(psi, layout, tasks[::-1])
-        assert abs(f - f_perm) < 1e-15
+        other = psi + 0.1 * np.random.default_rng(1).normal(size=psi.shape)
+        f = self.evaluate(cfg, dist, layout, [psi, other])
+        f_perm = self.evaluate(cfg, dist, layout, [other, psi])
+        np.testing.assert_array_equal(f, f_perm[::-1])
+        tasks = [make_task(dist, s) for s in generation_task_seeds(cfg, 0)]
         losses = [inner_loop_eval(controller_stepper_factory(psi, layout), t).meta_loss
                   for t in tasks]
-        assert abs(f + np.mean(losses)) < 1e-15
+        assert abs(f[0] + np.mean(losses)) < 1e-15
+        assert abs(f[0] + np.mean(losses[::-1])) < 1e-15
 
 
 class TestShapedUtilities:

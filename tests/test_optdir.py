@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l3rs.nnlite import DivergenceError, NetworkSpec, ParamSet, init_params
+from l3rs.nnlite import DivergenceError, NetworkSpec, init_params
 from l3rs.optdir import (
     NORM_FLOOR,
     DirectionBank,
@@ -14,10 +14,10 @@ from l3rs.optdir import (
     default_hyper_params,
     dir_adam,
     dir_adamax,
-    dir_lamb,
     dir_lion,
     dir_sgd,
     dir_weight_decay,
+    segment_norms,
 )
 
 
@@ -28,6 +28,25 @@ def fresh_state(shape=()):
 def small_params(seed=0):
     spec = NetworkSpec(3, (4,), 2)
     return spec, init_params(spec, seed=seed)
+
+
+def offsets_of(params):
+    return np.concatenate([[0], np.cumsum([t.size for t in params.tensors])])
+
+
+def make_bank(kinds, offsets):
+    return DirectionBank(kinds, [default_hyper_params(k) for k in kinds], offsets)
+
+
+def bank_step(bank, grad, weights):
+    """One bank step on flat vectors, with the weight norms it expects."""
+    return bank.step(grad, weights, segment_norms(weights[None, :], bank.offsets)[:, 0])
+
+
+def lamb_first_step(grad, weights, offsets=None):
+    offsets = np.array([0, grad.size]) if offsets is None else offsets
+    dirs, _ = bank_step(make_bank([OptimizerKind.LAMB], offsets), grad, weights)
+    return dirs[0]
 
 
 class TestSgd:
@@ -124,25 +143,34 @@ class TestLion:
 class TestLamb:
     def test_zero_weights_degenerate_trust(self):
         g = np.array([0.4, -0.2])
-        d_lamb = dir_lamb(fresh_state(2), g, 0.9, 0.999, 1e-8, k=1,
-                          weights=np.zeros(2))
+        d_lamb = lamb_first_step(g, np.zeros(2))
         d_adam = dir_adam(fresh_state(2), g, 0.9, 0.999, 1e-8, k=1)
         np.testing.assert_array_equal(d_lamb, d_adam)
 
     def test_first_step_hand_value(self):
-        d = dir_lamb(fresh_state(), np.array(0.5), 0.9, 0.999, 1e-8, k=1,
-                     weights=np.array(3.0))
-        assert d == pytest.approx(-3.0, rel=1e-7)
+        d = lamb_first_step(np.array([0.5]), np.array([3.0]))
+        assert d[0] == pytest.approx(-3.0, rel=1e-7)
 
     def test_normalized_direction_matches_adam(self):
         rng = np.random.default_rng(8)
         g = rng.normal(size=6)
         w = rng.normal(size=6)
-        d_lamb = dir_lamb(fresh_state(6), g, 0.9, 0.999, 1e-8, k=1, weights=w)
+        d_lamb = lamb_first_step(g, w)
         d_adam = dir_adam(fresh_state(6), g, 0.9, 0.999, 1e-8, k=1)
         np.testing.assert_allclose(d_lamb / np.linalg.norm(d_lamb),
                                    d_adam / np.linalg.norm(d_adam),
                                    rtol=0, atol=1e-12)
+
+    def test_trust_ratio_per_segment(self):
+        # each segment is rescaled to its own weight norm; a zero-weight
+        # segment keeps the plain Adam ratio
+        rng = np.random.default_rng(9)
+        g = rng.normal(size=7)
+        w = np.concatenate([rng.normal(size=4), np.zeros(3)])
+        d_lamb = lamb_first_step(g, w, offsets=np.array([0, 4, 7]))
+        d_adam = dir_adam(fresh_state(7), g, 0.9, 0.999, 1e-8, k=1)
+        assert np.linalg.norm(d_lamb[:4]) == pytest.approx(np.linalg.norm(w[:4]), rel=1e-14)
+        np.testing.assert_array_equal(d_lamb[4:], d_adam[4:])
 
 
 class TestWeightDecay:
@@ -153,76 +181,92 @@ class TestWeightDecay:
         assert np.linalg.norm(dir_weight_decay(w)) == np.linalg.norm(w)
 
 
+class TestSegmentNorms:
+    def test_bit_identical_to_linalg_norm(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            spec = NetworkSpec(int(rng.integers(1, 40)), (int(rng.integers(1, 40)),),
+                               int(rng.integers(1, 10)))
+            params = init_params(spec, seed=int(rng.integers(0, 2**31)))
+            rows = rng.normal(size=(int(rng.integers(1, 7)), params.n_params()))
+            rows *= 10.0 ** rng.integers(-12, 12)
+            norms = segment_norms(rows, offsets_of(params))
+            assert norms.shape == (len(params), len(rows))
+            for i, (a, b) in enumerate(zip(offsets_of(params)[:-1], offsets_of(params)[1:])):
+                shape = params.tensors[i].shape
+                for p, row in enumerate(rows):
+                    assert norms[i, p] == np.linalg.norm(row[a:b].reshape(shape))
+
+
 class TestDirectionBank:
     def test_sgd_only_composition(self):
         spec, params = small_params()
-        bank = DirectionBank([OptimizerKind.SGD], [default_hyper_params(OptimizerKind.SGD)], params)
-        grads = ParamSet(list(params.ids), [np.full(t.shape, 0.5) for t in params.tensors])
-        ds = bank.step(grads, params, loss=1.0)
-        assert len(ds.directions[0]) == 1
-        for i in range(len(params)):
-            np.testing.assert_array_equal(ds.directions[i][0], -grads.tensors[i])
+        bank = make_bank([OptimizerKind.SGD], offsets_of(params))
+        grad = np.full(params.n_params(), 0.5)
+        dirs, norms = bank_step(bank, grad, params.flat())
+        assert dirs.shape == (1, params.n_params())
+        assert norms.shape == (len(params), 1)
+        np.testing.assert_array_equal(dirs[0], -grad)
 
     def test_state_isolation(self):
         spec, params = small_params()
         rng = np.random.default_rng(3)
-        grad_stream = [
-            ParamSet(list(params.ids), [rng.normal(size=t.shape) for t in params.tensors])
-            for _ in range(5)
-        ]
+        grad_stream = [rng.normal(size=params.n_params()) for _ in range(5)]
 
         def run(kinds):
-            bank = DirectionBank(kinds, [default_hyper_params(k) for k in kinds], params)
-            return [bank.step(g, params, loss=0.0) for g in grad_stream]
+            bank = make_bank(kinds, offsets_of(params))
+            return [bank_step(bank, g, params.flat()) for g in grad_stream]
 
         solo = run([OptimizerKind.ADAM])
         mixed = run([OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.LION])
-        for step_solo, step_mixed in zip(solo, mixed):
-            for comp in range(len(params)):
-                np.testing.assert_array_equal(step_solo.directions[comp][0],
-                                              step_mixed.directions[comp][1])
+        for (dirs_solo, norms_solo), (dirs_mixed, norms_mixed) in zip(solo, mixed):
+            np.testing.assert_array_equal(dirs_solo[0], dirs_mixed[1])
+            np.testing.assert_array_equal(norms_solo[:, 0], norms_mixed[:, 1])
 
     def test_zero_direction_log_norm_floor(self):
         spec, params = small_params()
-        bank = DirectionBank([OptimizerKind.SGD], [default_hyper_params(OptimizerKind.SGD)], params)
-        zeros = ParamSet(list(params.ids), [np.zeros(t.shape) for t in params.tensors])
-        ds = bank.step(zeros, params, loss=0.0)
-        assert ds.log_norms[0, 0] == pytest.approx(math.log(NORM_FLOOR))
-        assert ds.log_norms[0, 0] == pytest.approx(-27.631, abs=1e-3)
+        bank = make_bank([OptimizerKind.SGD], offsets_of(params))
+        _, norms = bank_step(bank, np.zeros(params.n_params()), params.flat())
+        assert norms[0, 0] == 0.0
+        log_norm = math.log(max(norms[0, 0], NORM_FLOOR))
+        assert log_norm == pytest.approx(math.log(NORM_FLOOR))
+        assert log_norm == pytest.approx(-27.631, abs=1e-3)
 
     def test_shapes_preserved(self):
         spec, params = small_params()
         kinds = [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.ADAMAX,
                  OptimizerKind.LION, OptimizerKind.LAMB, OptimizerKind.WEIGHT_DECAY]
-        bank = DirectionBank(kinds, [default_hyper_params(k) for k in kinds], params)
-        grads = ParamSet(list(params.ids), [np.ones(t.shape) for t in params.tensors])
-        ds = bank.step(grads, params, loss=0.0)
+        bank = make_bank(kinds, offsets_of(params))
+        dirs, norms = bank_step(bank, np.ones(params.n_params()), params.flat())
+        assert dirs.shape == (len(kinds), params.n_params())
+        assert norms.shape == (len(params), len(kinds))
+        offsets = offsets_of(params)
         for comp, t in enumerate(params.tensors):
+            a, b = offsets[comp], offsets[comp + 1]
+            assert b - a == t.size
             for p in range(len(kinds)):
-                assert ds.directions[comp][p].shape == t.shape
+                assert norms[comp, p] == np.linalg.norm(dirs[p, a:b].reshape(t.shape))
+        np.testing.assert_array_equal(dirs[5], -params.flat())
 
     def test_duplicate_kind_rejected(self):
         spec, params = small_params()
         with pytest.raises(ValueError):
-            DirectionBank([OptimizerKind.SGD, OptimizerKind.SGD],
-                          [default_hyper_params(OptimizerKind.SGD)] * 2, params)
+            make_bank([OptimizerKind.SGD, OptimizerKind.SGD], offsets_of(params))
 
     def test_non_finite_direction_raises(self):
         spec, params = small_params()
-        bank = DirectionBank([OptimizerKind.SGD], [default_hyper_params(OptimizerKind.SGD)], params)
-        bad = ParamSet(list(params.ids), [np.full(t.shape, np.inf) for t in params.tensors])
+        bank = make_bank([OptimizerKind.SGD], offsets_of(params))
         with pytest.raises(DivergenceError):
-            bank.step(bad, params, loss=0.0)
+            bank_step(bank, np.full(params.n_params(), np.inf), params.flat())
 
     def test_step_counter_shared(self):
         spec, params = small_params()
-        kinds = [OptimizerKind.SGD, OptimizerKind.ADAM]
-        bank = DirectionBank(kinds, [default_hyper_params(k) for k in kinds], params)
-        grads = ParamSet(list(params.ids), [np.ones(t.shape) for t in params.tensors])
+        bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], offsets_of(params))
+        grad = np.ones(params.n_params())
         assert bank.step_count == 0
-        bank.step(grads, params, loss=0.0)
+        bank_step(bank, grad, params.flat())
         assert bank.step_count == 1
-        bank.step(grads, params, loss=0.0)
+        bank_step(bank, grad, params.flat())
         assert bank.step_count == 2
 
 
