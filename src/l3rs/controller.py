@@ -443,7 +443,7 @@ class ControllerContext:
         w, g = wg
         offsets = self.bank.offsets
         wg_norms = segment_norms(wg, offsets)
-        dirs, norms = self.bank.step(g, w, wg_norms[:, 0])
+        dirs, norms = self.bank.step(g, w)
         self.tracker.update(loss, self._stats(wg_norms))
         mu, lam = self.decide(norms, k)
         new = w + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)

@@ -159,8 +159,7 @@ class DirectionBank:
         return len(self.kinds)
 
     def _direction(self, kind: OptimizerKind, hp: HyperParams, state: dict,
-                   grad: np.ndarray, weights: np.ndarray,
-                   w_norms: np.ndarray) -> np.ndarray:
+                   grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
         k = self.step_count
         if kind == OptimizerKind.SGD:
             return dir_sgd(grad)
@@ -176,7 +175,7 @@ class DirectionBank:
             # term, no clipping: unit normalization downstream makes the ratio
             # immaterial to the blended update.
             r = -dir_adam(state, grad, hp.beta1, hp.beta2, hp.eps, k)
-            r_norms = segment_norms(r[None, :], self.offsets)[:, 0]
+            w_norms, r_norms = segment_norms(np.stack([weights, r]), self.offsets).T
             trust = np.divide(w_norms, r_norms, out=np.ones_like(w_norms),
                               where=(w_norms > 0.0) & (r_norms > 0.0))
             return -np.repeat(trust, self.sizes) * r
@@ -184,18 +183,17 @@ class DirectionBank:
             return dir_weight_decay(weights)
         raise ValueError(f"unknown optimizer kind {kind}")
 
-    def step(self, grad: np.ndarray, weights: np.ndarray,
-             w_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, grad: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance every provider once: (directions [P, n], norms [L, P]).
 
         grad and weights are the flat pre-update values for the current
-        step; w_norms [L] are the segment norms of weights.
+        step.
         """
         self.step_count += 1
         dirs = np.empty((self.n_providers, len(grad)))
         with np.errstate(over="ignore", invalid="ignore"):
             for p, (kind, hp, state) in enumerate(zip(self.kinds, self.hypers, self._state)):
-                dirs[p] = self._direction(kind, hp, state, grad, weights, w_norms)
+                dirs[p] = self._direction(kind, hp, state, grad, weights)
         finite = np.isfinite(dirs).all(axis=1)
         if not finite.all():
             raise DivergenceError(f"non-finite {self.kinds[finite.argmin()].value} direction")

@@ -374,6 +374,28 @@ class TestBuildFeatures:
 
 
 class TestVariants:
+    def test_zero_direction_log_norm_floor(self):
+        # a zero gradient gives zero SGD directions; the policy hook (and the
+        # MLP features, which share decide's log_norms) see log(NORM_FLOOR)
+        spec = NetworkSpec(3, (4,), 2)
+        params = init_params(spec, seed=0)
+        layout = PsiLayout(n_components=len(params), base_kinds=(OptimizerKind.SGD,))
+        seen = []
+
+        def record_policy(i, log_norms):
+            seen.append(log_norms.copy())
+            return np.ones(1), 0.0
+
+        ctx = ControllerContext(init_meta_params(layout, seed=0), params, K=1,
+                                policy=record_policy)
+        zeros = ParamSet(list(params.ids), [np.zeros(t.shape) for t in params.tensors])
+        ctx.step(params, zeros, loss=0.0, k=1)
+        assert len(seen) == len(params)
+        for log_norms in seen:
+            assert log_norms.shape == (1,)
+            assert log_norms[0] == pytest.approx(math.log(NORM_FLOOR))
+            assert log_norms[0] == pytest.approx(-27.631, abs=1e-3)
+
     def test_global_identical_across_components(self):
         spec = NetworkSpec(6, (5,), 3)
         params = init_params(spec, seed=1)

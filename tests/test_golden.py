@@ -26,6 +26,9 @@ from l3rs.meta import (
 from l3rs.optdir import OptimizerKind
 
 DIST = TaskDistributionSpec(hidden=(32, 32))  # 16-32-32-4 task net
+# 8 components: the global variant's whole-model norms sum over L >= 8
+# values, where numpy's pairwise summation order starts to matter
+DEEP_DIST = TaskDistributionSpec(hidden=(32, 32, 32))
 K = 40
 TASK_SEEDS = (5, 6)
 PSI_NOISE = 0.1
@@ -48,6 +51,7 @@ PINNED_RUNS = {
     ("global", False): "b197817897229a2c868ea3fc1ec1004ded731d668c9734490bcc5193f0d3c96d",
     ("global", True): "5a98dd2b25f68630804f23869fa31bb4c9ccc7b994e256f0732799fe73e64e54",
 }
+PINNED_DEEP_GLOBAL = "39ffcb260499f9f771b7f4f359a315e4b2b759530c987df5cffa318facf314e4"
 PINNED_FILES = {
     "checkpoint_pretrain.json": "f8f0c4f066e0094d67b60894fc402ff453628f7958a7d157111d28b7e222fca4",
     "psi_final.json": "5f0c878ee2a5b8ad5a835627b98ee1ce2d21109d67987b8e309bfa0359961eb2",
@@ -62,17 +66,17 @@ def sha(items) -> str:
     return h.hexdigest()
 
 
-def run_digest(variant: str, renormalize: bool) -> str:
+def run_digest(variant: str, renormalize: bool, dist=DIST) -> str:
     """Trajectory, loss and accuracy of every step of two held-out tasks
     under a perturbed fresh controller with all six base optimizers."""
-    layout = PsiLayout(n_components=len(DIST.task_network().components()),
+    layout = PsiLayout(n_components=len(dist.task_network().components()),
                        base_kinds=tuple(OptimizerKind), variant=Variant(variant))
     psi = init_meta_params(layout, seed=1).flat
     psi = psi + PSI_NOISE * np.random.default_rng(2).standard_normal(psi.shape)
     factory = controller_stepper_factory(psi, layout, renormalize=renormalize)
     items = []
     for seed in TASK_SEEDS:
-        task = make_task(DIST, seed, split="metatest", k_override=K)
+        task = make_task(dist, seed, split="metatest", k_override=K)
         res = inner_loop_eval(factory, task, record_trajectory=True)
         items.append((res.meta_loss, res.eval_accuracy, res.diverged, res.train_losses))
         items.extend((r.step, r.component, r.mu, r.lam, r.train_loss)
@@ -97,6 +101,10 @@ def test_inner_run_digest(variant, renormalize):
     assert run_digest(variant, renormalize) == PINNED_RUNS[(variant, renormalize)]
 
 
+def test_global_run_digest_deep_net():
+    assert run_digest("global", False, DEEP_DIST) == PINNED_DEEP_GLOBAL
+
+
 def test_cli_meta_train_file_bytes(tmp_path):
     assert cli_digests(tmp_path) == PINNED_FILES
 
@@ -107,6 +115,7 @@ if __name__ == "__main__":
 
     for key in PINNED_RUNS:
         print(f"    {key!r}: \"{run_digest(*key)}\",")
+    print(f"PINNED_DEEP_GLOBAL = \"{run_digest('global', False, DEEP_DIST)}\"")
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in cli_digests(Path(tmp)).items():
             print(f"    \"{name}\": \"{digest}\",")
