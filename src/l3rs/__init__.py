@@ -23,6 +23,7 @@ from .meta import (
     NesState,
     Task,
     TaskDistributionSpec,
+    inner_loop_batch,
     inner_loop_eval,
     make_task,
     meta_train,

@@ -28,7 +28,7 @@ from .meta import (
     inner_loop_eval,
     make_task,
 )
-from .nnlite import DivergenceError, NetworkSpec, ParamSet
+from .nnlite import NetworkSpec, ParamSet
 from .optdir import STATE_SLOTS, OptimizerKind
 
 _TAG_EVAL_TASKS = 21
@@ -67,42 +67,51 @@ def cosine_lr(k: int, K: int, lr0: float) -> float:
 
 
 class BaselineStepper:
-    """Plain SGD/Adam loop. head_only freezes everything except the final
-    kernel+bias pair, leaving those tensors bit-identical for the whole run."""
+    """Plain SGD/Adam on the single flat parameter row [1, n] of the inner
+    loop. head_only freezes everything except the final kernel+bias pair,
+    leaving the rest bit-identical for the whole run."""
+
+    n_rows = 1
 
     def __init__(self, spec: BaselineSpec, task: Task):
         self.spec = spec
         self.K = task.K
-        n = len(task.theta0)
-        self.active = range(n - 2, n) if spec.head_only else range(n)
+        sizes = [t.size for t in task.theta0.tensors]
+        self.start = sum(sizes[:-2]) if spec.head_only else 0
         if spec.kind != BaselineKind.SGD_CONST:
-            self.m = [np.zeros_like(t) for t in task.theta0.tensors]
-            self.v = [np.zeros_like(t) for t in task.theta0.tensors]
+            self.m = np.zeros((1, sum(sizes) - self.start))
+            self.v = np.zeros_like(self.m)
 
     def _lr(self, k: int) -> float:
         if self.spec.kind == BaselineKind.ADAM_COSINE:
             return cosine_lr(k, self.K, self.spec.lr0)
         return self.spec.lr0
 
-    def step(self, params: ParamSet, grads: ParamSet, loss: float, k: int) -> ParamSet:
-        del loss
+    def keep(self, rows) -> None:
+        if self.spec.kind != BaselineKind.SGD_CONST:
+            self.m, self.v = self.m[rows], self.v[rows]
+
+    def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(new params of the rows that stayed finite, finite mask)."""
+        del losses
         s = self.spec
         lr = self._lr(k)
-        new_tensors = list(params.tensors)
+        new = params.copy()
+        g = grads[:, self.start:]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in self.active:
-                g = grads.tensors[i]
-                if s.kind == BaselineKind.SGD_CONST:
-                    new_tensors[i] = params.tensors[i] - lr * g
-                else:
-                    self.m[i] = s.beta1 * self.m[i] + (1 - s.beta1) * g
-                    self.v[i] = s.beta2 * self.v[i] + (1 - s.beta2) * g * g
-                    m_hat = self.m[i] / (1 - s.beta1 ** k)
-                    v_hat = self.v[i] / (1 - s.beta2 ** k)
-                    new_tensors[i] = params.tensors[i] - lr * m_hat / (np.sqrt(v_hat) + s.eps)
-                if not np.all(np.isfinite(new_tensors[i])):
-                    raise DivergenceError("baseline update diverged")
-        return ParamSet(list(params.ids), new_tensors)
+            if s.kind == BaselineKind.SGD_CONST:
+                new[:, self.start:] = params[:, self.start:] - lr * g
+            else:
+                self.m = s.beta1 * self.m + (1 - s.beta1) * g
+                self.v = s.beta2 * self.v + (1 - s.beta2) * g * g
+                m_hat = self.m / (1 - s.beta1 ** k)
+                v_hat = self.v / (1 - s.beta2 ** k)
+                new[:, self.start:] = params[:, self.start:] - lr * m_hat / (np.sqrt(v_hat) + s.eps)
+        finite = np.isfinite(new[:, self.start:]).all(axis=-1)
+        if not finite.all():
+            self.keep(finite)
+        return new[finite], finite
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ class OptimizerHandle:
     optimizer on one task."""
 
     label: str
-    factory: object  # callable(task, record=False) -> stepper
+    factory: object  # callable(task, record=False) -> stepper with one row
 
     def run(self, task: Task, record_trajectory: bool = False) -> InnerRunResult:
         return inner_loop_eval(self.factory, task, record_trajectory=record_trajectory)

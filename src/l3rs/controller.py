@@ -9,12 +9,16 @@ emits P+1 logits per component: a softmax over the P mixing coefficients and
 an exponential head for lambda, so mu is always a distribution and lambda is
 always positive.
 
-One inner step works on flat vectors: parameters, gradients and the [P, n]
-directions of the bank are split into components at the segment offsets,
-all per-component norms come from optdir.segment_norms, and the update is
-one flat expression over [P, n]. The controller MLPs are stacked (a leading
-n_mlps axis: 1, or L for per_layer_mlp), so every variant takes one batched
-forward pass.
+One inner step advances C candidates at once (a population block, or C = 1
+for a single run) on flat vectors: parameters and gradients are [C, n], the
+bank's directions [C, P, n], all split into components at the segment
+offsets; every per-component norm comes from optdir.segment_norms, the EMAs
+are [C, L, 2, G], and the update is one flat expression over [C, P, n]. The
+controller MLPs are stacked (a leading n_mlps axis: 1, or L for
+per_layer_mlp) behind the candidate axis, so the frames [C, L, F] of every
+variant take one batched matmul per MLP layer. A candidate whose directions,
+logits or lambdas stop being finite is dropped from every per-candidate
+array and the others are not disturbed.
 
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
@@ -31,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import optdir
-from .nnlite import DivergenceError, ParamSet
+from .nnlite import ParamSet
 from .optdir import DirectionBank, HyperParams, OptimizerKind, segment_norms
 
 DEFAULT_GAMMAS = (0.0, 0.9, 0.99)
@@ -82,39 +86,48 @@ class EmaTracker:
     """Bias-corrected EMAs of log weight norms, log gradient norms and loss.
 
     Per component: log||w||_2 and log||g||_2 for every smoothing factor in
-    gammas; the loss EMAs are global. Statistics must be the pre-update
-    values for the step being recorded, and update() runs exactly once per
-    inner step.
+    gammas; the loss EMAs are global. With ``rows`` set, every statistic
+    gains a leading axis of that many independent rows (one per candidate).
+    Statistics must be the pre-update values for the step being recorded,
+    and update() runs exactly once per inner step.
     """
 
-    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS):
+    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS, rows: int | None = None):
         self.gammas = np.asarray(tuple(gammas), dtype=float)
         if len(self.gammas) > 0 and (self.gammas.min() < 0 or self.gammas.max() >= 1):
             raise ValueError("gammas must lie in [0, 1)")
         self.n_components = n_components
         self.k = 0
-        self._comp = np.zeros((n_components, 2, len(self.gammas)))
-        self._loss = np.zeros(len(self.gammas))
+        lead = () if rows is None else (rows,)
+        self._comp = np.zeros((*lead, n_components, 2, len(self.gammas)))
+        self._loss = np.zeros((*lead, len(self.gammas)))
 
-    def update(self, loss: float, comp_stats: np.ndarray) -> None:
-        """comp_stats is [L, 2]: (log||w||, log||g||) per component."""
-        if comp_stats.shape != (self.n_components, 2):
+    def update(self, loss, comp_stats: np.ndarray) -> None:
+        """loss is a scalar or [C]; comp_stats is [L, 2] or [C, L, 2]:
+        (log||w||, log||g||) per component."""
+        if comp_stats.shape != self._comp.shape[:-1]:
             raise ValueError("component statistics have the wrong shape")
         self.k += 1
         if len(self.gammas) == 0:
             return
         g = self.gammas
-        self._comp = g[None, None, :] * self._comp + (1.0 - g)[None, None, :] * comp_stats[:, :, None]
-        self._loss = g * self._loss + (1.0 - g) * loss
+        self._comp = g * self._comp + (1.0 - g) * comp_stats[..., None]
+        self._loss = g * self._loss + (1.0 - g) * np.asarray(loss)[..., None]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows selected by the mask or index array ``rows``."""
+        self._comp = self._comp[rows]
+        self._loss = self._loss[rows]
 
     def read(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corrected EMAs: ([L, 2, n_gammas], [n_gammas]). Errors before any update."""
+        """Corrected EMAs: ([..., L, 2, n_gammas], [..., n_gammas]). Errors
+        before any update."""
         if self.k == 0:
             raise ValueError("no samples recorded yet")
         if len(self.gammas) == 0:
             return self._comp.copy(), self._loss.copy()
         corr = 1.0 - self.gammas ** self.k  # gamma == 0 gives divisor 1 for k >= 1
-        return self._comp / corr[None, None, :], self._loss / corr
+        return self._comp / corr, self._loss / corr
 
 
 class Variant(str, Enum):
@@ -217,7 +230,8 @@ class Mlp:
 
 @dataclass
 class MetaParams:
-    """Structured view of one flat meta-parameter vector.
+    """Structured view of one flat meta-parameter vector, or of a batch
+    [C, flat_size] of them, in which case every array gains a leading C axis.
 
     All arrays alias ``flat``, so unflatten(flatten(psi)) round-trips bit
     for bit and NES can perturb the flat vector directly.
@@ -235,24 +249,27 @@ def flatten(psi: MetaParams) -> np.ndarray:
 
 
 def unflatten(vec: np.ndarray, layout: PsiLayout) -> MetaParams:
-    """Views into ``vec``: n_mlps MLPs (w1,b1,w2,b2,w3,b3 each), embeddings
-    row-major, then raw hyperparameters in declaration order. The stacked
-    MLP arrays are strided views across the consecutive MLP blocks."""
+    """Views into ``vec`` [flat_size] or [C, flat_size]: n_mlps MLPs
+    (w1,b1,w2,b2,w3,b3 each), embeddings row-major, then raw
+    hyperparameters in declaration order. The stacked MLP arrays are
+    strided views across the consecutive MLP blocks."""
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (layout.flat_size,):
-        raise ValueError(f"flat vector has length {vec.shape}, expected {layout.flat_size}")
+    if vec.ndim not in (1, 2) or vec.shape[-1] != layout.flat_size:
+        raise ValueError(f"flat vector has shape {vec.shape}, expected "
+                         f"[{layout.flat_size}] or [C, {layout.flat_size}]")
+    lead = vec.shape[:-1]
     n_mlp_values = layout.n_mlps * layout.mlp_size
-    blocks = vec[:n_mlp_values].reshape(layout.n_mlps, layout.mlp_size)
+    blocks = vec[..., :n_mlp_values].reshape(*lead, layout.n_mlps, layout.mlp_size)
     arrays, offset = [], 0
     for shape in layout.mlp_shapes:
         n = int(np.prod(shape))
-        arrays.append(blocks[:, offset:offset + n].reshape(layout.n_mlps, *shape))
+        arrays.append(blocks[..., offset:offset + n].reshape(*lead, layout.n_mlps, *shape))
         offset += n
     embeddings = None
     if layout.variant == Variant.FULL:
-        embeddings = vec[n_mlp_values:n_mlp_values + layout.embedding_size].reshape(
-            layout.n_components, EMBED_DIM)
-    hyper_raw = vec[layout.flat_size - layout.n_hyper:]
+        embeddings = vec[..., n_mlp_values:n_mlp_values + layout.embedding_size].reshape(
+            *lead, layout.n_components, EMBED_DIM)
+    hyper_raw = vec[..., layout.flat_size - layout.n_hyper:]
     return MetaParams(layout=layout, flat=vec, mlp=Mlp(*arrays),
                       embeddings=embeddings, hyper_raw=hyper_raw)
 
@@ -283,14 +300,15 @@ def init_meta_params(layout: PsiLayout, seed: int) -> MetaParams:
     return psi
 
 
-def hyper_params_of(psi: MetaParams) -> list[HyperParams]:
-    """Squash the raw scalars into (0,1) betas, one HyperParams per kind."""
+def hyper_params_of(layout: PsiLayout, hyper_raw: np.ndarray) -> list[HyperParams]:
+    """Squash the raw scalars hyper_raw [n_hyper] of one psi into (0,1)
+    betas, one HyperParams per kind."""
     out = []
     idx = 0
-    for kind in psi.layout.base_kinds:
+    for kind in layout.base_kinds:
         if kind in optdir.KINDS_WITH_BETAS:
-            b1 = float(sigmoid(psi.hyper_raw[idx]))
-            b2 = float(sigmoid(psi.hyper_raw[idx + 1]))
+            b1 = float(sigmoid(hyper_raw[idx]))
+            b2 = float(sigmoid(hyper_raw[idx + 1]))
             idx += 2
             out.append(HyperParams(beta1=b1, beta2=b2))
         else:
@@ -300,56 +318,57 @@ def hyper_params_of(psi: MetaParams) -> list[HyperParams]:
 
 def build_features(ema_comp: np.ndarray, ema_loss: np.ndarray, tf: np.ndarray,
                    embeddings: np.ndarray | None, dir_log_norms: np.ndarray) -> np.ndarray:
-    """Frames [L, F] in the fixed order (EMA | time | embedding | dir norms).
+    """Frames [..., L, F] in the fixed order (EMA | time | embedding | dir
+    norms) from ema_comp [..., L, 2, G], ema_loss [..., G], the shared time
+    features tf, embeddings [..., L, E] and dir_log_norms [..., L, P].
 
     The EMA block is log||w|| EMAs, then log||g|| EMAs, then loss EMAs, each
     over the configured gammas in order.
     """
-    n = ema_comp.shape[0]
+    rows = ema_comp.shape[:-2]
     parts = [
-        ema_comp[:, 0, :],
-        ema_comp[:, 1, :],
-        np.tile(ema_loss, (n, 1)),
-        np.tile(tf, (n, 1)),
+        ema_comp[..., 0, :],
+        ema_comp[..., 1, :],
+        np.broadcast_to(ema_loss[..., None, :], (*rows, ema_loss.shape[-1])),
+        np.broadcast_to(tf, (*rows, len(tf))),
     ]
     if embeddings is not None:
         parts.append(embeddings)
     parts.append(dir_log_norms)
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(parts, axis=-1)
 
 
-def controller_forward_batch(mlp: Mlp, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu [R, P], lambda [R]) for feature frames [R, F]. With n_mlps
-    stacked MLPs, consecutive blocks of R / n_mlps frames go through MLP 0,
-    1, ... in one batched pass. mu is a max-shifted softmax over the first P
-    logits; lambda = exp of the last logit."""
-    n_mlps, width = mlp.w1.shape[:2]
-    if frames.shape[1] != width:
+def controller_forward_batch(mlp: Mlp, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mu [..., R, P], lambda [..., R], finite [...]) for feature frames
+    [..., R, F] through stacked MLPs whose arrays lead with the same axes.
+    With n_mlps stacked MLPs, consecutive blocks of R / n_mlps frames go
+    through MLP 0, 1, ... in one batched pass. mu is a max-shifted softmax
+    over the first P logits; lambda = exp of the last logit. ``finite`` is
+    False where any logit or lambda of that leading index is not finite."""
+    n_mlps, width = mlp.w1.shape[-3:-1]
+    if frames.shape[-1] != width:
         raise ValueError(
-            f"feature frames have width {frames.shape[1]}, MLP expects {width}"
+            f"feature frames have width {frames.shape[-1]}, MLP expects {width}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.maximum(frames.reshape(n_mlps, -1, width) @ mlp.w1 + mlp.b1[:, None], 0.0)
-        h = np.maximum(h @ mlp.w2 + mlp.b2[:, None], 0.0)
-        logits = (h @ mlp.w3 + mlp.b3[:, None]).reshape(len(frames), -1)
-    if not np.isfinite(logits).all():
-        raise DivergenceError("controller produced non-finite logits")
-    mix = logits[:, :-1]
-    mix = mix - mix.max(axis=1, keepdims=True)
-    e = np.exp(mix)
-    mu = e / e.sum(axis=1, keepdims=True)
-    with np.errstate(over="ignore"):
-        lam = np.exp(logits[:, -1])
-    if not np.isfinite(lam).all():
-        raise DivergenceError("controller step size overflowed")
-    return mu, lam
+        h = frames.reshape(*frames.shape[:-2], n_mlps, frames.shape[-2] // n_mlps, width) @ mlp.w1
+        h = np.maximum(h + mlp.b1[..., None, :], 0.0)
+        h = np.maximum(h @ mlp.w2 + mlp.b2[..., None, :], 0.0)
+        logits = (h @ mlp.w3 + mlp.b3[..., None, :]).reshape(*frames.shape[:-1], mlp.b3.shape[-1])
+        mix = logits[..., :-1]
+        mix = mix - mix.max(axis=-1, keepdims=True)
+        e = np.exp(mix)
+        mu = e / e.sum(axis=-1, keepdims=True)
+        lam = np.exp(logits[..., -1])
+    finite = np.isfinite(logits).all(axis=(-2, -1)) & np.isfinite(lam).all(axis=-1)
+    return mu, lam, finite
 
 
 def compose_update(lam: np.ndarray, mu: np.ndarray, dirs: np.ndarray, norms: np.ndarray,
                    offsets: np.ndarray, renormalize: bool = False) -> np.ndarray:
-    """Flat update [n]: per segment l, the lambda[l]-scaled convex blend of
-    the unit directions dirs [P, n] with weights mu [L, P]; norms [L, P] are
-    the segment norms of dirs.
+    """Flat update [..., n]: per segment l, the lambda[..., l]-scaled convex
+    blend of the unit directions dirs [..., P, n] with weights mu [..., L, P];
+    norms [..., L, P] are the segment norms of dirs.
 
     Directions with norm below NORM_FLOOR contribute zero. With
     ``renormalize`` each segment's blend is rescaled to unit norm before
@@ -358,18 +377,19 @@ def compose_update(lam: np.ndarray, mu: np.ndarray, dirs: np.ndarray, norms: np.
     """
     sizes = np.diff(offsets)
     coef = np.divide(mu, norms, out=np.zeros_like(mu), where=norms >= optdir.NORM_FLOOR)
-    out = np.zeros(dirs.shape[1])
-    for c, d in zip(coef.T, dirs):
-        out += np.repeat(c, sizes) * d
+    out = np.zeros(dirs.shape[:-2] + dirs.shape[-1:])
+    for p in range(dirs.shape[-2]):
+        out += np.repeat(coef[..., p], sizes, axis=-1) * dirs[..., p, :]
     if renormalize:
-        blend = segment_norms(out[None, :], offsets)[:, 0]
-        out /= np.repeat(np.where(blend >= optdir.NORM_FLOOR, blend, 1.0), sizes)
-    return np.repeat(lam, sizes) * out
+        blend = segment_norms(out[..., None, :], offsets)[..., 0]
+        out /= np.repeat(np.where(blend >= optdir.NORM_FLOOR, blend, 1.0), sizes, axis=-1)
+    return np.repeat(lam, sizes, axis=-1) * out
 
 
 class ControllerContext:
-    """Everything one inner-loop evaluation needs: the direction bank, the
-    EMA tracker and a read-only view of the meta-parameters.
+    """Everything one inner-loop evaluation of C candidates needs: the
+    direction bank, the EMA tracker and a read-only view of the batched
+    meta-parameters [C, flat_size] (a single psi counts as C = 1).
 
     ``policy`` replaces the MLP head when set: it receives the component
     index and that component's direction log-norms and returns (mu, lambda).
@@ -386,70 +406,94 @@ class ControllerContext:
             raise ValueError(
                 f"layout built for {layout.n_components} components, model has {n_comp}"
             )
-        self.psi = psi
+        self.psi = psi if psi.flat.ndim == 2 else unflatten(psi.flat[None], layout)
         self.layout = layout
         self.K = K
         self.time_cfg = time_cfg
         self.renormalize = renormalize
         self.policy = policy
-        self._shapes = [t.shape for t in template.tensors]
         offsets = np.concatenate([[0], np.cumsum([t.size for t in template.tensors])])
-        self.bank = DirectionBank(list(layout.base_kinds), hyper_params_of(psi), offsets)
+        hypers = [hyper_params_of(layout, raw) for raw in self.psi.hyper_raw]
+        self.bank = DirectionBank(list(layout.base_kinds), hypers, offsets)
         tracked = 1 if layout.variant == Variant.GLOBAL else n_comp
-        self.tracker = EmaTracker(tracked, layout.gammas)
+        self.tracker = EmaTracker(tracked, layout.gammas, rows=len(hypers))
         self.n_model_components = n_comp
 
+    @property
+    def n_rows(self) -> int:
+        return len(self.psi.flat)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows selected by the mask or index array ``rows``."""
+        self.psi = unflatten(self.psi.flat[rows], self.layout)
+        self.bank.keep(rows)
+        self.tracker.keep(rows)
+
     def _stats(self, wg_norms: np.ndarray) -> np.ndarray:
-        """[L, 2] log (||w||, ||g||), or [1, 2] whole-model norms for global."""
+        """[C, L, 2] log (||w||, ||g||), or [C, 1, 2] whole-model norms for
+        global, from the segment norms wg_norms [C, L, 2]."""
         if self.layout.variant == Variant.GLOBAL:
             # sum along contiguous rows: the same pairwise order as np.sum of
-            # a 1-D array, which a sum over axis 0 of [L, 2] is not for L >= 8
-            wg_norms = np.sqrt(np.sum(np.ascontiguousarray(wg_norms.T) ** 2, axis=1))[None, :]
+            # a 1-D array, which a sum over the L axis of [L, 2] is not for L >= 8
+            sq = np.ascontiguousarray(wg_norms.swapaxes(-1, -2)) ** 2
+            wg_norms = np.sqrt(np.sum(sq, axis=-1))[:, None, :]
         return np.log(np.maximum(wg_norms, optdir.NORM_FLOOR))
 
-    def decide(self, norms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(mu [L, P], lambda [L]) from the direction norms [L, P], after
-        the tracker has been updated with this step's statistics."""
+    def decide(self, norms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu [C, L, P], lambda [C, L], finite [C]) from the direction norms
+        [C, L, P], after the tracker has been updated with this step's
+        statistics. Rows with finite False are not dropped here."""
         layout = self.layout
         n_comp = self.n_model_components
         log_norms = np.log(np.maximum(norms, optdir.NORM_FLOOR))
         if self.policy is not None:
-            mu = np.zeros((n_comp, layout.n_providers))
-            lam = np.zeros(n_comp)
-            for i in range(n_comp):
-                mu[i], lam[i] = self.policy(i, log_norms[i])
-            return mu, lam
+            mu = np.zeros(norms.shape)
+            lam = np.zeros(norms.shape[:2])
+            for c in range(len(norms)):
+                for i in range(n_comp):
+                    mu[c, i], lam[c, i] = self.policy(i, log_norms[c, i])
+            return mu, lam, np.ones(len(norms), dtype=bool)
 
         ema_comp, ema_loss = self.tracker.read()
         tf = time_features(k, self.K, self.time_cfg)
         if layout.variant == Variant.GLOBAL:
-            whole = 0.5 * np.log(np.maximum(np.sum(norms ** 2, axis=0),
+            whole = 0.5 * np.log(np.maximum(np.sum(norms ** 2, axis=-2),
                                             optdir.NORM_FLOOR ** 2))
-            frames = build_features(ema_comp, ema_loss, tf, None, whole[None, :])
-            mu, lam = controller_forward_batch(self.psi.mlp, frames)
-            return np.tile(mu, (n_comp, 1)), np.full(n_comp, lam[0])
+            frames = build_features(ema_comp, ema_loss, tf, None, whole[:, None, :])
+            mu, lam, finite = controller_forward_batch(self.psi.mlp, frames)
+            return np.repeat(mu, n_comp, axis=-2), np.repeat(lam, n_comp, axis=-1), finite
         frames = build_features(ema_comp, ema_loss, tf, self.psi.embeddings, log_norms)
         return controller_forward_batch(self.psi.mlp, frames)
 
-    def step(self, params: ParamSet, grads: ParamSet, loss: float, k: int) -> tuple[ParamSet, np.ndarray, np.ndarray]:
-        """One update: returns (new params, mu [L, P], lambda [L]); the new
-        tensors are views into one flat vector.
+    def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One update of the flat parameters params [C, n] from the flat
+        gradients grads [C, n] and the train losses [C].
+
+        Returns (new params [C', n], mu [C', L, P], lambda [C', L], finite
+        [C]), where the C' rows are those that stayed finite, selected from
+        the input rows by the mask ``finite``; the others are dropped.
 
         Order of effects: directions from pre-update weights and gradients,
         then the EMA recursion on pre-update statistics, then the controller
         and the composed update.
         """
-        wg = np.concatenate([*params.tensors, *grads.tensors], axis=None).reshape(2, -1)
-        w, g = wg
+        wg = np.stack([params, grads], axis=-2)
         offsets = self.bank.offsets
         wg_norms = segment_norms(wg, offsets)
-        dirs, norms = self.bank.step(g, w)
-        self.tracker.update(loss, self._stats(wg_norms))
-        mu, lam = self.decide(norms, k)
-        new = w + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
-        tensors = [new[a:b].reshape(shape)
-                   for a, b, shape in zip(offsets[:-1], offsets[1:], self._shapes)]
-        return ParamSet(list(params.ids), tensors), mu, lam
+        dirs, norms, finite = self.bank.step(grads, params)
+        if not finite.all():
+            self.psi = unflatten(self.psi.flat[finite], self.layout)
+            self.tracker.keep(finite)
+            params, wg_norms, losses = params[finite], wg_norms[finite], losses[finite]
+        self.tracker.update(losses, self._stats(wg_norms))
+        mu, lam, ok = self.decide(norms, k)
+        if not ok.all():
+            self.keep(ok)
+            params, mu, lam, dirs, norms = params[ok], mu[ok], lam[ok], dirs[ok], norms[ok]
+            finite[finite] = ok
+        new = params + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
+        return new, mu, lam, finite
 
 
 class CheckpointError(ValueError):

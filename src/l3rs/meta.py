@@ -10,6 +10,15 @@ Everything is reconstructible from integer seeds: a task regenerates bit for
 bit from (distribution, task seed), and one meta-training generation is a
 pure function of (config seed, generation), which is what makes runs
 resumable and independent of worker count.
+
+Every candidate of a generation trains on the same tasks, so there is one
+inner loop, inner_loop_batch, and it runs a whole block of candidates at
+once: parameters, gradients and optimizer state are [C, n] arrays with one
+row per candidate, and each row gets exactly the bits of its own
+single-candidate run. Divergence is a per-row mask: a row that stops being
+finite is dropped and scores DIVERGENCE_PENALTY while the others carry on.
+Single runs (evaluation, inspection, baselines) are the same loop with
+C = 1.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .nnlite import (
     init_params,
     loss_and_grad,
     mean_cross_entropy,
+    params_from_flat,
 )
 
 DIVERGENCE_PENALTY = 1e4
@@ -210,73 +220,106 @@ class InnerRunResult:
 
 
 class ControllerStepper:
-    """Adapts a ControllerContext to the stepper protocol used by the
-    evaluator; records per-component (mu, lambda) rows when asked."""
+    """Adapts a ControllerContext to the stepper protocol of the inner loop
+    (n_rows, keep, step); records per-component (mu, lambda) rows per
+    candidate when asked."""
 
-    def __init__(self, ctx: ControllerContext, record: bool):
+    def __init__(self, ctx: ControllerContext, names: list[str], record: bool):
         self.ctx = ctx
-        self.rows: list[TrajectoryRow] | None = [] if record else None
+        self.n_rows = ctx.n_rows
+        self._names = names
+        self._index = np.arange(self.n_rows)  # original row of every live row
+        self.rows: list[list[TrajectoryRow]] | None = (
+            [[] for _ in range(self.n_rows)] if record else None)
 
-    def step(self, params: ParamSet, grads: ParamSet, loss: float, k: int) -> ParamSet:
-        new_params, mu, lam = self.ctx.step(params, grads, loss, k)
+    def keep(self, rows: np.ndarray) -> None:
+        self.ctx.keep(rows)
+        self._index = self._index[rows]
+
+    def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+        new_params, mu, lam, finite = self.ctx.step(params, grads, losses, k)
+        self._index = self._index[finite]
         if self.rows is not None:
-            for i, cid in enumerate(params.ids):
-                self.rows.append(TrajectoryRow(
-                    step=k, component=cid.name,
-                    mu=tuple(float(v) for v in mu[i]),
-                    lam=float(lam[i]), train_loss=loss))
-        return new_params
+            for row, row_mu, row_lam, loss in zip(self._index, mu.tolist(), lam.tolist(),
+                                                  losses[finite].tolist()):
+                self.rows[row].extend(
+                    TrajectoryRow(step=k, component=name, mu=tuple(m), lam=l, train_loss=loss)
+                    for name, m, l in zip(self._names, row_mu, row_lam))
+        return new_params, finite
 
 
 def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
                                renormalize: bool = False, policy=None):
-    """Stepper factory for a flat meta-parameter vector.
+    """Stepper factory for a flat meta-parameter vector [flat_size], or a
+    block of C candidates [C, flat_size] trained side by side.
 
     The returned callable takes (task, record=False) and yields a fresh
     stepper with zeroed optimizer and tracker state, as a new fine-tuning
     run requires.
     """
-    psi_flat = np.asarray(psi_flat, dtype=float)
+    psi_flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
 
     def make(task: Task, record: bool = False) -> ControllerStepper:
         psi = unflatten(psi_flat, layout)
         ctx = ControllerContext(psi, task.theta0, task.K,
                                 renormalize=renormalize, policy=policy)
-        return ControllerStepper(ctx, record)
+        return ControllerStepper(ctx, [cid.name for cid in task.theta0.ids], record)
 
     return make
 
 
-def inner_loop_eval(make_stepper, task: Task, record_trajectory: bool = False) -> InnerRunResult:
-    """Run exactly K steps, one train batch each, then score the eval batch.
+def inner_loop_batch(make_stepper, task: Task,
+                     record_trajectory: bool = False) -> list[InnerRunResult]:
+    """The inner loop: run all C rows of the stepper (C candidates, or one
+    optimizer) for exactly K steps on the task's shared train batches, one
+    batch per step, then score the eval batch. Returns one result per row.
 
-    Divergence (non-finite loss, gradient or direction) yields the penalty
-    meta-loss rather than an exception so outer-loop fitness stays defined.
+    ``make_stepper(task, record)`` yields a stepper with ``n_rows``,
+    ``keep(mask)``, which drops rows, and ``step(params, grads, losses, k)``
+    on the live rows, which returns (new params of the rows that stayed
+    finite, the finite mask over its input rows).
+
+    A row whose loss, gradient, direction, logits or lambda stops being
+    finite, or whose final meta-loss is not finite, is dropped from the
+    live rows and scores the penalty meta-loss with accuracy 0, so
+    outer-loop fitness stays defined; the other rows are not disturbed.
     """
-    params = task.theta0.copy()
     stepper = make_stepper(task, record_trajectory)
-    train_losses: list[float] = []
-    penalized = InnerRunResult(meta_loss=DIVERGENCE_PENALTY, eval_accuracy=0.0,
-                               train_losses=train_losses, diverged=True,
-                               trajectory=getattr(stepper, "rows", None))
+    params = np.tile(task.theta0.flat(), (stepper.n_rows, 1))
+    live = np.arange(stepper.n_rows)
+    train_losses: list[list[float]] = [[] for _ in live]
     for k in range(1, task.K + 1):
-        try:
-            loss, grads = loss_and_grad(task.spec, params, task.train_batches[k - 1])
-        except DivergenceError:
-            return penalized
-        train_losses.append(loss)
-        try:
-            params = stepper.step(params, grads, loss, k)
-        except DivergenceError:
-            return penalized
-    logits = forward(task.spec, params, task.eval_batch.x)
-    meta_loss = mean_cross_entropy(logits, task.eval_batch.y)
-    if not np.isfinite(meta_loss):
-        return penalized
-    return InnerRunResult(meta_loss=float(meta_loss),
-                          eval_accuracy=accuracy(logits, task.eval_batch.y),
-                          train_losses=train_losses,
-                          trajectory=getattr(stepper, "rows", None))
+        losses, grads, finite = loss_and_grad(task.spec, params, task.train_batches[k - 1])
+        if not finite.all():
+            stepper.keep(finite)
+            live, params, grads, losses = live[finite], params[finite], grads[finite], losses[finite]
+        for row, loss in zip(live, losses.tolist()):
+            train_losses[row].append(loss)
+        params, finite = stepper.step(params, grads, losses, k)
+        live = live[finite]
+        if not len(live):
+            break
+    scores = {}  # row -> (meta-loss, accuracy) of the rows that stayed finite
+    if len(live):
+        logits = forward(task.spec, params, task.eval_batch.x)
+        scores = {row: (meta_loss, acc) for row, meta_loss, acc in zip(
+            live.tolist(), mean_cross_entropy(logits, task.eval_batch.y).tolist(),
+            accuracy(logits, task.eval_batch.y).tolist()) if np.isfinite(meta_loss)}
+    trajectories = getattr(stepper, "rows", None) or [None] * len(train_losses)
+    results = []
+    for row, (losses, trajectory) in enumerate(zip(train_losses, trajectories)):
+        meta_loss, acc = scores.get(row, (DIVERGENCE_PENALTY, 0.0))
+        results.append(InnerRunResult(meta_loss=meta_loss, eval_accuracy=acc,
+                                      train_losses=losses, diverged=row not in scores,
+                                      trajectory=trajectory))
+    return results
+
+
+def inner_loop_eval(make_stepper, task: Task, record_trajectory: bool = False) -> InnerRunResult:
+    """inner_loop_batch for a stepper with a single row (one optimizer)."""
+    (result,) = inner_loop_batch(make_stepper, task, record_trajectory)
+    return result
 
 
 def shaped_utilities(fitnesses) -> np.ndarray:
@@ -394,27 +437,32 @@ def _init_worker(dist, layout, init_from, split, renormalize):
                        split=split, renormalize=renormalize, task_cache={})
 
 
-def _eval_candidate_job(args):
-    index, cand, task_seeds = args
+def _eval_block_job(args):
+    """Losses [block, meta_batch] of a contiguous block of candidates, each
+    task run once for the whole block."""
+    start, block, task_seeds = args
     env = _WORKER_ENV
     cache = env["task_cache"]
-    losses = []
-    factory = controller_stepper_factory(cand, env["layout"],
+    factory = controller_stepper_factory(block, env["layout"],
                                          renormalize=env["renormalize"])
-    for seed in task_seeds:
+    losses = np.empty((len(block), len(task_seeds)))
+    for j, seed in enumerate(task_seeds):
         if seed not in cache:
             if len(cache) > 64:
                 cache.clear()
             cache[seed] = make_task(env["dist"], seed, split=env["split"],
                                     init_from=env["init_from"])
-        losses.append(inner_loop_eval(factory, cache[seed]).meta_loss)
-    return index, losses
+        losses[:, j] = [r.meta_loss for r in inner_loop_batch(factory, cache[seed])]
+    return start, losses
 
 
 class CandidateEvaluator:
     """Evaluates a population against the generation's shared task batch,
-    sequentially or across worker processes. Fitness order never depends on
-    the worker count because results are reduced by candidate index."""
+    cut into contiguous candidate blocks whose sizes differ by at most one:
+    one block when sequential, one per worker process otherwise (never more
+    workers than candidates). Fitness does not depend on the blocks, since
+    every row gets the bits of its single-candidate run, and results are
+    reduced by candidate index."""
 
     def __init__(self, cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
                  init_from: ParamSet | None, split: str = "metatrain",
@@ -425,7 +473,7 @@ class CandidateEvaluator:
         self.init_from = init_from
         self.split = split
         self.renormalize = renormalize
-        self.workers = max(1, int(workers))
+        self.workers = max(1, min(int(workers), cfg.population))
         self._pool = None
         if self.workers > 1:
             self._pool = ProcessPoolExecutor(
@@ -436,14 +484,17 @@ class CandidateEvaluator:
 
     def __call__(self, candidates: np.ndarray, generation: int) -> np.ndarray:
         seeds = generation_task_seeds(self.cfg, generation)
-        jobs = [(i, candidates[i], seeds) for i in range(len(candidates))]
+        n, blocks = len(candidates), min(self.workers, len(candidates))
+        bounds = [i * n // blocks for i in range(blocks + 1)]
+        jobs = [(a, candidates[a:b], seeds) for a, b in zip(bounds[:-1], bounds[1:])]
         fits = np.zeros(len(candidates))
         if self._pool is None:
-            results = map(_eval_candidate_job, jobs)
+            results = map(_eval_block_job, jobs)
         else:
-            results = self._pool.map(_eval_candidate_job, jobs)
-        for index, losses in results:
-            fits[index] = -float(np.mean(losses))
+            results = self._pool.map(_eval_block_job, jobs)
+        for start, losses in results:
+            for i, row in enumerate(losses, start):
+                fits[i] = -float(np.mean(row))
         return fits
 
     def close(self):
@@ -456,7 +507,6 @@ class CandidateEvaluator:
 
     def __exit__(self, *exc):
         self.close()
-
 
 def initial_psi(cfg: NesConfig, layout: PsiLayout) -> np.ndarray:
     return flatten(init_meta_params(layout, cfg.seed))
@@ -493,19 +543,20 @@ def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> Pa
         return params
     means = dist.class_means()
     pool = dist.split_classes("pretrain")
-    m = [np.zeros_like(t) for t in params.tensors]
-    v = [np.zeros_like(t) for t in params.tensors]
+    theta = params.flat()
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
     for k in range(1, steps + 1):
         batch = _blob_batch(dist, means, pool, dist.train_batch_size,
                             derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN, k))
-        _, grads = loss_and_grad(spec, params, batch)
-        for i, g in enumerate(grads.tensors):
-            m[i] = b1 * m[i] + (1 - b1) * g
-            v[i] = b2 * v[i] + (1 - b2) * g * g
-            params.tensors[i] = params.tensors[i] - lr * (
-                m[i] / (1 - b1 ** k)) / (np.sqrt(v[i] / (1 - b2 ** k)) + eps)
-    return params
+        _, g, finite = loss_and_grad(spec, theta, batch)
+        if not finite:
+            raise DivergenceError(f"pretraining diverged at step {k}")
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        theta = theta - lr * (m / (1 - b1 ** k)) / (np.sqrt(v / (1 - b2 ** k)) + eps)
+    return params_from_flat(spec, theta)
 
 
 def pretrain_eval(dist: TaskDistributionSpec, params: ParamSet, seed: int,
@@ -514,8 +565,8 @@ def pretrain_eval(dist: TaskDistributionSpec, params: ParamSet, seed: int,
     spec = dist.pretrain_network()
     batch = _blob_batch(dist, dist.class_means(), dist.split_classes("pretrain"),
                         n, derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN_EVAL))
-    logits = forward(spec, params, batch.x)
-    return mean_cross_entropy(logits, batch.y), accuracy(logits, batch.y)
+    logits = forward(spec, params.flat(), batch.x)
+    return float(mean_cross_entropy(logits, batch.y)), float(accuracy(logits, batch.y))
 
 
 def save_pretrained(path, spec: NetworkSpec, params: ParamSet) -> None:
@@ -533,7 +584,4 @@ def load_pretrained(path) -> tuple[NetworkSpec, ParamSet]:
         return spec, sum(int(np.prod(shape)) for shape in spec.component_shapes())
 
     spec, flat, _ = _read_checkpoint(path, "network", parse, "values")
-    shapes = spec.component_shapes()
-    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
-    tensors = [t.reshape(shape) for t, shape in zip(np.split(flat, ends[:-1]), shapes)]
-    return spec, ParamSet(spec.components(), tensors)
+    return spec, params_from_flat(spec, flat)

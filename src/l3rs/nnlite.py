@@ -3,6 +3,12 @@ reverse-mode gradients, used as the inner models that optimizers train.
 
 Everything is float64 and purely functional: no operation mutates its inputs,
 so concurrent evaluations can share specs and parameter sets freely.
+
+Parameters are flat vectors: the kernel then the bias of each dense layer in
+input-to-output order. Forward and backward passes take a flat array
+[..., n_params] with any leading axes, typically [C, n_params] for C
+networks trained side by side on the same batches, and run every network
+through each layer in one batched matmul.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ BIAS = "bias"
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a forward/backward pass produces non-finite values."""
+    """Raised when a training run that cannot drop rows (pretraining) stops
+    being finite; inner loops report divergence per row instead."""
 
 
 @dataclass(frozen=True)
@@ -123,86 +130,106 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
     return ParamSet(spec.components(), tensors)
 
 
-def _forward_cached(spec: NetworkSpec, params: ParamSet, x: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
+def layer_views(spec: NetworkSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(kernel [..., fan_in, fan_out], bias [..., fan_out]) views into a flat
+    parameter array [..., n], one pair per dense layer."""
+    lead = flat.shape[:-1]
+    views, offset = [], 0
+    for fan_in, fan_out in spec.layer_dims():
+        kernel = flat[..., offset:offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        offset += fan_in * fan_out
+        views.append((kernel, flat[..., offset:offset + fan_out]))
+        offset += fan_out
+    if flat.shape[-1] != offset:
+        raise ValueError(f"flat parameters have length {flat.shape[-1]}, expected {offset}")
+    return views
+
+
+def params_from_flat(spec: NetworkSpec, flat: np.ndarray) -> ParamSet:
+    """The ParamSet whose flat() is ``flat`` [n]; tensors are views into it."""
+    tensors = [t for pair in layer_views(spec, flat) for t in pair]
+    return ParamSet(spec.components(), tensors)
+
+
+def _forward_cached(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray):
+    """Forward pass keeping the activations for backprop. The bias and the
+    ReLU are applied in place: a [C, n, width] activation is the largest
+    array of a batched pass, and a ReLU output is positive exactly where
+    its input is, so backprop needs no separate pre-activations."""
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(
             f"input has shape {x.shape}, expected [n, {spec.input_dim}]"
         )
-    n_layers = len(spec.layer_dims())
+    layers = layer_views(spec, flat)
     acts = [x]
-    pre = []
     h = x
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in range(n_layers):
-            w = params.tensors[2 * layer]
-            b = params.tensors[2 * layer + 1]
-            z = h @ w + b
-            pre.append(z)
-            h = np.maximum(z, 0.0) if layer < n_layers - 1 else z
+        for layer, (w, b) in enumerate(layers):
+            h = h @ w
+            h += b[..., None, :]
+            if layer < len(layers) - 1:
+                np.maximum(h, 0.0, out=h)
             acts.append(h)
-    return pre, acts
+    return layers, acts
 
 
-def forward(spec: NetworkSpec, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Logits [n, output_dim] for inputs x [n, input_dim]."""
-    _, acts = _forward_cached(spec, params, x)
+def forward(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Logits [..., n, output_dim] for flat parameters [..., n_params] (one
+    network per leading index) and shared inputs x [n, input_dim]."""
+    _, acts = _forward_cached(spec, flat, x)
     return acts[-1]
 
 
 def _cross_entropy_parts(logits: np.ndarray, y: np.ndarray):
     # max-shifted log-sum-exp keeps large logits from overflowing
-    shift = logits.max(axis=1, keepdims=True)
+    shift = logits.max(axis=-1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         exp = np.exp(logits - shift)
-        lse = shift[:, 0] + np.log(exp.sum(axis=1))
-        loss = float(np.mean(lse - logits[np.arange(len(y)), y]))
-        softmax = exp / exp.sum(axis=1, keepdims=True)
+        lse = shift[..., 0] + np.log(exp.sum(axis=-1))
+        loss = np.mean(lse - logits[..., np.arange(len(y)), y], axis=-1)
+        softmax = exp / exp.sum(axis=-1, keepdims=True)
     return loss, softmax
 
 
-def mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+def mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean softmax cross-entropy over the rows of logits [..., n, classes]."""
     loss, _ = _cross_entropy_parts(logits, y)
     return loss
 
 
-def loss_and_grad(spec: NetworkSpec, params: ParamSet, batch: Batch) -> tuple[float, ParamSet]:
-    """Mean softmax cross-entropy and its exact gradient.
-
-    The returned gradient mirrors ``params`` component for component.
-    Raises DivergenceError if any intermediate stops being finite, which
-    callers treat as inner-loop divergence.
+def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
+                  batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy [...], its exact gradient [..., n_params]
+    laid out like ``flat``, and the finite mask [...]: True where the loss
+    and every gradient entry are finite. Callers treat a False entry as
+    inner-loop divergence of that network.
     """
-    n_layers = len(spec.layer_dims())
-    pre, acts = _forward_cached(spec, params, batch.x)
+    layers, acts = _forward_cached(spec, flat, batch.x)
     loss, softmax = _cross_entropy_parts(acts[-1], batch.y)
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite loss {loss}")
 
     n = batch.x.shape[0]
     delta = softmax
-    delta[np.arange(n), batch.y] -= 1.0
+    delta[..., np.arange(n), batch.y] -= 1.0
     delta /= n
 
-    grads: list[np.ndarray] = [None] * (2 * n_layers)  # type: ignore[list-item]
+    grads: list[np.ndarray] = [None] * (2 * len(layers))  # type: ignore[list-item]
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in range(n_layers - 1, -1, -1):
-            grads[2 * layer] = acts[layer].T @ delta
-            grads[2 * layer + 1] = delta.sum(axis=0)
+        for layer in range(len(layers) - 1, -1, -1):
+            grads[2 * layer] = acts[layer].swapaxes(-1, -2) @ delta
+            grads[2 * layer + 1] = delta.sum(axis=-2)
             if layer > 0:
-                w = params.tensors[2 * layer]
-                delta = (delta @ w.T) * (pre[layer - 1] > 0)
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient")
-    return loss, ParamSet(list(params.ids), grads)
+                delta = (delta @ layers[layer][0].swapaxes(-1, -2)) * (acts[layer] > 0)
+    lead = flat.shape[:-1]
+    grad = np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
+    return loss, grad, np.isfinite(loss) & np.isfinite(grad).all(axis=-1)
 
 
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax matches the label.
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Fraction of rows of logits [..., n, classes] whose argmax matches the
+    label.
 
     np.argmax breaks ties toward the lowest class index.
     """
-    if logits.shape[0] != len(labels):
+    if logits.shape[-2] != len(labels):
         raise ValueError("logits and labels disagree in length")
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+    return np.mean(np.argmax(logits, axis=-1) == np.asarray(labels), axis=-1)

@@ -7,8 +7,10 @@ step, i.e. what a unit-learning-rate optimizer would ADD to the weights.
 Parameters, gradients and directions are flat vectors; the parameter
 components (one tensor each) are the segments between consecutive entries of
 an offsets array. A DirectionBank runs several providers off one backward
-pass and returns all directions as one [P, n] array together with their
-[L, P] segment norms from segment_norms().
+pass on C rows at once (one per candidate of a population, each with its own
+hyperparameters) and returns all directions as one [C, P, n] array together
+with their [C, L, P] segment norms from segment_norms(). A row whose
+directions stop being finite is dropped and reported in a per-row mask.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .nnlite import DivergenceError
 
 NORM_FLOOR = 1e-12  # l2 norms are floored here before logs and normalization
 
@@ -72,35 +72,46 @@ def default_hyper_params(kind: OptimizerKind) -> HyperParams:
     return HyperParams(beta1=0.9, beta2=0.999)
 
 
+def _debias(beta, k: int):
+    """1 - beta**k for a scalar beta or a per-row beta array [..., 1].
+
+    Powers are taken in Python floats, row by row: numpy's vectorized power
+    may round differently from libm's pow, and every row must get the
+    bits a single-row run gets.
+    """
+    if np.ndim(beta) == 0:
+        return 1.0 - beta ** k
+    return np.array([1.0 - b ** k for b in np.ravel(beta).tolist()]).reshape(np.shape(beta))
+
+
 def dir_sgd(grad: np.ndarray) -> np.ndarray:
     """Momentumless SGD: d = -g."""
     return -grad
 
 
-def dir_adam(state: dict, grad: np.ndarray, beta1: float, beta2: float,
-             eps: float, k: int) -> np.ndarray:
+def dir_adam(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int) -> np.ndarray:
     """Bias-corrected Adam direction, state mutated in place.
 
     m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
     d = -(m / (1-b1^k)) / (sqrt(v / (1-b2^k)) + eps), k >= 1 post-increment.
+    The hyperparameters are scalars or per-row arrays [..., 1].
     """
     state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
     state["v"] = beta2 * state["v"] + (1.0 - beta2) * grad * grad
-    m_hat = state["m"] / (1.0 - beta1 ** k)
-    v_hat = state["v"] / (1.0 - beta2 ** k)
+    m_hat = state["m"] / _debias(beta1, k)
+    v_hat = state["v"] / _debias(beta2, k)
     return -m_hat / (np.sqrt(v_hat) + eps)
 
 
-def dir_adamax(state: dict, grad: np.ndarray, beta1: float, beta2: float,
-               eps: float, k: int) -> np.ndarray:
+def dir_adamax(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int) -> np.ndarray:
     """Adamax: infinity-norm second moment, u <- max(b2*u, |g|)."""
     state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
     state["u"] = np.maximum(beta2 * state["u"], np.abs(grad))
-    m_hat = state["m"] / (1.0 - beta1 ** k)
+    m_hat = state["m"] / _debias(beta1, k)
     return -m_hat / (state["u"] + eps)
 
 
-def dir_lion(state: dict, grad: np.ndarray, beta1: float, beta2: float) -> np.ndarray:
+def dir_lion(state: dict, grad: np.ndarray, beta1, beta2) -> np.ndarray:
     """Lion: sign of the b1-interpolated momentum; momentum updated with b2 AFTER.
 
     sign(0) is 0, so entries of the output lie in {-1, 0, +1}.
@@ -117,84 +128,103 @@ def dir_weight_decay(weights: np.ndarray) -> np.ndarray:
 
 
 def segment_norms(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """l2 norms [L, R] of every row of ``rows`` [R, n] over every segment
-    [offsets[l], offsets[l + 1]).
+    """l2 norms [..., L, R] of every row of ``rows`` [..., R, n] over every
+    segment [offsets[l], offsets[l + 1]).
 
     One batched dot per segment: bit-identical to np.linalg.norm of each
     slice, which np.add.reduceat is not.
     """
-    sq = np.empty((len(offsets) - 1, rows.shape[0]))
+    sq = np.empty((*rows.shape[:-2], len(offsets) - 1, rows.shape[-2]))
     for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
-        sq[i] = (rows[:, None, a:b] @ rows[:, a:b, None])[:, 0, 0]
+        sq[..., i, :] = (rows[..., None, a:b] @ rows[..., a:b, None])[..., 0, 0]
     return np.sqrt(sq)
 
 
-class DirectionBank:
-    """P providers sharing one gradient stream over one flat parameter vector
-    split into L segments at ``offsets``.
+_SLOTS = {OptimizerKind.ADAM: ("m", "v"), OptimizerKind.LAMB: ("m", "v"),
+          OptimizerKind.ADAMAX: ("m", "u"), OptimizerKind.LION: ("m",)}
 
-    States are flat over all segments. A bank belongs to exactly one
-    inner-loop evaluation and is never shared.
+
+class DirectionBank:
+    """P providers sharing one gradient stream over C rows (one per
+    candidate) of a flat parameter vector split into L segments at
+    ``offsets``.
+
+    ``hypers[c][p]`` holds the hyperparameters of provider p for row c.
+    States are [C, n] arrays. A bank belongs to exactly one inner-loop
+    evaluation and is never shared; keep() drops rows that diverged.
     """
 
-    def __init__(self, kinds: list[OptimizerKind], hypers: list[HyperParams],
+    def __init__(self, kinds: list[OptimizerKind], hypers: list[list[HyperParams]],
                  offsets: np.ndarray):
         if len(kinds) != len(set(kinds)):
             raise ValueError("each optimizer kind may appear at most once")
-        if len(hypers) != len(kinds):
-            raise ValueError("one HyperParams per kind")
+        if any(len(row) != len(kinds) for row in hypers):
+            raise ValueError("one HyperParams per kind and row")
         self.kinds = list(kinds)
-        self.hypers = list(hypers)
+        # per provider: (beta1, beta2, eps), each a [C, 1] column
+        self._hyper = [tuple(np.array([[getattr(row[p], f)] for row in hypers])
+                             for f in ("beta1", "beta2", "eps"))
+                       for p in range(len(kinds))]
         self.step_count = 0
         self.offsets = np.asarray(offsets)
         self.sizes = np.diff(self.offsets)
-        n = int(self.offsets[-1])
-        slots = {OptimizerKind.ADAM: ("m", "v"), OptimizerKind.LAMB: ("m", "v"),
-                 OptimizerKind.ADAMAX: ("m", "u"), OptimizerKind.LION: ("m",)}
-        self._state = [{name: np.zeros(n) for name in slots.get(kind, ())}
+        shape = (len(hypers), int(self.offsets[-1]))
+        self._state = [{name: np.zeros(shape) for name in _SLOTS.get(kind, ())}
                        for kind in kinds]
 
     @property
     def n_providers(self) -> int:
         return len(self.kinds)
 
-    def _direction(self, kind: OptimizerKind, hp: HyperParams, state: dict,
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows selected by the mask or index array ``rows``."""
+        self._hyper = [tuple(h[rows] for h in hp) for hp in self._hyper]
+        self._state = [{name: arr[rows] for name, arr in state.items()}
+                       for state in self._state]
+
+    def _direction(self, kind: OptimizerKind, hyper, state: dict,
                    grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
         k = self.step_count
+        beta1, beta2, eps = hyper
         if kind == OptimizerKind.SGD:
             return dir_sgd(grad)
         if kind == OptimizerKind.ADAM:
-            return dir_adam(state, grad, hp.beta1, hp.beta2, hp.eps, k)
+            return dir_adam(state, grad, beta1, beta2, eps, k)
         if kind == OptimizerKind.ADAMAX:
-            return dir_adamax(state, grad, hp.beta1, hp.beta2, hp.eps, k)
+            return dir_adamax(state, grad, beta1, beta2, eps, k)
         if kind == OptimizerKind.LION:
-            return dir_lion(state, grad, hp.beta1, hp.beta2)
+            return dir_lion(state, grad, beta1, beta2)
         if kind == OptimizerKind.LAMB:
             # Adam ratio scaled per segment by the trust ratio ||w|| / ||r||,
             # which degenerates to 1 when either norm is zero. No weight-decay
             # term, no clipping: unit normalization downstream makes the ratio
             # immaterial to the blended update.
-            r = -dir_adam(state, grad, hp.beta1, hp.beta2, hp.eps, k)
-            w_norms, r_norms = segment_norms(np.stack([weights, r]), self.offsets).T
+            r = -dir_adam(state, grad, beta1, beta2, eps, k)
+            wr_norms = segment_norms(np.stack([weights, r], axis=-2), self.offsets)
+            w_norms, r_norms = wr_norms[..., 0], wr_norms[..., 1]
             trust = np.divide(w_norms, r_norms, out=np.ones_like(w_norms),
                               where=(w_norms > 0.0) & (r_norms > 0.0))
-            return -np.repeat(trust, self.sizes) * r
+            return -np.repeat(trust, self.sizes, axis=-1) * r
         if kind == OptimizerKind.WEIGHT_DECAY:
             return dir_weight_decay(weights)
         raise ValueError(f"unknown optimizer kind {kind}")
 
-    def step(self, grad: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance every provider once: (directions [P, n], norms [L, P]).
+    def step(self, grad: np.ndarray,
+             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Advance every provider once on the flat pre-update gradients and
+        weights [C, n] of the current step.
 
-        grad and weights are the flat pre-update values for the current
-        step.
+        Returns (directions [C', P, n], norms [C', L, P], finite [C]): the
+        rows whose directions are all finite, and the mask that selects
+        them. The other rows are dropped from the bank.
         """
         self.step_count += 1
-        dirs = np.empty((self.n_providers, len(grad)))
+        dirs = np.empty((len(grad), self.n_providers, grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, (kind, hp, state) in enumerate(zip(self.kinds, self.hypers, self._state)):
-                dirs[p] = self._direction(kind, hp, state, grad, weights)
-        finite = np.isfinite(dirs).all(axis=1)
+            for p, (kind, hyper, state) in enumerate(zip(self.kinds, self._hyper, self._state)):
+                dirs[:, p] = self._direction(kind, hyper, state, grad, weights)
+        finite = np.isfinite(dirs).all(axis=(1, 2))
         if not finite.all():
-            raise DivergenceError(f"non-finite {self.kinds[finite.argmin()].value} direction")
-        return dirs, segment_norms(dirs, self.offsets)
+            self.keep(finite)
+            dirs = dirs[finite]
+        return dirs, segment_norms(dirs, self.offsets), finite

@@ -54,6 +54,7 @@ from l3rs.nnlite import (
     init_params,
     loss_and_grad,
     mean_cross_entropy,
+    params_from_flat,
 )
 from l3rs.optdir import OptimizerKind, segment_norms
 
@@ -82,16 +83,16 @@ def test_criterion_1_gradient_exactness():
         spec = NetworkSpec(d_in, (d_hid,), d_out)
         params = init_params(spec, seed=int(rng.integers(0, 2**31)))
         batch = Batch(x=rng.normal(size=(n, d_in)), y=rng.integers(0, d_out, n))
-        _, grads = loss_and_grad(spec, params, batch)
+        _, grads, _ = loss_and_grad(spec, params.flat(), batch)
         h = 1e-5
-        for t, g in zip(params.tensors, grads.tensors):
+        for t, g in zip(params.tensors, params_from_flat(spec, grads).tensors):
             flat, gflat = t.ravel(), g.ravel()
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+                up = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
                 flat[j] = orig - h
-                down = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+                down = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
                 flat[j] = orig
                 fd = (up - down) / (2 * h)
                 rel = abs(gflat[j] - fd) / (abs(fd) + 1e-8)
@@ -127,7 +128,7 @@ def test_criterion_2_update_invariants():
         logits = rng.normal(scale=1.5, size=p + 1)
         mlp, lay = zero_mlps[p], layouts[p]
         mlp.b3[:] = logits
-        mu, lam = controller_forward_batch(mlp, np.zeros((1, lay.feature_dim)))
+        mu, lam, _ = controller_forward_batch(mlp, np.zeros((1, lay.feature_dim)))
         assert abs(mu.sum() - 1.0) <= 1e-12
         assert lam[0] > 0.0
         dirs = np.stack([rng.normal(size=dim) * (10.0 ** rng.integers(-14, 3))
@@ -156,23 +157,21 @@ def test_criterion_2_update_invariants():
 # 3. optimizer-equivalence oracles
 
 
-def _final_theta_baseline(task, spec):
-    params = task.theta0.copy()
-    stepper = BaselineStepper(spec, task)
+def _final_theta(task, stepper):
+    params = task.theta0.flat()[None]
     for k in range(1, task.K + 1):
-        loss, grads = loss_and_grad(task.spec, params, task.train_batches[k - 1])
-        params = stepper.step(params, grads, loss, k)
-    return params
+        losses, grads, _ = loss_and_grad(task.spec, params, task.train_batches[k - 1])
+        params, _ = stepper.step(params, grads, losses, k)
+    return params_from_flat(task.spec, params[0])
+
+
+def _final_theta_baseline(task, spec):
+    return _final_theta(task, BaselineStepper(spec, task))
 
 
 def _final_theta_controller(task, layout, policy):
     psi = flatten(init_meta_params(layout, seed=0))
-    stepper = controller_stepper_factory(psi, layout, policy=policy)(task)
-    params = task.theta0.copy()
-    for k in range(1, task.K + 1):
-        loss, grads = loss_and_grad(task.spec, params, task.train_batches[k - 1])
-        params = stepper.step(params, grads, loss, k)
-    return params
+    return _final_theta(task, controller_stepper_factory(psi, layout, policy=policy)(task))
 
 
 def test_criterion_3_optimizer_equivalence():

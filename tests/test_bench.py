@@ -79,13 +79,14 @@ class TestRunBaseline:
             return stepper_holder["s"]
 
         # replay the run manually to capture the final params
-        from l3rs.nnlite import loss_and_grad
+        from l3rs.nnlite import loss_and_grad, params_from_flat
 
-        params = task.theta0.copy()
+        flat = task.theta0.flat()[None]
         stepper = factory(task)
         for k in range(1, task.K + 1):
-            loss, grads = loss_and_grad(task.spec, params, task.train_batches[k - 1])
-            params = stepper.step(params, grads, loss, k)
+            losses, grads, _ = loss_and_grad(task.spec, flat, task.train_batches[k - 1])
+            flat, _ = stepper.step(flat, grads, losses, k)
+        params = params_from_flat(task.spec, flat[0])
         for i in range(len(params) - 2):
             assert np.array_equal(params.tensors[i], task.theta0.tensors[i])
         assert not np.array_equal(params.tensors[-2], task.theta0.tensors[-2])
@@ -108,8 +109,13 @@ class TestRunBaseline:
 
 
 class _NullStepper:
-    def step(self, params, grads, loss, k):
-        return params
+    n_rows = 1
+
+    def keep(self, rows):
+        pass
+
+    def step(self, params, grads, losses, k):
+        return params, np.ones(len(params), dtype=bool)
 
 
 class TestEvaluateSuite:

@@ -24,7 +24,7 @@ from l3rs.controller import (
     time_features,
     unflatten,
 )
-from l3rs.nnlite import NetworkSpec, ParamSet, init_params
+from l3rs.nnlite import NetworkSpec, init_params
 from l3rs.optdir import NORM_FLOOR, OptimizerKind, segment_norms
 
 SGD_ADAM = (OptimizerKind.SGD, OptimizerKind.ADAM)
@@ -37,7 +37,8 @@ def zero_mlp(layout):
 
 def forward_one(mlp, features):
     """(mu [P], lambda) of a single frame through a one-MLP stack."""
-    mu, lam = controller_forward_batch(mlp, features[None, :])
+    mu, lam, finite = controller_forward_batch(mlp, features[None, :])
+    assert finite
     return mu[0], float(lam[0])
 
 
@@ -107,6 +108,21 @@ class TestEmaTracker:
     def test_read_before_update_errors(self):
         with pytest.raises(ValueError):
             EmaTracker(1).read()
+
+    def test_rows_match_single_trackers(self):
+        rng = np.random.default_rng(16)
+        batched = EmaTracker(3, rows=4)
+        single = [EmaTracker(3) for _ in range(4)]
+        for _ in range(6):
+            losses, stats = rng.normal(size=4), rng.normal(size=(4, 3, 2))
+            batched.update(losses, stats)
+            for tr, loss, st in zip(single, losses, stats):
+                tr.update(float(loss), st)
+        batched.keep(np.array([True, False, True, True]))
+        comp, loss = batched.read()
+        for row, tr in zip(comp, [single[0], single[2], single[3]]):
+            np.testing.assert_array_equal(row, tr.read()[0])
+        np.testing.assert_array_equal(loss, [t.read()[1] for t in (single[0], single[2], single[3])])
 
     def test_empty_gamma_set(self):
         tr = EmaTracker(3, gammas=())
@@ -203,10 +219,23 @@ class TestLayoutAndCodec:
         assert psi.mlp.w1[1, 0, 0] == layout.mlp_size
         assert psi.mlp.b3[2, -1] == 3 * layout.mlp_size - 1
 
+    def test_batched_rows_equal_single_unflatten(self):
+        layout = PsiLayout(n_components=3, base_kinds=SGD_ADAM)
+        batch = np.random.default_rng(2).normal(size=(3, layout.flat_size))
+        psi = unflatten(batch, layout)
+        for c in range(3):
+            one = unflatten(batch[c], layout)
+            for a, b in zip([*psi.mlp.arrays(), psi.embeddings, psi.hyper_raw],
+                            [*one.mlp.arrays(), one.embeddings, one.hyper_raw]):
+                assert np.shares_memory(a, batch)
+                np.testing.assert_array_equal(a[c], b)
+
     def test_length_mismatch_rejected(self):
         layout = PsiLayout(n_components=2, base_kinds=SGD_ADAM)
         with pytest.raises(ValueError):
             unflatten(np.zeros(layout.flat_size + 1), layout)
+        with pytest.raises(ValueError):
+            unflatten(np.zeros((1, 1, layout.flat_size)), layout)
 
     def test_variant_feature_dims(self):
         no_emb = PsiLayout(n_components=4, base_kinds=SGD_ADAM, variant=Variant.NO_EMBEDDING)
@@ -240,7 +269,7 @@ class TestInitMetaParams:
     def test_recovered_betas(self):
         layout = PsiLayout(n_components=2, base_kinds=SGD_ADAM)
         psi = init_meta_params(layout, seed=0)
-        hp = hyper_params_of(psi)
+        hp = hyper_params_of(layout, psi.hyper_raw)
         assert abs(hp[1].beta1 - 0.9) < 1e-12
         assert abs(hp[1].beta2 - 0.999) < 1e-12
 
@@ -286,12 +315,31 @@ class TestControllerForward:
         rng = np.random.default_rng(13)
         psi = unflatten(rng.normal(scale=0.3, size=layout.flat_size), layout)
         frames = rng.normal(size=(4, layout.feature_dim))
-        mu, lam = controller_forward_batch(psi.mlp, frames)
+        mu, lam, _ = controller_forward_batch(psi.mlp, frames)
         for i in range(4):
             alone = Mlp(*(a[i:i + 1] for a in psi.mlp.arrays()))
             mu_i, lam_i = forward_one(alone, frames[i])
             np.testing.assert_array_equal(mu[i], mu_i)
             assert lam[i] == lam_i
+
+    def test_candidate_axis_rows_match_single_psi(self):
+        # a batch of psi rows [C, flat] through frames [C, L, F]: every row
+        # gets the bits of its own one-psi forward, and a row with
+        # overflowing logits is flagged without touching the others
+        for variant in Variant:
+            layout = PsiLayout(n_components=3, base_kinds=tuple(OptimizerKind), variant=variant)
+            rng = np.random.default_rng(15)
+            flat = rng.normal(scale=0.3, size=(4, layout.flat_size))
+            flat[2, :layout.mlp_size] *= 1e200
+            rows = 1 if variant == Variant.GLOBAL else 3
+            frames = rng.normal(size=(4, rows, layout.feature_dim))
+            mu, lam, finite = controller_forward_batch(unflatten(flat, layout).mlp, frames)
+            np.testing.assert_array_equal(finite, [True, True, False, True])
+            for c in (0, 1, 3):
+                mu_c, lam_c, ok = controller_forward_batch(unflatten(flat[c], layout).mlp, frames[c])
+                assert ok
+                np.testing.assert_array_equal(mu[c], mu_c)
+                np.testing.assert_array_equal(lam[c], lam_c)
 
     def test_width_mismatch_rejected(self):
         layout = PsiLayout(n_components=1, base_kinds=SGD_ADAM)
@@ -388,8 +436,8 @@ class TestVariants:
 
         ctx = ControllerContext(init_meta_params(layout, seed=0), params, K=1,
                                 policy=record_policy)
-        zeros = ParamSet(list(params.ids), [np.zeros(t.shape) for t in params.tensors])
-        ctx.step(params, zeros, loss=0.0, k=1)
+        zeros = np.zeros((1, params.n_params()))
+        ctx.step(params.flat()[None], zeros, losses=np.zeros(1), k=1)
         assert len(seen) == len(params)
         for log_norms in seen:
             assert log_norms.shape == (1,)
@@ -405,10 +453,11 @@ class TestVariants:
         psi.flat[:] += np.random.default_rng(3).normal(scale=0.3, size=layout.flat_size)
         ctx = ControllerContext(psi, params, K=4)
         rng = np.random.default_rng(4)
+        flat = params.flat()[None]
         for k in range(1, 5):
-            grads = ParamSet(list(params.ids),
-                             [rng.normal(size=t.shape) for t in params.tensors])
-            params, mu, lam = ctx.step(params, grads, loss=1.0, k=k)
+            grads = rng.normal(size=flat.shape)
+            flat, mu, lam, _ = ctx.step(flat, grads, losses=np.ones(1), k=k)
+            mu, lam = mu[0], lam[0]
             assert np.all(mu == mu[0])
             assert np.all(lam == lam[0])
 

@@ -106,7 +106,7 @@ class TestInnerLoopEval:
         task = make_task(DIST, seed=1, k_override=0)
         res = inner_loop_eval(controller_stepper_factory(psi, layout), task)
         expected = mean_cross_entropy(
-            forward(task.spec, task.theta0, task.eval_batch.x), task.eval_batch.y)
+            forward(task.spec, task.theta0.flat(), task.eval_batch.x), task.eval_batch.y)
         assert res.meta_loss == expected
 
     def test_zero_lambda_stub_keeps_theta0(self):
@@ -120,7 +120,7 @@ class TestInnerLoopEval:
         res = inner_loop_eval(
             controller_stepper_factory(psi, layout, policy=freeze_policy), task)
         expected = mean_cross_entropy(
-            forward(task.spec, task.theta0, task.eval_batch.x), task.eval_batch.y)
+            forward(task.spec, task.theta0.flat(), task.eval_batch.x), task.eval_batch.y)
         assert res.meta_loss == expected
 
     def test_bit_identical_across_calls(self):
@@ -287,14 +287,55 @@ class TestMetaTrain:
         assert [h.generation for h in history] == [1, 2, 3]
 
     def test_worker_count_does_not_change_result(self):
+        # workers 1, 2, 3 and 6 give one block of all four candidates, blocks
+        # of 2+2, uneven blocks of 1+1+2, and 1+1+1+1 (the pool is capped at
+        # the population): psi and history bytes must not move
         dist = dataclasses.replace(DIST, k_min=1, k_max=3)
         cfg = NesConfig(population=4, meta_batch=2, generations=2, seed=3)
         layout = layout_for(dist)
         ckpt = pretrain_checkpoint(dist, steps=3, seed=0)
         psi1, hist1 = meta_train(cfg, dist, layout, init_from=ckpt, workers=1)
-        psi2, hist2 = meta_train(cfg, dist, layout, init_from=ckpt, workers=3)
-        assert np.array_equal(psi1, psi2)
-        assert [h.mean_fitness for h in hist1] == [h.mean_fitness for h in hist2]
+        for workers in (1, 2, 3, 6):
+            psi2, hist2 = meta_train(cfg, dist, layout, init_from=ckpt, workers=workers)
+            assert np.array_equal(psi1, psi2)
+            assert [h.mean_fitness for h in hist1] == [h.mean_fitness for h in hist2]
+            assert psi1.tobytes() == psi2.tobytes()
+            assert repr(hist1).encode() == repr(hist2).encode()
+
+    @pytest.mark.parametrize("population,workers,sizes", [
+        (4, 1, [4]), (4, 2, [2, 2]), (4, 3, [1, 1, 2]), (4, 6, [1, 1, 1, 1]),
+        (16, 2, [8, 8]), (6, 4, [1, 2, 1, 2]), (16, 5, [3, 3, 3, 3, 4])])
+    def test_candidate_blocks_even_and_never_empty(self, population, workers, sizes, monkeypatch):
+        import l3rs.meta as meta_mod
+
+        seen = []
+
+        def record_block(args):
+            seen.append(len(args[1]))
+            return args[0], np.zeros((len(args[1]), len(args[2])))
+
+        monkeypatch.setattr(meta_mod, "_eval_block_job", record_block)
+        monkeypatch.setattr(meta_mod, "ProcessPoolExecutor", _InlinePool)
+        cfg = NesConfig(population=population, meta_batch=1, seed=0)
+        layout = layout_for(DIST)
+        with CandidateEvaluator(cfg, DIST, layout, init_from=None, workers=workers) as ev:
+            assert ev.workers == min(workers, population)
+            ev(np.zeros((population, layout.flat_size)), 0)
+        assert seen == sizes
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        initializer(*initargs)
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+    def shutdown(self):
+        pass
 
 
 class TestPretrain:

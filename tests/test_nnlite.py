@@ -5,13 +5,13 @@ import pytest
 
 from l3rs.nnlite import (
     Batch,
-    DivergenceError,
     NetworkSpec,
     accuracy,
     forward,
     init_params,
     loss_and_grad,
     mean_cross_entropy,
+    params_from_flat,
 )
 
 
@@ -25,9 +25,9 @@ def central_fd_grads(spec, params, batch, h=1e-5):
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            up = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+            up = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
             flat[j] = orig - h
-            down = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+            down = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
             flat[j] = orig
             gflat[j] = (up - down) / (2 * h)
         grads.append(g)
@@ -70,7 +70,7 @@ class TestForward:
         for t in params.tensors:
             t[:] = 0.0
         x = np.random.default_rng(1).normal(size=(5, 3))
-        assert np.all(forward(spec, params, x) == 0.0)
+        assert np.all(forward(spec, params.flat(), x) == 0.0)
 
     def test_identity_single_layer(self):
         spec = NetworkSpec(2, (), 2)
@@ -78,7 +78,7 @@ class TestForward:
         params.tensors[0][:] = np.eye(2)
         params.tensors[1][:] = 0.0
         x = np.array([[1.5, -2.0], [0.0, 3.0]])
-        assert np.array_equal(forward(spec, params, x), x)
+        assert np.array_equal(forward(spec, params.flat(), x), x)
 
     def test_hand_evaluated_relu_chain(self):
         # x=(1,-1): z1 = (1*2-1*1, 1*1-1*3) = (1,-2), relu -> (1,0),
@@ -89,20 +89,20 @@ class TestForward:
         params.tensors[1][:] = 0.0
         params.tensors[2][:] = np.array([[1.0, 2.0], [3.0, 4.0]])
         params.tensors[3][:] = np.array([0.1, -0.2])
-        logits = forward(spec, params, np.array([[1.0, -1.0]]))
+        logits = forward(spec, params.flat(), np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(logits, [[1.1, 1.8]], rtol=0, atol=1e-15)
 
     def test_shape_mismatch_raises(self):
         spec = NetworkSpec(3, (4,), 2)
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError):
-            forward(spec, params, np.zeros((5, 4)))
+            forward(spec, params.flat(), np.zeros((5, 4)))
 
     def test_deterministic(self):
         spec = NetworkSpec(6, (5,), 3)
         params = init_params(spec, seed=3)
         x = np.random.default_rng(2).normal(size=(4, 6))
-        assert np.array_equal(forward(spec, params, x), forward(spec, params, x))
+        assert np.array_equal(forward(spec, params.flat(), x), forward(spec, params.flat(), x))
 
 
 class TestLossAndGrad:
@@ -112,7 +112,7 @@ class TestLossAndGrad:
         for t in params.tensors:
             t[:] = 0.0
         batch = Batch(x=np.ones((6, 3)), y=np.array([0, 1, 2, 3, 0, 1]))
-        loss, _ = loss_and_grad(spec, params, batch)
+        loss, _, _ = loss_and_grad(spec, params.flat(), batch)
         assert abs(loss - math.log(4)) < 1e-15
 
     def test_gradients_match_finite_differences(self):
@@ -120,9 +120,9 @@ class TestLossAndGrad:
         spec = NetworkSpec(3, (4,), 3)
         params = init_params(spec, seed=5)
         batch = Batch(x=rng.normal(size=(8, 3)), y=rng.integers(0, 3, 8))
-        _, grads = loss_and_grad(spec, params, batch)
+        _, grads, _ = loss_and_grad(spec, params.flat(), batch)
         fd = central_fd_grads(spec, params, batch)
-        for g, g_fd in zip(grads.tensors, fd):
+        for g, g_fd in zip(params_from_flat(spec, grads).tensors, fd):
             rel = np.abs(g - g_fd) / (np.abs(g_fd) + 1e-8)
             assert rel.max() < 1e-6
 
@@ -132,29 +132,51 @@ class TestLossAndGrad:
         params = init_params(spec, seed=9)
         x = rng.normal(size=(6, 4))
         y = rng.integers(0, 3, 6)
-        loss1, g1 = loss_and_grad(spec, params, Batch(x=x, y=y))
-        loss2, g2 = loss_and_grad(
-            spec, params, Batch(x=np.vstack([x, x]), y=np.concatenate([y, y])))
+        loss1, g1, _ = loss_and_grad(spec, params.flat(), Batch(x=x, y=y))
+        loss2, g2, _ = loss_and_grad(
+            spec, params.flat(), Batch(x=np.vstack([x, x]), y=np.concatenate([y, y])))
         assert abs(loss1 - loss2) < 1e-14
-        for a, b in zip(g1.tensors, g2.tensors):
+        for a, b in zip(params_from_flat(spec, g1).tensors, params_from_flat(spec, g2).tensors):
             assert np.abs(a - b).max() < 1e-14
 
     def test_grad_structure_mirrors_params(self):
         spec = NetworkSpec(3, (4, 5), 2)
         params = init_params(spec, seed=1)
         batch = Batch(x=np.ones((2, 3)), y=np.array([0, 1]))
-        _, grads = loss_and_grad(spec, params, batch)
+        _, flat_grads, _ = loss_and_grad(spec, params.flat(), batch)
+        assert flat_grads.shape == (params.n_params(),)
+        grads = params_from_flat(spec, flat_grads)
         assert grads.ids == params.ids
         for g, t in zip(grads.tensors, params.tensors):
             assert g.shape == t.shape
 
     def test_divergence_raises(self):
+        # divergence is reported in the finite mask, which the inner loop
+        # uses to drop the row
         spec = NetworkSpec(2, (), 2)
         params = init_params(spec, seed=0)
         params.tensors[0][:] = 1e308
         batch = Batch(x=np.full((2, 2), 1e30), y=np.array([0, 1]))
-        with pytest.raises(DivergenceError):
-            loss_and_grad(spec, params, batch)
+        _, _, finite = loss_and_grad(spec, params.flat(), batch)
+        assert not finite
+
+    def test_leading_axis_rows_match_single_runs(self):
+        # every row of a [C, n] batch gets the bits of its own 1-D run, and a
+        # non-finite row is flagged without disturbing the others
+        rng = np.random.default_rng(21)
+        spec = NetworkSpec(5, (7, 6), 3)
+        batch = Batch(x=rng.normal(size=(9, 5)), y=rng.integers(0, 3, 9))
+        rows = np.stack([init_params(spec, seed=s).flat() for s in range(4)])
+        rows[2, :35] = 1e308
+        losses, grads, finite = loss_and_grad(spec, rows, batch)
+        assert losses.shape == (4,) and grads.shape == rows.shape
+        np.testing.assert_array_equal(finite, [True, True, False, True])
+        for c in (0, 1, 3):
+            loss, grad, ok = loss_and_grad(spec, rows[c], batch)
+            assert ok and loss == losses[c]
+            np.testing.assert_array_equal(grad, grads[c])
+            np.testing.assert_array_equal(forward(spec, rows, batch.x)[c],
+                                          forward(spec, rows[c], batch.x))
 
 
 class TestAccuracy:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from l3rs.nnlite import DivergenceError, NetworkSpec, init_params
+from l3rs.nnlite import NetworkSpec, init_params
 from l3rs.optdir import (
     DirectionBank,
     HyperParams,
@@ -31,14 +31,14 @@ def offsets_of(params):
     return np.concatenate([[0], np.cumsum([t.size for t in params.tensors])])
 
 
-def make_bank(kinds, offsets):
-    return DirectionBank(kinds, [default_hyper_params(k) for k in kinds], offsets)
+def make_bank(kinds, offsets, rows=1):
+    return DirectionBank(kinds, [[default_hyper_params(k) for k in kinds]] * rows, offsets)
 
 
 def lamb_first_step(grad, weights, offsets=None):
     offsets = np.array([0, grad.size]) if offsets is None else offsets
-    dirs, _ = make_bank([OptimizerKind.LAMB], offsets).step(grad, weights)
-    return dirs[0]
+    dirs, _, _ = make_bank([OptimizerKind.LAMB], offsets).step(grad[None], weights[None])
+    return dirs[0, 0]
 
 
 class TestSgd:
@@ -184,6 +184,10 @@ class TestSegmentNorms:
             rows *= 10.0 ** rng.integers(-12, 12)
             norms = segment_norms(rows, offsets_of(params))
             assert norms.shape == (len(params), len(rows))
+            # a leading axis batches the same dots
+            np.testing.assert_array_equal(
+                segment_norms(np.stack([rows, rows[::-1]]), offsets_of(params)),
+                np.stack([norms, norms[:, ::-1]]))
             for i, (a, b) in enumerate(zip(offsets_of(params)[:-1], offsets_of(params)[1:])):
                 shape = params.tensors[i].shape
                 for p, row in enumerate(rows):
@@ -195,10 +199,10 @@ class TestDirectionBank:
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD], offsets_of(params))
         grad = np.full(params.n_params(), 0.5)
-        dirs, norms = bank.step(grad, params.flat())
-        assert dirs.shape == (1, params.n_params())
-        assert norms.shape == (len(params), 1)
-        np.testing.assert_array_equal(dirs[0], -grad)
+        dirs, norms, _ = bank.step(grad[None], params.flat()[None])
+        assert dirs.shape == (1, 1, params.n_params())
+        assert norms.shape == (1, len(params), 1)
+        np.testing.assert_array_equal(dirs[0, 0], -grad)
 
     def test_state_isolation(self):
         spec, params = small_params()
@@ -207,30 +211,31 @@ class TestDirectionBank:
 
         def run(kinds):
             bank = make_bank(kinds, offsets_of(params))
-            return [bank.step(g, params.flat()) for g in grad_stream]
+            return [bank.step(g[None], params.flat()[None])[:2] for g in grad_stream]
 
         solo = run([OptimizerKind.ADAM])
         mixed = run([OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.LION])
         for (dirs_solo, norms_solo), (dirs_mixed, norms_mixed) in zip(solo, mixed):
-            np.testing.assert_array_equal(dirs_solo[0], dirs_mixed[1])
-            np.testing.assert_array_equal(norms_solo[:, 0], norms_mixed[:, 1])
+            np.testing.assert_array_equal(dirs_solo[0, 0], dirs_mixed[0, 1])
+            np.testing.assert_array_equal(norms_solo[0, :, 0], norms_mixed[0, :, 1])
 
     def test_zero_direction_log_norm_floor(self):
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD], offsets_of(params))
-        _, norms = bank.step(np.zeros(params.n_params()), params.flat())
+        _, norms, _ = bank.step(np.zeros((1, params.n_params())), params.flat()[None])
         # the floored logarithm the controller takes of it is pinned in
         # test_controller.py::TestVariants::test_zero_direction_log_norm_floor
-        assert norms[0, 0] == 0.0
+        assert norms[0, 0, 0] == 0.0
 
     def test_shapes_preserved(self):
         spec, params = small_params()
         kinds = [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.ADAMAX,
                  OptimizerKind.LION, OptimizerKind.LAMB, OptimizerKind.WEIGHT_DECAY]
         bank = make_bank(kinds, offsets_of(params))
-        dirs, norms = bank.step(np.ones(params.n_params()), params.flat())
-        assert dirs.shape == (len(kinds), params.n_params())
-        assert norms.shape == (len(params), len(kinds))
+        dirs, norms, _ = bank.step(np.ones((1, params.n_params())), params.flat()[None])
+        assert dirs.shape == (1, len(kinds), params.n_params())
+        assert norms.shape == (1, len(params), len(kinds))
+        dirs, norms = dirs[0], norms[0]
         offsets = offsets_of(params)
         for comp, t in enumerate(params.tensors):
             a, b = offsets[comp], offsets[comp + 1]
@@ -245,20 +250,47 @@ class TestDirectionBank:
             make_bank([OptimizerKind.SGD, OptimizerKind.SGD], offsets_of(params))
 
     def test_non_finite_direction_raises(self):
+        # a non-finite row is reported in the mask and dropped from the
+        # bank's state; the finite rows carry on
         spec, params = small_params()
-        bank = make_bank([OptimizerKind.SGD], offsets_of(params))
-        with pytest.raises(DivergenceError):
-            bank.step(np.full(params.n_params(), np.inf), params.flat())
+        bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], offsets_of(params), rows=3)
+        grad = np.ones((3, params.n_params()))
+        grad[1, 4] = np.inf
+        dirs, norms, finite = bank.step(grad, np.tile(params.flat(), (3, 1)))
+        np.testing.assert_array_equal(finite, [True, False, True])
+        assert dirs.shape == (2, 2, params.n_params()) and norms.shape == (2, len(params), 2)
+        assert all(arr.shape == (2, params.n_params()) for arr in bank._state[1].values())
 
     def test_step_counter_shared(self):
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], offsets_of(params))
-        grad = np.ones(params.n_params())
+        grad = np.ones((1, params.n_params()))
         assert bank.step_count == 0
-        bank.step(grad, params.flat())
+        bank.step(grad, params.flat()[None])
         assert bank.step_count == 1
-        bank.step(grad, params.flat())
+        bank.step(grad, params.flat()[None])
         assert bank.step_count == 2
+
+    def test_rows_with_own_betas_match_single_row_banks(self):
+        # every row of a C-row bank, with its own betas, gets the bits of a
+        # one-row bank; LAMB's trust ratio stays per row and per segment
+        spec, params = small_params()
+        offsets = offsets_of(params)
+        kinds = list(OptimizerKind)
+        rng = np.random.default_rng(17)
+        hypers = [[HyperParams(beta1=float(b1), beta2=float(b2)) for b1, b2 in
+                   rng.uniform(0.05, 0.999, size=(len(kinds), 2))] for _ in range(3)]
+        grads = rng.normal(size=(6, 3, params.n_params()))
+        weights = rng.normal(size=(6, 3, params.n_params()))
+        batched = DirectionBank(kinds, hypers, offsets)
+        single = [DirectionBank(kinds, [h], offsets) for h in hypers]
+        for g, w in zip(grads, weights):
+            dirs, norms, finite = batched.step(g, w)
+            assert finite.all()
+            for c, bank in enumerate(single):
+                d1, n1, _ = bank.step(g[c:c + 1], w[c:c + 1])
+                np.testing.assert_array_equal(dirs[c], d1[0])
+                np.testing.assert_array_equal(norms[c], n1[0])
 
 
 class TestHyperParams:
