@@ -16,10 +16,12 @@ import numpy as np
 import pytest
 
 from l3rs import cli
+from l3rs.bench import BaselineKind, BaselineSpec, run_baseline
 from l3rs.controller import PsiLayout, Variant, init_meta_params
 from l3rs.meta import (
     TaskDistributionSpec,
     controller_stepper_factory,
+    inner_loop_batch,
     inner_loop_eval,
     make_task,
 )
@@ -32,6 +34,9 @@ DEEP_DIST = TaskDistributionSpec(hidden=(32, 32, 32))
 K = 40
 TASK_SEEDS = (5, 6)
 PSI_NOISE = 0.1
+# per-row noise scales of a block whose rows diverge at different steps
+BLOCK_SCALES = (0.0, 0.5, 0.5, 0.5, 1.0, 2.0)
+DIVERGING_SGD = BaselineSpec(BaselineKind.SGD_CONST, lr0=1e6)
 
 CLI_CONFIG = {
     "seed": 3,
@@ -52,6 +57,8 @@ PINNED_RUNS = {
     ("global", True): "5a98dd2b25f68630804f23869fa31bb4c9ccc7b994e256f0732799fe73e64e54",
 }
 PINNED_DEEP_GLOBAL = "39ffcb260499f9f771b7f4f359a315e4b2b759530c987df5cffa318facf314e4"
+PINNED_DIVERGING_BLOCK = "039e4af4d5d3ec0a2bc014a7106414f59f76f4f3ec27d5a830c457e4fbb6a3a4"
+PINNED_DIVERGING_SGD = "826959556141c734dd900ddc7ff5ede03bb1969f17c9a103ba58758cf442794d"
 PINNED_FILES = {
     "checkpoint_pretrain.json": "f8f0c4f066e0094d67b60894fc402ff453628f7958a7d157111d28b7e222fca4",
     "psi_final.json": "5f0c878ee2a5b8ad5a835627b98ee1ce2d21109d67987b8e309bfa0359961eb2",
@@ -66,22 +73,46 @@ def sha(items) -> str:
     return h.hexdigest()
 
 
+def result_items(res) -> list:
+    items = [(res.meta_loss, res.eval_accuracy, res.diverged, res.train_losses)]
+    items.extend((r.step, r.component, r.mu, r.lam, r.train_loss)
+                 for r in res.trajectory or ())
+    return items
+
+
+def layout_for(variant: str, dist=DIST) -> PsiLayout:
+    return PsiLayout(n_components=len(dist.task_network().components()),
+                     base_kinds=tuple(OptimizerKind), variant=Variant(variant))
+
+
 def run_digest(variant: str, renormalize: bool, dist=DIST) -> str:
     """Trajectory, loss and accuracy of every step of two held-out tasks
     under a perturbed fresh controller with all six base optimizers."""
-    layout = PsiLayout(n_components=len(dist.task_network().components()),
-                       base_kinds=tuple(OptimizerKind), variant=Variant(variant))
+    layout = layout_for(variant, dist)
     psi = init_meta_params(layout, seed=1).flat
     psi = psi + PSI_NOISE * np.random.default_rng(2).standard_normal(psi.shape)
     factory = controller_stepper_factory(psi, layout, renormalize=renormalize)
     items = []
     for seed in TASK_SEEDS:
         task = make_task(dist, seed, split="metatest", k_override=K)
-        res = inner_loop_eval(factory, task, record_trajectory=True)
-        items.append((res.meta_loss, res.eval_accuracy, res.diverged, res.train_losses))
-        items.extend((r.step, r.component, r.mu, r.lam, r.train_loss)
-                     for r in res.trajectory)
+        items.extend(result_items(inner_loop_eval(factory, task, record_trajectory=True)))
     return sha(items)
+
+
+def diverging_block():
+    """One block of six candidates, trajectories recorded, whose rows
+    diverge at different steps while others train to the end."""
+    layout = layout_for("no_embedding")
+    psi = init_meta_params(layout, seed=1).flat
+    noise = np.random.default_rng(3).standard_normal((len(BLOCK_SCALES), len(psi)))
+    cands = psi + np.asarray(BLOCK_SCALES)[:, None] * noise
+    task = make_task(DIST, seed=11, split="metatrain", k_override=20)
+    return inner_loop_batch(controller_stepper_factory(cands, layout), task, True)
+
+
+def diverging_sgd_run():
+    return run_baseline(make_task(DIST, TASK_SEEDS[0], split="metatest", k_override=K),
+                        DIVERGING_SGD)
 
 
 def cli_digests(tmp_path) -> dict[str, str]:
@@ -105,6 +136,19 @@ def test_global_run_digest_deep_net():
     assert run_digest("global", False, DEEP_DIST) == PINNED_DEEP_GLOBAL
 
 
+def test_diverging_block_digest():
+    block = diverging_block()
+    assert len({len(r.train_losses) for r in block if r.diverged}) >= 2
+    assert not all(r.diverged for r in block)
+    assert sha(item for res in block for item in result_items(res)) == PINNED_DIVERGING_BLOCK
+
+
+def test_diverging_sgd_digest():
+    res = diverging_sgd_run()
+    assert res.diverged
+    assert sha(result_items(res)) == PINNED_DIVERGING_SGD
+
+
 def test_cli_meta_train_file_bytes(tmp_path):
     assert cli_digests(tmp_path) == PINNED_FILES
 
@@ -116,6 +160,9 @@ if __name__ == "__main__":
     for key in PINNED_RUNS:
         print(f"    {key!r}: \"{run_digest(*key)}\",")
     print(f"PINNED_DEEP_GLOBAL = \"{run_digest('global', False, DEEP_DIST)}\"")
+    block = sha(item for res in diverging_block() for item in result_items(res))
+    print(f"PINNED_DIVERGING_BLOCK = \"{block}\"")
+    print(f"PINNED_DIVERGING_SGD = \"{sha(result_items(diverging_sgd_run()))}\"")
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in cli_digests(Path(tmp)).items():
             print(f"    \"{name}\": \"{digest}\",")
