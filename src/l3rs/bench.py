@@ -87,13 +87,9 @@ class BaselineStepper:
             return cosine_lr(k, self.K, self.spec.lr0)
         return self.spec.lr0
 
-    def keep(self, rows) -> None:
-        if self.spec.kind != BaselineKind.SGD_CONST:
-            self.m, self.v = self.m[rows], self.v[rows]
-
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(new params of the rows that stayed finite, finite mask)."""
+        """(new params, finite mask)."""
         del losses
         s = self.spec
         lr = self._lr(k)
@@ -108,10 +104,7 @@ class BaselineStepper:
                 m_hat = self.m / (1 - s.beta1 ** k)
                 v_hat = self.v / (1 - s.beta2 ** k)
                 new[:, self.start:] = params[:, self.start:] - lr * m_hat / (np.sqrt(v_hat) + s.eps)
-        finite = np.isfinite(new[:, self.start:]).all(axis=-1)
-        if not finite.all():
-            self.keep(finite)
-        return new[finite], finite
+        return new, np.isfinite(new[:, self.start:]).all(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ offsets; every per-component norm comes from optdir.segment_norms, the EMAs
 are [C, L, 2, G], and the update is one flat expression over [C, P, n]. The
 controller MLPs are stacked (a leading n_mlps axis: 1, or L for
 per_layer_mlp) behind the candidate axis, so the frames [C, L, F] of every
-variant take one batched matmul per MLP layer. A candidate whose directions,
-logits or lambdas stop being finite is dropped from every per-candidate
-array and the others are not disturbed.
+variant take one batched matmul per MLP layer. Every per-candidate array
+keeps all C rows for the whole run: a candidate whose directions, logits or
+lambdas stop being finite is only reported in the step's finite mask, and
+the others are not disturbed.
 
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
@@ -48,7 +49,8 @@ CHECKPOINT_VERSION = 1
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    with np.errstate(over="ignore"):  # exp overflow for x < -709 gives exactly 0
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def logit(p):
@@ -113,11 +115,6 @@ class EmaTracker:
         g = self.gammas
         self._comp = g * self._comp + (1.0 - g) * comp_stats[..., None]
         self._loss = g * self._loss + (1.0 - g) * np.asarray(loss)[..., None]
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the rows selected by the mask or index array ``rows``."""
-        self._comp = self._comp[rows]
-        self._loss = self._loss[rows]
 
     def read(self) -> tuple[np.ndarray, np.ndarray]:
         """Corrected EMAs: ([..., L, 2, n_gammas], [..., n_gammas]). Errors
@@ -300,9 +297,10 @@ def init_meta_params(layout: PsiLayout, seed: int) -> MetaParams:
     return psi
 
 
-def hyper_params_of(layout: PsiLayout, hyper_raw: np.ndarray) -> list[HyperParams]:
+def hyper_params_of(layout: PsiLayout, hyper_raw: np.ndarray) -> list[HyperParams] | None:
     """Squash the raw scalars hyper_raw [n_hyper] of one psi into (0,1)
-    betas, one HyperParams per kind."""
+    betas, one HyperParams per kind; None when a beta rounds to exactly 0
+    or 1 (a raw value above about 36.7 or below about -745)."""
     out = []
     idx = 0
     for kind in layout.base_kinds:
@@ -310,6 +308,8 @@ def hyper_params_of(layout: PsiLayout, hyper_raw: np.ndarray) -> list[HyperParam
             b1 = float(sigmoid(hyper_raw[idx]))
             b2 = float(sigmoid(hyper_raw[idx + 1]))
             idx += 2
+            if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
+                return None
             out.append(HyperParams(beta1=b1, beta2=b2))
         else:
             out.append(optdir.default_hyper_params(kind))
@@ -395,6 +395,10 @@ class ControllerContext:
     index and that component's direction log-norms and returns (mu, lambda).
     Used by equivalence tests to force known optimizers through the update
     path.
+
+    A candidate whose betas round to 0 or 1 has no valid hyperparameters:
+    its bank row runs on the defaults and it is never reported finite, so
+    it scores the divergence penalty without touching the other rows.
     """
 
     def __init__(self, psi: MetaParams, template: ParamSet, K: int,
@@ -414,7 +418,10 @@ class ControllerContext:
         self.policy = policy
         offsets = np.concatenate([[0], np.cumsum([t.size for t in template.tensors])])
         hypers = [hyper_params_of(layout, raw) for raw in self.psi.hyper_raw]
-        self.bank = DirectionBank(list(layout.base_kinds), hypers, offsets)
+        self._betas_valid = np.array([h is not None for h in hypers])
+        defaults = [optdir.default_hyper_params(kind) for kind in layout.base_kinds]
+        self.bank = DirectionBank(list(layout.base_kinds), [h or defaults for h in hypers],
+                                  offsets)
         tracked = 1 if layout.variant == Variant.GLOBAL else n_comp
         self.tracker = EmaTracker(tracked, layout.gammas, rows=len(hypers))
         self.n_model_components = n_comp
@@ -422,12 +429,6 @@ class ControllerContext:
     @property
     def n_rows(self) -> int:
         return len(self.psi.flat)
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the rows selected by the mask or index array ``rows``."""
-        self.psi = unflatten(self.psi.flat[rows], self.layout)
-        self.bank.keep(rows)
-        self.tracker.keep(rows)
 
     def _stats(self, wg_norms: np.ndarray) -> np.ndarray:
         """[C, L, 2] log (||w||, ||g||), or [C, 1, 2] whole-model norms for
@@ -442,7 +443,7 @@ class ControllerContext:
     def decide(self, norms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(mu [C, L, P], lambda [C, L], finite [C]) from the direction norms
         [C, L, P], after the tracker has been updated with this step's
-        statistics. Rows with finite False are not dropped here."""
+        statistics."""
         layout = self.layout
         n_comp = self.n_model_components
         log_norms = np.log(np.maximum(norms, optdir.NORM_FLOOR))
@@ -470,9 +471,10 @@ class ControllerContext:
         """One update of the flat parameters params [C, n] from the flat
         gradients grads [C, n] and the train losses [C].
 
-        Returns (new params [C', n], mu [C', L, P], lambda [C', L], finite
-        [C]), where the C' rows are those that stayed finite, selected from
-        the input rows by the mask ``finite``; the others are dropped.
+        Returns (new params [C, n], mu [C, L, P], lambda [C, L], finite
+        [C]); a row whose directions, logits or lambda are not finite, or
+        whose betas round to 0 or 1, is False in ``finite``, and its other
+        outputs are meaningless.
 
         Order of effects: directions from pre-update weights and gradients,
         then the EMA recursion on pre-update statistics, then the controller
@@ -482,18 +484,13 @@ class ControllerContext:
         offsets = self.bank.offsets
         wg_norms = segment_norms(wg, offsets)
         dirs, norms, finite = self.bank.step(grads, params)
-        if not finite.all():
-            self.psi = unflatten(self.psi.flat[finite], self.layout)
-            self.tracker.keep(finite)
-            params, wg_norms, losses = params[finite], wg_norms[finite], losses[finite]
-        self.tracker.update(losses, self._stats(wg_norms))
-        mu, lam, ok = self.decide(norms, k)
-        if not ok.all():
-            self.keep(ok)
-            params, mu, lam, dirs, norms = params[ok], mu[ok], lam[ok], dirs[ok], norms[ok]
-            finite[finite] = ok
-        new = params + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
-        return new, mu, lam, finite
+        # a row that is not finite may carry inf into its EMAs and its
+        # update; the NaN that inf makes there stays in that dead row
+        with np.errstate(invalid="ignore"):
+            self.tracker.update(losses, self._stats(wg_norms))
+            mu, lam, ok = self.decide(norms, k)
+            new = params + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
+        return new, mu, lam, finite & ok & self._betas_valid
 
 
 class CheckpointError(ValueError):

@@ -15,10 +15,10 @@ Every candidate of a generation trains on the same tasks, so there is one
 inner loop, inner_loop_batch, and it runs a whole block of candidates at
 once: parameters, gradients and optimizer state are [C, n] arrays with one
 row per candidate, and each row gets exactly the bits of its own
-single-candidate run. Divergence is a per-row mask: a row that stops being
-finite is dropped and scores DIVERGENCE_PENALTY while the others carry on.
-Single runs (evaluation, inspection, baselines) are the same loop with
-C = 1.
+single-candidate run. Rows are never dropped: divergence is one per-row
+mask that the loop owns, and a row that stops being finite is masked dead,
+scores DIVERGENCE_PENALTY and leaves the others untouched. Single runs
+(evaluation, inspection, baselines) are the same loop with C = 1.
 """
 
 from __future__ import annotations
@@ -221,31 +221,26 @@ class InnerRunResult:
 
 class ControllerStepper:
     """Adapts a ControllerContext to the stepper protocol of the inner loop
-    (n_rows, keep, step); records per-component (mu, lambda) rows per
-    candidate when asked."""
+    (n_rows, step); records per-component (mu, lambda) rows per candidate
+    when asked, for the rows a step reports finite (dead rows come in as
+    NaN and never are)."""
 
     def __init__(self, ctx: ControllerContext, names: list[str], record: bool):
         self.ctx = ctx
         self.n_rows = ctx.n_rows
         self._names = names
-        self._index = np.arange(self.n_rows)  # original row of every live row
         self.rows: list[list[TrajectoryRow]] | None = (
             [[] for _ in range(self.n_rows)] if record else None)
-
-    def keep(self, rows: np.ndarray) -> None:
-        self.ctx.keep(rows)
-        self._index = self._index[rows]
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
         new_params, mu, lam, finite = self.ctx.step(params, grads, losses, k)
-        self._index = self._index[finite]
         if self.rows is not None:
-            for row, row_mu, row_lam, loss in zip(self._index, mu.tolist(), lam.tolist(),
-                                                  losses[finite].tolist()):
+            for row in np.flatnonzero(finite).tolist():
+                loss = losses[row].item()
                 self.rows[row].extend(
                     TrajectoryRow(step=k, component=name, mu=tuple(m), lam=l, train_loss=loss)
-                    for name, m, l in zip(self._names, row_mu, row_lam))
+                    for name, m, l in zip(self._names, mu[row].tolist(), lam[row].tolist()))
         return new_params, finite
 
 
@@ -275,45 +270,44 @@ def inner_loop_batch(make_stepper, task: Task,
     optimizer) for exactly K steps on the task's shared train batches, one
     batch per step, then score the eval batch. Returns one result per row.
 
-    ``make_stepper(task, record)`` yields a stepper with ``n_rows``,
-    ``keep(mask)``, which drops rows, and ``step(params, grads, losses, k)``
-    on the live rows, which returns (new params of the rows that stayed
-    finite, the finite mask over its input rows).
+    ``make_stepper(task, record)`` yields a stepper with ``n_rows`` and
+    ``step(params [C, n], grads [C, n], losses [C], k)``, which returns
+    (new params [C, n], finite [C]). Every row stays in the block for the
+    whole run; the loop owns the one ``alive`` mask and ANDs every finite
+    mask into it.
 
     A row whose loss, gradient, direction, logits or lambda stops being
-    finite, or whose final meta-loss is not finite, is dropped from the
-    live rows and scores the penalty meta-loss with accuracy 0, so
-    outer-loop fitness stays defined; the other rows are not disturbed.
+    finite, or whose final meta-loss is not finite, is dead: it scores the
+    penalty meta-loss with accuracy 0, so outer-loop fitness stays defined.
+    The loop hands dead rows to the stepper as NaN, so no stepper reports
+    them finite again, and every stage is row-wise, so the other rows keep
+    their bits.
     """
     stepper = make_stepper(task, record_trajectory)
     params = np.tile(task.theta0.flat(), (stepper.n_rows, 1))
-    live = np.arange(stepper.n_rows)
-    train_losses: list[list[float]] = [[] for _ in live]
+    alive = np.ones(stepper.n_rows, dtype=bool)
+    train_losses: list[list[float]] = [[] for _ in range(stepper.n_rows)]
     for k in range(1, task.K + 1):
         losses, grads, finite = loss_and_grad(task.spec, params, task.train_batches[k - 1])
-        if not finite.all():
-            stepper.keep(finite)
-            live, params, grads, losses = live[finite], params[finite], grads[finite], losses[finite]
-        for row, loss in zip(live, losses.tolist()):
-            train_losses[row].append(loss)
+        alive &= finite
+        for row in np.flatnonzero(alive).tolist():
+            train_losses[row].append(losses[row].item())
+        if not alive.all():
+            params[~alive] = grads[~alive] = losses[~alive] = np.nan
         params, finite = stepper.step(params, grads, losses, k)
-        live = live[finite]
-        if not len(live):
+        alive &= finite
+        if not alive.any():
             break
-    scores = {}  # row -> (meta-loss, accuracy) of the rows that stayed finite
-    if len(live):
-        logits = forward(task.spec, params, task.eval_batch.x)
-        scores = {row: (meta_loss, acc) for row, meta_loss, acc in zip(
-            live.tolist(), mean_cross_entropy(logits, task.eval_batch.y).tolist(),
-            accuracy(logits, task.eval_batch.y).tolist()) if np.isfinite(meta_loss)}
-    trajectories = getattr(stepper, "rows", None) or [None] * len(train_losses)
-    results = []
-    for row, (losses, trajectory) in enumerate(zip(train_losses, trajectories)):
-        meta_loss, acc = scores.get(row, (DIVERGENCE_PENALTY, 0.0))
-        results.append(InnerRunResult(meta_loss=meta_loss, eval_accuracy=acc,
-                                      train_losses=losses, diverged=row not in scores,
-                                      trajectory=trajectory))
-    return results
+    logits = forward(task.spec, params, task.eval_batch.x)
+    meta_losses = mean_cross_entropy(logits, task.eval_batch.y)
+    accs = accuracy(logits, task.eval_batch.y)
+    alive &= np.isfinite(meta_losses)
+    trajectories = getattr(stepper, "rows", None) or [None] * stepper.n_rows
+    return [InnerRunResult(meta_loss=meta_loss if ok else DIVERGENCE_PENALTY,
+                           eval_accuracy=acc if ok else 0.0, train_losses=losses,
+                           diverged=not ok, trajectory=trajectory)
+            for ok, meta_loss, acc, losses, trajectory in zip(
+                alive.tolist(), meta_losses.tolist(), accs.tolist(), train_losses, trajectories)]
 
 
 def inner_loop_eval(make_stepper, task: Task, record_trajectory: bool = False) -> InnerRunResult:
@@ -429,19 +423,21 @@ def generation_task_seeds(cfg: NesConfig, generation: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # candidate evaluation, sequential or in a process pool
 
-_WORKER_ENV: dict = {}
+_WORKER_ENV: dict = {}  # the evaluation environment of a pool worker process
 
 
-def _init_worker(dist, layout, init_from, split, renormalize):
-    _WORKER_ENV.update(dist=dist, layout=layout, init_from=init_from,
-                       split=split, renormalize=renormalize, task_cache={})
+def _init_worker(env: dict) -> None:
+    _WORKER_ENV.update(env)
 
 
 def _eval_block_job(args):
     """Losses [block, meta_batch] of a contiguous block of candidates, each
-    task run once for the whole block."""
-    start, block, task_seeds = args
-    env = _WORKER_ENV
+    task run once for the whole block. ``env`` is the evaluator's own
+    environment, or None in a pool worker, which uses the one its
+    initializer stored."""
+    start, block, task_seeds, env = args
+    if env is None:
+        env = _WORKER_ENV
     cache = env["task_cache"]
     factory = controller_stepper_factory(block, env["layout"],
                                          renormalize=env["renormalize"])
@@ -462,31 +458,28 @@ class CandidateEvaluator:
     one block when sequential, one per worker process otherwise (never more
     workers than candidates). Fitness does not depend on the blocks, since
     every row gets the bits of its single-candidate run, and results are
-    reduced by candidate index."""
+    reduced by candidate index. Each evaluator runs its blocks in its own
+    environment (distribution, layout, checkpoint, split, renormalize and
+    task cache), whatever other evaluators exist."""
 
     def __init__(self, cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
                  init_from: ParamSet | None, split: str = "metatrain",
                  renormalize: bool = False, workers: int = 1):
         self.cfg = cfg
-        self.dist = dist
-        self.layout = layout
-        self.init_from = init_from
-        self.split = split
-        self.renormalize = renormalize
         self.workers = max(1, min(int(workers), cfg.population))
+        self._env = dict(dist=dist, layout=layout, init_from=init_from, split=split,
+                         renormalize=renormalize, task_cache={})
         self._pool = None
         if self.workers > 1:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_init_worker,
-                initargs=(dist, layout, init_from, split, renormalize))
-        else:
-            _init_worker(dist, layout, init_from, split, renormalize)
+                max_workers=self.workers, initializer=_init_worker, initargs=(self._env,))
 
     def __call__(self, candidates: np.ndarray, generation: int) -> np.ndarray:
         seeds = generation_task_seeds(self.cfg, generation)
         n, blocks = len(candidates), min(self.workers, len(candidates))
         bounds = [i * n // blocks for i in range(blocks + 1)]
-        jobs = [(a, candidates[a:b], seeds) for a, b in zip(bounds[:-1], bounds[1:])]
+        env = self._env if self._pool is None else None
+        jobs = [(a, candidates[a:b], seeds, env) for a, b in zip(bounds[:-1], bounds[1:])]
         fits = np.zeros(len(candidates))
         if self._pool is None:
             results = map(_eval_block_job, jobs)

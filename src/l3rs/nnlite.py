@@ -22,7 +22,7 @@ BIAS = "bias"
 
 
 class DivergenceError(RuntimeError):
-    """Raised when a training run that cannot drop rows (pretraining) stops
+    """Raised when a training run that has no rows to mask (pretraining) stops
     being finite; inner loops report divergence per row instead."""
 
 

@@ -10,7 +10,8 @@ an offsets array. A DirectionBank runs several providers off one backward
 pass on C rows at once (one per candidate of a population, each with its own
 hyperparameters) and returns all directions as one [C, P, n] array together
 with their [C, L, P] segment norms from segment_norms(). A row whose
-directions stop being finite is dropped and reported in a per-row mask.
+directions stop being finite is reported in a per-row mask; rows are never
+dropped.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class DirectionBank:
 
     ``hypers[c][p]`` holds the hyperparameters of provider p for row c.
     States are [C, n] arrays. A bank belongs to exactly one inner-loop
-    evaluation and is never shared; keep() drops rows that diverged.
+    evaluation and is never shared.
     """
 
     def __init__(self, kinds: list[OptimizerKind], hypers: list[list[HyperParams]],
@@ -175,12 +176,6 @@ class DirectionBank:
     @property
     def n_providers(self) -> int:
         return len(self.kinds)
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the rows selected by the mask or index array ``rows``."""
-        self._hyper = [tuple(h[rows] for h in hp) for hp in self._hyper]
-        self._state = [{name: arr[rows] for name, arr in state.items()}
-                       for state in self._state]
 
     def _direction(self, kind: OptimizerKind, hyper, state: dict,
                    grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -214,17 +209,12 @@ class DirectionBank:
         """Advance every provider once on the flat pre-update gradients and
         weights [C, n] of the current step.
 
-        Returns (directions [C', P, n], norms [C', L, P], finite [C]): the
-        rows whose directions are all finite, and the mask that selects
-        them. The other rows are dropped from the bank.
+        Returns (directions [C, P, n], norms [C, L, P], finite [C]), where
+        ``finite`` is False for a row with any direction that is not finite.
         """
         self.step_count += 1
         dirs = np.empty((len(grad), self.n_providers, grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for p, (kind, hyper, state) in enumerate(zip(self.kinds, self._hyper, self._state)):
                 dirs[:, p] = self._direction(kind, hyper, state, grad, weights)
-        finite = np.isfinite(dirs).all(axis=(1, 2))
-        if not finite.all():
-            self.keep(finite)
-            dirs = dirs[finite]
-        return dirs, segment_norms(dirs, self.offsets), finite
+        return dirs, segment_norms(dirs, self.offsets), np.isfinite(dirs).all(axis=(1, 2))

@@ -111,9 +111,6 @@ class TestRunBaseline:
 class _NullStepper:
     n_rows = 1
 
-    def keep(self, rows):
-        pass
-
     def step(self, params, grads, losses, k):
         return params, np.ones(len(params), dtype=bool)
 

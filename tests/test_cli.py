@@ -20,6 +20,11 @@ TINY = {
 }
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_config(tmp_path, extra=None, name="config.json"):
     cfg = json.loads(json.dumps(TINY))
     for key, value in (extra or {}).items():
@@ -102,7 +107,7 @@ class TestMetaTrain:
         cfg = write_config(tmp_path, {"nes": {"generations": 1}})
         out = tmp_path / "run"
         assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out)) == 0
-        rows = list(csv.DictReader(open(out / "history.csv")))
+        rows = read_rows(out / "history.csv")
         assert len(rows) == 1
         assert rows[0]["generation"] == "1"
 
@@ -110,7 +115,7 @@ class TestMetaTrain:
         cfg = write_config(tmp_path, {"nes": {"generations": 5, "decay_period": 2}})
         out = tmp_path / "run"
         assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out)) == 0
-        rows = list(csv.DictReader(open(out / "history.csv")))
+        rows = read_rows(out / "history.csv")
         alphas = [float(r["alpha"]) for r in rows]
         sigmas = [float(r["sigma"]) for r in rows]
         assert alphas[2] == alphas[0] * 0.5 and alphas[4] == alphas[0] * 0.25
@@ -201,7 +206,7 @@ class TestEvaluate:
         assert run_cli("evaluate", "--config", cfg, "--out-dir", str(out),
                        "--psi", str(psi_path),
                        "--paired", str(ref / "eval_adam_tasks.csv")) == 0
-        paired = list(csv.DictReader(open(out / "eval_l3rs_paired.csv")))
+        paired = read_rows(out / "eval_l3rs_paired.csv")
         assert paired and "loss_diff" in paired[0]
 
     def test_self_paired_diffs_are_zero(self, tmp_path):
@@ -213,7 +218,7 @@ class TestEvaluate:
         assert run_cli("evaluate", "--config", cfg, "--out-dir", str(out),
                        "--baseline", "adam_const", "--label", "adam",
                        "--paired", str(ref / "eval_adam_tasks.csv")) == 0
-        for row in csv.DictReader(open(out / "eval_adam_paired.csv")):
+        for row in read_rows(out / "eval_adam_paired.csv"):
             assert float(row["acc_diff"]) == 0.0
             assert float(row["loss_diff"]) == 0.0
 
@@ -266,16 +271,16 @@ class TestInspect:
         assert run_cli("inspect", "--config", cfg, "--out-dir", str(out),
                        "--psi", str(psi_path), "--task-seed", "11",
                        "--k", "6") == 0
-        rows = list(csv.DictReader(open(out / "trajectory_11.csv")))
+        rows = read_rows(out / "trajectory_11.csv")
         assert len(rows) == 6 * 4  # K steps x L components
         for row in rows:
             total = float(row["mu_0"]) + float(row["mu_1"])
             assert abs(total - 1.0) <= 1e-9
-        steps = list(csv.DictReader(open(out / "time_features_by_step.csv")))
+        steps = read_rows(out / "time_features_by_step.csv")
         assert len(steps) == 6
         mid = [r for r in steps if int(r["k"]) == 3][0]
         assert float(mid["rel_5"]) == 0.0  # alpha = 0.5 crosses zero at k/K = 0.5
-        horizon = list(csv.DictReader(open(out / "time_features_by_horizon.csv")))
+        horizon = read_rows(out / "time_features_by_horizon.csv")
         assert [int(r["K"]) for r in horizon][:3] == [1, 2, 5]
 
 
@@ -284,7 +289,7 @@ class TestAblate:
         cfg = write_config(tmp_path)
         out = tmp_path / "ablate"
         assert run_cli("ablate", "--config", cfg, "--out-dir", str(out)) == 0
-        rows = list(csv.DictReader(open(out / "ablation.csv")))
+        rows = read_rows(out / "ablation.csv")
         assert len(rows) == 1
         assert rows[0]["base_optimizers"] == "sgd"
         assert rows[0]["variant"] == "full"
@@ -309,7 +314,7 @@ class TestReport:
         merged = tmp_path / "merged.csv"
         assert run_cli("report", "--inputs", str(outs[0]), str(outs[1]),
                        "--out", str(merged)) == 0
-        rows = list(csv.DictReader(open(merged)))
+        rows = read_rows(merged)
         assert len(rows) == 4
         assert [r["optimizer"] for r in rows] == ["adam_const", "adam_const",
                                                   "sgd_const", "sgd_const"]

@@ -18,7 +18,8 @@ def test_ablate_gamma_sets_axis(tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli.main(["ablate", "--config", str(path), "--out-dir", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "ablation.csv")))
+    with open(out / "ablation.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["gammas"] for r in rows] == ["0;0.9;0.99", "0", "none"]
 
 

@@ -2,8 +2,10 @@
 
 Every other byte-identity test compares two runs of the same code, so a
 change that moves every output bit consistently passes them. These sha256
-digests were computed from the per-component implementation and must hold
-for any rewrite that claims to compute the same thing.
+digests were computed from the per-component implementation, and the
+diverging-run digests from the inner loop that removed diverged rows from
+the block, and they must hold for any rewrite that claims to compute the
+same thing.
 
 Run ``python tests/test_golden.py`` (with ``src`` on the path) to print the
 digests of the current code.

@@ -250,16 +250,22 @@ class TestDirectionBank:
             make_bank([OptimizerKind.SGD, OptimizerKind.SGD], offsets_of(params))
 
     def test_non_finite_direction_raises(self):
-        # a non-finite row is reported in the mask and dropped from the
-        # bank's state; the finite rows carry on
+        # a non-finite row is reported in the mask and keeps its place; the
+        # finite rows carry on with the bits of a bank that never saw it
         spec, params = small_params()
-        bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], offsets_of(params), rows=3)
+        kinds = [OptimizerKind.SGD, OptimizerKind.ADAM]
+        bank = make_bank(kinds, offsets_of(params), rows=3)
+        clean = make_bank(kinds, offsets_of(params), rows=3)
         grad = np.ones((3, params.n_params()))
+        weights = np.tile(params.flat(), (3, 1))
         grad[1, 4] = np.inf
-        dirs, norms, finite = bank.step(grad, np.tile(params.flat(), (3, 1)))
+        dirs, norms, finite = bank.step(grad, weights)
         np.testing.assert_array_equal(finite, [True, False, True])
-        assert dirs.shape == (2, 2, params.n_params()) and norms.shape == (2, len(params), 2)
-        assert all(arr.shape == (2, params.n_params()) for arr in bank._state[1].values())
+        assert dirs.shape == (3, 2, params.n_params()) and norms.shape == (3, len(params), 2)
+        assert all(arr.shape == (3, params.n_params()) for arr in bank._state[1].values())
+        clean_dirs, clean_norms, _ = clean.step(np.ones_like(grad), weights)
+        np.testing.assert_array_equal(dirs[[0, 2]], clean_dirs[[0, 2]])
+        np.testing.assert_array_equal(norms[[0, 2]], clean_norms[[0, 2]])
 
     def test_step_counter_shared(self):
         spec, params = small_params()

@@ -102,3 +102,40 @@ def test_evaluator_fitness_equals_handle_runs():
         handle = controller_handle(cand, layout, renormalize=True)
         assert fit == -float(np.mean([handle.run(t).meta_loss for t in tasks]))
     assert fits[-1] == -DIVERGENCE_PENALTY
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("raw_beta", [40.0, -800.0])
+def test_beta_rounding_to_one_or_zero_kills_only_its_row(raw_beta):
+    # sigmoid(40) rounds to exactly 1.0 and sigmoid(-800) to 0.0, which
+    # HyperParams rejects; the row scores the penalty, the block runs on
+    layout = layout_for(Variant.FULL)
+    cands = population(layout, scales=(0.0, 0.05, 0.1), seed=6)
+    cands[1, -1] = raw_beta
+    task = make_task(DIST, seed=13, split="metatrain")
+    block = inner_loop_batch(controller_stepper_factory(cands, layout), task, True)
+    assert block[1].diverged and block[1].trajectory == []
+    assert (block[1].meta_loss, block[1].eval_accuracy) == (DIVERGENCE_PENALTY, 0.0)
+    for i in (0, 2):
+        single = controller_handle(cands[i], layout).run(task, record_trajectory=True)
+        assert outcome(block[i]) == outcome(single)
+        assert block[i].trajectory == single.trajectory
+
+
+def test_sequential_evaluators_keep_their_own_environment():
+    # each workers=1 evaluator runs on the layout and settings it was built
+    # with, whichever evaluator was constructed last
+    cfg = NesConfig(population=4, meta_batch=2, seed=7)
+    full, bare = layout_for(Variant.FULL), layout_for(Variant.NO_EMBEDDING)
+    cands_full = population(full, scales=(0.0, 0.05, 0.1, 0.2), seed=7)
+    cands_bare = population(bare, scales=(0.0, 0.05, 0.1, 0.2), seed=7)
+    settings = [(full, False, cands_full), (bare, False, cands_bare), (full, True, cands_full)]
+    alone = []
+    for layout, renormalize, cands in settings:
+        with CandidateEvaluator(cfg, DIST, layout, init_from=None, renormalize=renormalize) as ev:
+            alone.append(ev(cands, 0))
+    evaluators = [CandidateEvaluator(cfg, DIST, layout, init_from=None, renormalize=renormalize)
+                  for layout, renormalize, _ in settings]
+    for ev, (_, _, cands), fits in zip(evaluators, settings, alone):
+        np.testing.assert_array_equal(ev(cands, 0), fits)
+    assert not np.array_equal(alone[0], alone[2])
