@@ -34,10 +34,8 @@ from .meta import (
 )
 from .nnlite import (
     Batch,
-    ComponentId,
     DivergenceError,
     NetworkSpec,
-    ParamSet,
     accuracy,
     forward,
     init_params,

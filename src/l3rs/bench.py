@@ -28,7 +28,7 @@ from .meta import (
     inner_loop_eval,
     make_task,
 )
-from .nnlite import NetworkSpec, ParamSet
+from .nnlite import NetworkSpec
 from .optdir import STATE_SLOTS, OptimizerKind
 
 _TAG_EVAL_TASKS = 21
@@ -76,10 +76,10 @@ class BaselineStepper:
     def __init__(self, spec: BaselineSpec, task: Task):
         self.spec = spec
         self.K = task.K
-        sizes = [t.size for t in task.theta0.tensors]
-        self.start = sum(sizes[:-2]) if spec.head_only else 0
+        offsets = task.spec.offsets()
+        self.start = offsets[-3] if spec.head_only else 0
         if spec.kind != BaselineKind.SGD_CONST:
-            self.m = np.zeros((1, sum(sizes) - self.start))
+            self.m = np.zeros((1, offsets[-1] - self.start))
             self.v = np.zeros_like(self.m)
 
     def _lr(self, k: int) -> float:
@@ -170,7 +170,7 @@ def evaluation_task_seeds(eval_seed: int, n_tasks: int) -> list[int]:
 
 def evaluate_suite(handles, dist: TaskDistributionSpec, n_tasks: int,
                    k_list, eval_seed: int, split: str = "metatest",
-                   init_from: ParamSet | None = None) -> EvalReport:
+                   init_from: np.ndarray | None = None) -> EvalReport:
     """Paired evaluation: the same task seeds are used for every optimizer
     and every K, so per-task differences are well-defined."""
     if isinstance(handles, OptimizerHandle):

@@ -336,6 +336,8 @@ def cmd_evaluate(args) -> int:
         handle = bench.controller_handle(psi.flat, psi.layout, label=label,
                                          renormalize=run.renormalize)
     elif args.baseline:
+        if args.lr < 0:
+            raise ConfigError(f"--lr must be non-negative, got {args.lr!r}")
         spec = bench.BaselineSpec(kind=bench.BaselineKind(args.baseline),
                                   lr0=args.lr, head_only=args.head_only)
         handle = bench.baseline_handle(spec)
@@ -396,6 +398,8 @@ def cmd_inspect(args) -> int:
     _write_config_snapshot(run)
     psi, _ = load_psi(args.psi)
     init_from = _main_checkpoint(run, args.checkpoint)
+    if args.k is not None and args.k < 0:
+        raise ConfigError(f"--k must be >= 0, got {args.k}")
     task = meta.make_task(run.dist, args.task_seed, split="metatest",
                           init_from=init_from, k_override=args.k)
     handle = bench.controller_handle(psi.flat, psi.layout,

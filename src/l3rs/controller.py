@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import optdir
-from .nnlite import ParamSet
+from .nnlite import NetworkSpec
 from .optdir import DirectionBank, HyperParams, OptimizerKind, segment_norms
 
 DEFAULT_GAMMAS = (0.0, 0.9, 0.99)
@@ -389,7 +389,8 @@ def compose_update(lam: np.ndarray, mu: np.ndarray, dirs: np.ndarray, norms: np.
 class ControllerContext:
     """Everything one inner-loop evaluation of C candidates needs: the
     direction bank, the EMA tracker and a read-only view of the batched
-    meta-parameters [C, flat_size] (a single psi counts as C = 1).
+    meta-parameters [C, flat_size] (a single psi counts as C = 1), for the
+    flat parameters of ``spec`` and a horizon of K steps.
 
     ``policy`` replaces the MLP head when set: it receives the component
     index and that component's direction log-norms and returns (mu, lambda).
@@ -401,11 +402,12 @@ class ControllerContext:
     it scores the divergence penalty without touching the other rows.
     """
 
-    def __init__(self, psi: MetaParams, template: ParamSet, K: int,
+    def __init__(self, psi: MetaParams, spec: NetworkSpec, K: int,
                  time_cfg: TimeFeatureConfig = DEFAULT_TIME_CONFIG,
                  renormalize: bool = False, policy=None):
         layout = psi.layout
-        n_comp = len(template)
+        offsets = spec.offsets()
+        n_comp = len(offsets) - 1
         if layout.variant != Variant.GLOBAL and layout.n_components != n_comp:
             raise ValueError(
                 f"layout built for {layout.n_components} components, model has {n_comp}"
@@ -416,7 +418,6 @@ class ControllerContext:
         self.time_cfg = time_cfg
         self.renormalize = renormalize
         self.policy = policy
-        offsets = np.concatenate([[0], np.cumsum([t.size for t in template.tensors])])
         hypers = [hyper_params_of(layout, raw) for raw in self.psi.hyper_raw]
         self._betas_valid = np.array([h is not None for h in hypers])
         defaults = [optdir.default_hyper_params(kind) for kind in layout.base_kinds]

@@ -41,13 +41,11 @@ from .nnlite import (
     Batch,
     DivergenceError,
     NetworkSpec,
-    ParamSet,
     accuracy,
     forward,
     init_params,
     loss_and_grad,
     mean_cross_entropy,
-    params_from_flat,
 )
 
 DIVERGENCE_PENALTY = 1e4
@@ -125,10 +123,11 @@ class TaskDistributionSpec:
 
 @dataclass
 class Task:
-    """One fine-tuning problem: theta0, K train batches, one eval batch."""
+    """One fine-tuning problem: flat theta0 [n], K train batches, one eval
+    batch."""
 
     spec: NetworkSpec
-    theta0: ParamSet
+    theta0: np.ndarray
     train_batches: list[Batch]
     eval_batch: Batch
     K: int
@@ -145,15 +144,15 @@ def _blob_batch(dist: TaskDistributionSpec, means: np.ndarray,
 
 
 def make_task(dist: TaskDistributionSpec, seed: int, split: str = "metatrain",
-              init_from: ParamSet | None = None, k_override: int | None = None) -> Task:
+              init_from: np.ndarray | None = None, k_override: int | None = None) -> Task:
     """Build the task identified by ``seed``, bit-identical on every call.
 
-    ``init_from`` is a pretrained checkpoint whose body is copied; the head
-    is re-initialized whenever its output width differs from the task's
-    class count (the usual fine-tuning head swap). Without a checkpoint the
-    whole model is freshly initialized. ``k_override`` forces the horizon,
-    and the train batches for a given seed are a common prefix across
-    horizons.
+    ``init_from`` is a pretrained checkpoint, flat parameters laid out by
+    dist.pretrain_network(), whose body is copied; the head is
+    re-initialized whenever pretrain_classes differs from the task's class
+    count (the usual fine-tuning head swap). Without a checkpoint the whole
+    model is freshly initialized. ``k_override`` forces the horizon, and the
+    train batches for a given seed are a common prefix across horizons.
     """
     means = dist.class_means()
     pool = dist.split_classes(split)
@@ -173,13 +172,17 @@ def make_task(dist: TaskDistributionSpec, seed: int, split: str = "metatrain",
     if init_from is None:
         theta0 = init_params(spec, int(init_rng.integers(0, _MASK)))
     else:
-        theta0 = ParamSet(spec.components(), [t.copy() for t in init_from.tensors])
-        head_kernel = theta0.tensors[-2]
-        if head_kernel.shape[1] != dist.classes_per_task:
-            fan_in = head_kernel.shape[0]
-            theta0.tensors[-2] = init_rng.normal(
-                0.0, 1.0 / np.sqrt(fan_in), (fan_in, dist.classes_per_task))
-            theta0.tensors[-1] = np.zeros(dist.classes_per_task)
+        pretrained = dist.pretrain_network().offsets()
+        if np.shape(init_from) != (pretrained[-1],):
+            raise ValueError(f"init_from has shape {np.shape(init_from)}, expected "
+                             f"[{pretrained[-1]}] (the pretrain network)")
+        if dist.pretrain_classes == dist.classes_per_task:
+            theta0 = np.array(init_from, dtype=float)
+        else:
+            fan_in = spec.layer_dims()[-1][0]
+            head = init_rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, dist.classes_per_task))
+            theta0 = np.concatenate([init_from[:pretrained[-3]], head.ravel(),
+                                     np.zeros(dist.classes_per_task)])
 
     train_batches = [
         _blob_batch(dist, means, class_ids, dist.train_batch_size,
@@ -194,7 +197,7 @@ def make_task(dist: TaskDistributionSpec, seed: int, split: str = "metatrain",
 
 
 def sample_task(dist: TaskDistributionSpec, rng: np.random.Generator,
-                split: str = "metatrain", init_from: ParamSet | None = None,
+                split: str = "metatrain", init_from: np.ndarray | None = None,
                 k_override: int | None = None) -> Task:
     """Draw a task seed from ``rng`` and build that task."""
     seed = int(rng.integers(0, _MASK))
@@ -253,13 +256,12 @@ def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
     stepper with zeroed optimizer and tracker state, as a new fine-tuning
     run requires.
     """
-    psi_flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
+    psi = unflatten(np.atleast_2d(np.asarray(psi_flat, dtype=float)), layout)
 
     def make(task: Task, record: bool = False) -> ControllerStepper:
-        psi = unflatten(psi_flat, layout)
-        ctx = ControllerContext(psi, task.theta0, task.K,
+        ctx = ControllerContext(psi, task.spec, task.K,
                                 renormalize=renormalize, policy=policy)
-        return ControllerStepper(ctx, [cid.name for cid in task.theta0.ids], record)
+        return ControllerStepper(ctx, task.spec.components(), record)
 
     return make
 
@@ -284,7 +286,7 @@ def inner_loop_batch(make_stepper, task: Task,
     their bits.
     """
     stepper = make_stepper(task, record_trajectory)
-    params = np.tile(task.theta0.flat(), (stepper.n_rows, 1))
+    params = np.tile(task.theta0, (stepper.n_rows, 1))
     alive = np.ones(stepper.n_rows, dtype=bool)
     train_losses: list[list[float]] = [[] for _ in range(stepper.n_rows)]
     for k in range(1, task.K + 1):
@@ -423,32 +425,17 @@ def generation_task_seeds(cfg: NesConfig, generation: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # candidate evaluation, sequential or in a process pool
 
-_WORKER_ENV: dict = {}  # the evaluation environment of a pool worker process
-
-
-def _init_worker(env: dict) -> None:
-    _WORKER_ENV.update(env)
-
-
 def _eval_block_job(args):
     """Losses [block, meta_batch] of a contiguous block of candidates, each
-    task run once for the whole block. ``env`` is the evaluator's own
-    environment, or None in a pool worker, which uses the one its
-    initializer stored."""
+    task built once and run once for the whole block, in the evaluator's
+    environment ``env``, which the job carries."""
     start, block, task_seeds, env = args
-    if env is None:
-        env = _WORKER_ENV
-    cache = env["task_cache"]
     factory = controller_stepper_factory(block, env["layout"],
                                          renormalize=env["renormalize"])
     losses = np.empty((len(block), len(task_seeds)))
     for j, seed in enumerate(task_seeds):
-        if seed not in cache:
-            if len(cache) > 64:
-                cache.clear()
-            cache[seed] = make_task(env["dist"], seed, split=env["split"],
-                                    init_from=env["init_from"])
-        losses[:, j] = [r.meta_loss for r in inner_loop_batch(factory, cache[seed])]
+        task = make_task(env["dist"], seed, split=env["split"], init_from=env["init_from"])
+        losses[:, j] = [r.meta_loss for r in inner_loop_batch(factory, task)]
     return start, losses
 
 
@@ -459,27 +446,23 @@ class CandidateEvaluator:
     workers than candidates). Fitness does not depend on the blocks, since
     every row gets the bits of its single-candidate run, and results are
     reduced by candidate index. Each evaluator runs its blocks in its own
-    environment (distribution, layout, checkpoint, split, renormalize and
-    task cache), whatever other evaluators exist."""
+    environment (distribution, layout, checkpoint, split and renormalize),
+    which every block job carries, whatever other evaluators exist."""
 
     def __init__(self, cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
-                 init_from: ParamSet | None, split: str = "metatrain",
+                 init_from: np.ndarray | None, split: str = "metatrain",
                  renormalize: bool = False, workers: int = 1):
         self.cfg = cfg
         self.workers = max(1, min(int(workers), cfg.population))
         self._env = dict(dist=dist, layout=layout, init_from=init_from, split=split,
-                         renormalize=renormalize, task_cache={})
-        self._pool = None
-        if self.workers > 1:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_init_worker, initargs=(self._env,))
+                         renormalize=renormalize)
+        self._pool = ProcessPoolExecutor(self.workers) if self.workers > 1 else None
 
     def __call__(self, candidates: np.ndarray, generation: int) -> np.ndarray:
         seeds = generation_task_seeds(self.cfg, generation)
         n, blocks = len(candidates), min(self.workers, len(candidates))
         bounds = [i * n // blocks for i in range(blocks + 1)]
-        env = self._env if self._pool is None else None
-        jobs = [(a, candidates[a:b], seeds, env) for a, b in zip(bounds[:-1], bounds[1:])]
+        jobs = [(a, candidates[a:b], seeds, self._env) for a, b in zip(bounds[:-1], bounds[1:])]
         fits = np.zeros(len(candidates))
         if self._pool is None:
             results = map(_eval_block_job, jobs)
@@ -506,7 +489,7 @@ def initial_psi(cfg: NesConfig, layout: PsiLayout) -> np.ndarray:
 
 
 def meta_train(cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
-               init_from: ParamSet | None = None, workers: int = 1,
+               init_from: np.ndarray | None = None, workers: int = 1,
                state: NesState | None = None, split: str = "metatrain",
                renormalize: bool = False,
                on_generation=None) -> tuple[np.ndarray, list[GenerationStats]]:
@@ -527,16 +510,16 @@ def meta_train(cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
     return state.psi, state.history
 
 
-def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> ParamSet:
-    """Train a fresh model on the pretrain split with plain Adam (lr 1e-3,
-    constant) for ``steps`` steps; deterministic in ``seed``."""
+def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> np.ndarray:
+    """Flat parameters [n] of a fresh dist.pretrain_network() trained on the
+    pretrain split with plain Adam (lr 1e-3, constant) for ``steps`` steps;
+    deterministic in ``seed``."""
     spec = dist.pretrain_network()
-    params = init_params(spec, int(derived_rng(seed, _TAG_INIT).integers(0, _MASK)))
+    theta = init_params(spec, int(derived_rng(seed, _TAG_INIT).integers(0, _MASK)))
     if steps == 0:
-        return params
+        return theta
     means = dist.class_means()
     pool = dist.split_classes("pretrain")
-    theta = params.flat()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
@@ -549,32 +532,33 @@ def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> Pa
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         theta = theta - lr * (m / (1 - b1 ** k)) / (np.sqrt(v / (1 - b2 ** k)) + eps)
-    return params_from_flat(spec, theta)
+    return theta
 
 
-def pretrain_eval(dist: TaskDistributionSpec, params: ParamSet, seed: int,
+def pretrain_eval(dist: TaskDistributionSpec, params: np.ndarray, seed: int,
                   n: int = 512) -> tuple[float, float]:
     """(loss, accuracy) of a pretrain-split model on a held-out batch."""
     spec = dist.pretrain_network()
     batch = _blob_batch(dist, dist.class_means(), dist.split_classes("pretrain"),
                         n, derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN_EVAL))
-    logits = forward(spec, params.flat(), batch.x)
+    logits = forward(spec, params, batch.x)
     return float(mean_cross_entropy(logits, batch.y)), float(accuracy(logits, batch.y))
 
 
-def save_pretrained(path, spec: NetworkSpec, params: ParamSet) -> None:
-    """Model checkpoint as decimal text; value-exact on reload."""
+def save_pretrained(path, spec: NetworkSpec, params: np.ndarray) -> None:
+    """Model checkpoint (flat parameters [n]) as decimal text; value-exact on
+    reload."""
     network = {"input_dim": spec.input_dim, "hidden": list(spec.hidden),
                "output_dim": spec.output_dim}
-    _write_checkpoint(path, {"network": network}, "values", params.flat())
+    _write_checkpoint(path, {"network": network}, "values", params)
 
 
-def load_pretrained(path) -> tuple[NetworkSpec, ParamSet]:
+def load_pretrained(path) -> tuple[NetworkSpec, np.ndarray]:
     """Inverse of save_pretrained; raises CheckpointError on unknown format
     versions and on files whose values do not fit their declared network."""
     def parse(net):
         spec = NetworkSpec(int(net["input_dim"]), tuple(net["hidden"]), int(net["output_dim"]))
-        return spec, sum(int(np.prod(shape)) for shape in spec.component_shapes())
+        return spec, spec.offsets()[-1]
 
     spec, flat, _ = _read_checkpoint(path, "network", parse, "values")
-    return spec, params_from_flat(spec, flat)
+    return spec, flat

@@ -2,17 +2,20 @@
 reverse-mode gradients, used as the inner models that optimizers train.
 
 Everything is float64 and purely functional: no operation mutates its inputs,
-so concurrent evaluations can share specs and parameter sets freely.
+so concurrent evaluations can share specs and parameters freely.
 
 Parameters are flat vectors: the kernel then the bias of each dense layer in
-input-to-output order. Forward and backward passes take a flat array
-[..., n_params] with any leading axes, typically [C, n_params] for C
-networks trained side by side on the same batches, and run every network
-through each layer in one batched matmul.
+input-to-output order, at the segment offsets of NetworkSpec.offsets(), the
+one place that works out where a component sits. Forward and backward
+passes take a flat array [..., n_params] with any leading axes, typically
+[C, n_params] for C networks trained side by side on the same batches, and
+run every network through each layer in one batched matmul.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +27,6 @@ BIAS = "bias"
 class DivergenceError(RuntimeError):
     """Raised when a training run that has no rows to mask (pretraining) stops
     being finite; inner loops report divergence per row instead."""
-
-
-@dataclass(frozen=True)
-class ComponentId:
-    """One named parameter tensor ("layer" from the optimizer's view).
-
-    Indices are dense 0..L-1 in a deterministic order: for each dense layer
-    in input-to-output order, kernel first, then bias.
-    """
-
-    index: int
-    name: str
-    kind: str  # KERNEL or BIAS
 
 
 @dataclass(frozen=True)
@@ -56,17 +46,19 @@ class NetworkSpec:
         dims = (self.input_dim, *self.hidden, self.output_dim)
         if any(d < 1 for d in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
+        # computed once: every forward and backward pass reads them
+        sizes = [math.prod(shape) for shape in self.component_shapes()]
+        object.__setattr__(self, "_offsets", tuple(itertools.accumulate(sizes, initial=0)))
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = (self.input_dim, *self.hidden, self.output_dim)
         return [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
 
-    def components(self) -> list[ComponentId]:
-        out = []
-        for layer, _ in enumerate(self.layer_dims()):
-            out.append(ComponentId(2 * layer, f"layer{layer}/{KERNEL}", KERNEL))
-            out.append(ComponentId(2 * layer + 1, f"layer{layer}/{BIAS}", BIAS))
-        return out
+    def components(self) -> list[str]:
+        """Component names ("layer0/kernel", "layer0/bias", ...): for each
+        dense layer in input-to-output order, kernel first, then bias."""
+        return [f"layer{layer}/{kind}"
+                for layer in range(len(self.layer_dims())) for kind in (KERNEL, BIAS)]
 
     def component_shapes(self) -> list[tuple[int, ...]]:
         shapes: list[tuple[int, ...]] = []
@@ -75,32 +67,10 @@ class NetworkSpec:
             shapes.append((fan_out,))
         return shapes
 
-
-@dataclass
-class ParamSet:
-    """Ordered (ComponentId, tensor) pairs for one network."""
-
-    ids: list[ComponentId]
-    tensors: list[np.ndarray]
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.tensors):
-            raise ValueError("ids and tensors must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    def items(self):
-        return zip(self.ids, self.tensors)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(list(self.ids), [t.copy() for t in self.tensors])
-
-    def n_params(self) -> int:
-        return sum(t.size for t in self.tensors)
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([t.ravel() for t in self.tensors])
+    def offsets(self) -> tuple[int, ...]:
+        """The L+1 segment offsets of the flat parameter vector: component l
+        is flat[offsets[l]:offsets[l + 1]], and offsets[-1] is its length."""
+        return self._offsets
 
 
 @dataclass
@@ -117,38 +87,29 @@ class Batch:
             raise ValueError("batch must contain at least one row")
 
 
-def init_params(spec: NetworkSpec, seed: int) -> ParamSet:
-    """Draw a fresh parameter set, deterministic in ``seed``.
+def init_params(spec: NetworkSpec, seed: int) -> np.ndarray:
+    """Draw fresh flat parameters [n], deterministic in ``seed``.
 
     Kernels are zero-mean normal with variance 1/fan_in; biases are zero.
     """
     rng = np.random.default_rng(seed)
-    tensors = []
+    parts = []
     for fan_in, fan_out in spec.layer_dims():
-        tensors.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)))
-        tensors.append(np.zeros(fan_out))
-    return ParamSet(spec.components(), tensors)
+        parts.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, fan_out)).ravel())
+        parts.append(np.zeros(fan_out))
+    return np.concatenate(parts)
 
 
 def layer_views(spec: NetworkSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(kernel [..., fan_in, fan_out], bias [..., fan_out]) views into a flat
     parameter array [..., n], one pair per dense layer."""
+    off = spec.offsets()
+    if flat.shape[-1] != off[-1]:
+        raise ValueError(f"flat parameters have length {flat.shape[-1]}, expected {off[-1]}")
     lead = flat.shape[:-1]
-    views, offset = [], 0
-    for fan_in, fan_out in spec.layer_dims():
-        kernel = flat[..., offset:offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
-        offset += fan_in * fan_out
-        views.append((kernel, flat[..., offset:offset + fan_out]))
-        offset += fan_out
-    if flat.shape[-1] != offset:
-        raise ValueError(f"flat parameters have length {flat.shape[-1]}, expected {offset}")
-    return views
-
-
-def params_from_flat(spec: NetworkSpec, flat: np.ndarray) -> ParamSet:
-    """The ParamSet whose flat() is ``flat`` [n]; tensors are views into it."""
-    tensors = [t for pair in layer_views(spec, flat) for t in pair]
-    return ParamSet(spec.components(), tensors)
+    return [(flat[..., off[2 * i]:off[2 * i + 1]].reshape(*lead, fan_in, fan_out),
+             flat[..., off[2 * i + 1]:off[2 * i + 2]])
+            for i, (fan_in, fan_out) in enumerate(spec.layer_dims())]
 
 
 def _forward_cached(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray):

@@ -54,7 +54,6 @@ from l3rs.nnlite import (
     init_params,
     loss_and_grad,
     mean_cross_entropy,
-    params_from_flat,
 )
 from l3rs.optdir import OptimizerKind, segment_norms
 
@@ -83,20 +82,18 @@ def test_criterion_1_gradient_exactness():
         spec = NetworkSpec(d_in, (d_hid,), d_out)
         params = init_params(spec, seed=int(rng.integers(0, 2**31)))
         batch = Batch(x=rng.normal(size=(n, d_in)), y=rng.integers(0, d_out, n))
-        _, grads, _ = loss_and_grad(spec, params.flat(), batch)
+        _, grads, _ = loss_and_grad(spec, params, batch)
         h = 1e-5
-        for t, g in zip(params.tensors, params_from_flat(spec, grads).tensors):
-            flat, gflat = t.ravel(), g.ravel()
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
-                flat[j] = orig - h
-                down = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
-                flat[j] = orig
-                fd = (up - down) / (2 * h)
-                rel = abs(gflat[j] - fd) / (abs(fd) + 1e-8)
-                worst = max(worst, rel)
+        for j in range(params.size):
+            orig = params[j]
+            params[j] = orig + h
+            up = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+            params[j] = orig - h
+            down = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+            params[j] = orig
+            fd = (up - down) / (2 * h)
+            rel = abs(grads[j] - fd) / (abs(fd) + 1e-8)
+            worst = max(worst, rel)
     elapsed = time.time() - start
     assert worst < 1e-6
     assert elapsed < 10.0
@@ -158,11 +155,11 @@ def test_criterion_2_update_invariants():
 
 
 def _final_theta(task, stepper):
-    params = task.theta0.flat()[None]
+    params = task.theta0[None]
     for k in range(1, task.K + 1):
         losses, grads, _ = loss_and_grad(task.spec, params, task.train_batches[k - 1])
         params, _ = stepper.step(params, grads, losses, k)
-    return params_from_flat(task.spec, params[0])
+    return params[0]
 
 
 def _final_theta_baseline(task, spec):
@@ -193,7 +190,7 @@ def test_criterion_3_optimizer_equivalence():
                        (adam_stub, BaselineKind.ADAM_CONST)):
         ours = _final_theta_controller(task, layout, stub)
         oracle = _final_theta_baseline(task, BaselineSpec(kind, lr0=eta))
-        diff = max(np.abs(a - b).max() for a, b in zip(ours.tensors, oracle.tensors))
+        diff = np.abs(ours - oracle).max()
         worst = max(worst, diff)
         assert diff < 1e-12
     elapsed = time.time() - start

@@ -79,17 +79,17 @@ class TestRunBaseline:
             return stepper_holder["s"]
 
         # replay the run manually to capture the final params
-        from l3rs.nnlite import loss_and_grad, params_from_flat
+        from l3rs.nnlite import loss_and_grad
 
-        flat = task.theta0.flat()[None]
+        flat = task.theta0[None]
         stepper = factory(task)
         for k in range(1, task.K + 1):
             losses, grads, _ = loss_and_grad(task.spec, flat, task.train_batches[k - 1])
             flat, _ = stepper.step(flat, grads, losses, k)
-        params = params_from_flat(task.spec, flat[0])
-        for i in range(len(params) - 2):
-            assert np.array_equal(params.tensors[i], task.theta0.tensors[i])
-        assert not np.array_equal(params.tensors[-2], task.theta0.tensors[-2])
+        off = task.spec.offsets()
+        for a, b in zip(off[:-3], off[1:-2]):
+            assert np.array_equal(flat[0, a:b], task.theta0[a:b])
+        assert not np.array_equal(flat[0, off[-3]:off[-2]], task.theta0[off[-3]:off[-2]])
 
     def test_adam_const_matches_controller_stub(self):
         # lambda = lr * ||d_adam|| with a one-hot mix reproduces plain Adam

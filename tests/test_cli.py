@@ -81,8 +81,7 @@ class TestPretrain:
         dist = TaskDistributionSpec(k_min=1, k_max=3)
         fresh = init_params(dist.pretrain_network(),
                             int(derived_rng(3, 5).integers(0, (1 << 63) - 1)))
-        for a, b in zip(params.tensors, fresh.tensors):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params, fresh)
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -222,6 +221,14 @@ class TestEvaluate:
             assert float(row["acc_diff"]) == 0.0
             assert float(row["loss_diff"]) == 0.0
 
+    def test_negative_lr_reports_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(tmp_path / "e"),
+                       "--baseline", "sgd_const", "--lr", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--lr" in err
+
     def test_random_init_regime(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "rand"
@@ -265,6 +272,14 @@ class TestMalformedCheckpoints:
 
 
 class TestInspect:
+    def test_negative_k_reports_error(self, tmp_path, capsys):
+        cfg, psi_path = train_tiny_psi(tmp_path)
+        capsys.readouterr()
+        assert run_cli("inspect", "--config", cfg, "--out-dir", str(tmp_path / "i"),
+                       "--psi", str(psi_path), "--task-seed", "11", "--k", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--k" in err
+
     def test_trajectory_and_feature_curves(self, tmp_path):
         cfg, psi_path = train_tiny_psi(tmp_path)
         out = tmp_path / "inspect"

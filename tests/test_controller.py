@@ -426,18 +426,18 @@ class TestVariants:
         # MLP features, which share decide's log_norms) see log(NORM_FLOOR)
         spec = NetworkSpec(3, (4,), 2)
         params = init_params(spec, seed=0)
-        layout = PsiLayout(n_components=len(params), base_kinds=(OptimizerKind.SGD,))
+        layout = PsiLayout(n_components=len(spec.components()), base_kinds=(OptimizerKind.SGD,))
         seen = []
 
         def record_policy(i, log_norms):
             seen.append(log_norms.copy())
             return np.ones(1), 0.0
 
-        ctx = ControllerContext(init_meta_params(layout, seed=0), params, K=1,
+        ctx = ControllerContext(init_meta_params(layout, seed=0), spec, K=1,
                                 policy=record_policy)
-        zeros = np.zeros((1, params.n_params()))
-        ctx.step(params.flat()[None], zeros, losses=np.zeros(1), k=1)
-        assert len(seen) == len(params)
+        zeros = np.zeros((1, params.size))
+        ctx.step(params[None], zeros, losses=np.zeros(1), k=1)
+        assert len(seen) == len(spec.components())
         for log_norms in seen:
             assert log_norms.shape == (1,)
             assert log_norms[0] == pytest.approx(math.log(NORM_FLOOR))
@@ -446,13 +446,13 @@ class TestVariants:
     def test_global_identical_across_components(self):
         spec = NetworkSpec(6, (5,), 3)
         params = init_params(spec, seed=1)
-        layout = PsiLayout(n_components=len(params), base_kinds=SGD_ADAM,
+        layout = PsiLayout(n_components=len(spec.components()), base_kinds=SGD_ADAM,
                            variant=Variant.GLOBAL)
         psi = init_meta_params(layout, seed=2)
         psi.flat[:] += np.random.default_rng(3).normal(scale=0.3, size=layout.flat_size)
-        ctx = ControllerContext(psi, params, K=4)
+        ctx = ControllerContext(psi, spec, K=4)
         rng = np.random.default_rng(4)
-        flat = params.flat()[None]
+        flat = params[None]
         for k in range(1, 5):
             grads = rng.normal(size=flat.shape)
             flat, mu, lam, _ = ctx.step(flat, grads, losses=np.ones(1), k=k)

@@ -28,7 +28,7 @@ from l3rs.meta import (
     save_pretrained,
     shaped_utilities,
 )
-from l3rs.nnlite import forward, init_params, mean_cross_entropy
+from l3rs.nnlite import forward, init_params, layer_views, mean_cross_entropy
 from l3rs.optdir import OptimizerKind
 
 SGD_ADAM = (OptimizerKind.SGD, OptimizerKind.ADAM)
@@ -45,8 +45,7 @@ class TestTaskSampling:
         t1 = make_task(DIST, seed=77, split="metatest")
         t2 = make_task(DIST, seed=77, split="metatest")
         assert t1.K == t2.K and t1.class_ids == t2.class_ids
-        for a, b in zip(t1.theta0.tensors, t2.theta0.tensors):
-            assert np.array_equal(a, b)
+        assert np.array_equal(t1.theta0, t2.theta0)
         for ba, bb in zip(t1.train_batches, t2.train_batches):
             assert np.array_equal(ba.x, bb.x) and np.array_equal(ba.y, bb.y)
         assert np.array_equal(t1.eval_batch.x, t2.eval_batch.x)
@@ -81,10 +80,19 @@ class TestTaskSampling:
         ckpt = pretrain_checkpoint(DIST, steps=5, seed=1)
         t = make_task(DIST, seed=2, init_from=ckpt)
         # body copied bitwise, head re-drawn at the task's width
-        for i in range(len(ckpt) - 2):
-            assert np.array_equal(t.theta0.tensors[i], ckpt.tensors[i])
-        assert t.theta0.tensors[-2].shape == (DIST.hidden[-1], DIST.classes_per_task)
-        assert np.all(t.theta0.tensors[-1] == 0.0)
+        body = DIST.pretrain_network().offsets()[-3]
+        assert body == t.spec.offsets()[-3]
+        assert np.array_equal(t.theta0[:body], ckpt[:body])
+        head_kernel, head_bias = layer_views(t.spec, t.theta0)[-1]
+        assert head_kernel.shape == (DIST.hidden[-1], DIST.classes_per_task)
+        assert np.all(head_bias == 0.0)
+
+    def test_checkpoint_of_wrong_length_rejected(self):
+        ckpt = pretrain_checkpoint(DIST, steps=0, seed=1)
+        task_net = init_params(DIST.task_network(), seed=0)  # the head already swapped
+        for bad in (ckpt[:-1], np.append(ckpt, 0.0), ckpt[None], task_net):
+            with pytest.raises(ValueError, match="init_from"):
+                make_task(DIST, seed=2, init_from=bad)
 
     def test_batch_prefix_shared_across_horizons(self):
         short = make_task(DIST, seed=4, k_override=5)
@@ -106,7 +114,7 @@ class TestInnerLoopEval:
         task = make_task(DIST, seed=1, k_override=0)
         res = inner_loop_eval(controller_stepper_factory(psi, layout), task)
         expected = mean_cross_entropy(
-            forward(task.spec, task.theta0.flat(), task.eval_batch.x), task.eval_batch.y)
+            forward(task.spec, task.theta0, task.eval_batch.x), task.eval_batch.y)
         assert res.meta_loss == expected
 
     def test_zero_lambda_stub_keeps_theta0(self):
@@ -120,7 +128,7 @@ class TestInnerLoopEval:
         res = inner_loop_eval(
             controller_stepper_factory(psi, layout, policy=freeze_policy), task)
         expected = mean_cross_entropy(
-            forward(task.spec, task.theta0.flat(), task.eval_batch.x), task.eval_batch.y)
+            forward(task.spec, task.theta0, task.eval_batch.x), task.eval_batch.y)
         assert res.meta_loss == expected
 
     def test_bit_identical_across_calls(self):
@@ -327,9 +335,8 @@ class TestMetaTrain:
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records its size, maps inline."""
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.max_workers = max_workers
-        initializer(*initargs)
 
     def map(self, fn, jobs):
         return map(fn, jobs)
@@ -344,16 +351,13 @@ class TestPretrain:
         b = pretrain_checkpoint(DIST, steps=0, seed=4)
         fresh = init_params(DIST.pretrain_network(),
                             int(derived_rng(4, 5).integers(0, (1 << 63) - 1)))
-        for ta, tb in zip(a.tensors, b.tensors):
-            assert np.array_equal(ta, tb)
-        for ta, tf in zip(a.tensors, fresh.tensors):
-            assert np.array_equal(ta, tf)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, fresh)
 
     def test_deterministic(self):
         a = pretrain_checkpoint(DIST, steps=20, seed=4)
         b = pretrain_checkpoint(DIST, steps=20, seed=4)
-        for ta, tb in zip(a.tensors, b.tensors):
-            assert np.array_equal(ta, tb)
+        assert np.array_equal(a, b)
 
     def test_four_class_accuracy(self):
         dist = dataclasses.replace(DIST, pretrain_classes=4, metatrain_classes=4,
@@ -368,5 +372,4 @@ class TestPretrain:
         save_pretrained(path, DIST.pretrain_network(), ckpt)
         spec, loaded = load_pretrained(path)
         assert spec == DIST.pretrain_network()
-        for a, b in zip(ckpt.tensors, loaded.tensors):
-            assert np.array_equal(a, b)
+        assert np.array_equal(ckpt, loaded)

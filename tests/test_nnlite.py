@@ -9,110 +9,126 @@ from l3rs.nnlite import (
     accuracy,
     forward,
     init_params,
+    layer_views,
     loss_and_grad,
     mean_cross_entropy,
-    params_from_flat,
 )
+
+
+def segments(spec, flat):
+    """The component segments of a flat vector, as views in component order."""
+    off = spec.offsets()
+    return [flat[a:b] for a, b in zip(off[:-1], off[1:])]
 
 
 def central_fd_grads(spec, params, batch, h=1e-5):
     """Independent gradient oracle: central finite differences on the loss."""
-    grads = []
-    for t in params.tensors:
-        g = np.zeros_like(t)
-        flat = t.ravel()
-        gflat = g.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
-            flat[j] = orig - h
-            down = mean_cross_entropy(forward(spec, params.flat(), batch.x), batch.y)
-            flat[j] = orig
-            gflat[j] = (up - down) / (2 * h)
-        grads.append(g)
+    grads = np.zeros_like(params)
+    for j in range(params.size):
+        orig = params[j]
+        params[j] = orig + h
+        up = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+        params[j] = orig - h
+        down = mean_cross_entropy(forward(spec, params, batch.x), batch.y)
+        params[j] = orig
+        grads[j] = (up - down) / (2 * h)
     return grads
 
 
 class TestInitParams:
     def test_biases_zero(self):
-        params = init_params(NetworkSpec(2, (4,), 3), seed=123)
-        for cid, t in params.items():
-            if cid.kind == "bias":
+        spec = NetworkSpec(2, (4,), 3)
+        params = init_params(spec, seed=123)
+        for name, t in zip(spec.components(), segments(spec, params)):
+            if name.endswith("/bias"):
                 assert np.all(t == 0.0)
 
     def test_deterministic(self):
         spec = NetworkSpec(5, (7, 3), 2)
         a = init_params(spec, seed=42)
         b = init_params(spec, seed=42)
-        for ta, tb in zip(a.tensors, b.tensors):
-            assert np.array_equal(ta, tb)
+        assert np.array_equal(a, b)
 
     def test_kernel_variance_matches_lecun(self):
         # sample-variance oracle over the 5000 entries of the first kernel
-        params = init_params(NetworkSpec(100, (50,), 10), seed=7)
-        kernel = params.tensors[0]
+        spec = NetworkSpec(100, (50,), 10)
+        kernel = layer_views(spec, init_params(spec, seed=7))[0][0]
         assert kernel.shape == (100, 50)
         var = kernel.var()
         assert abs(var - 0.01) < 0.2 * 0.01
 
     def test_component_ordering(self):
-        params = init_params(NetworkSpec(2, (3,), 2), seed=0)
-        names = [cid.name for cid in params.ids]
+        spec = NetworkSpec(2, (3,), 2)
+        names = spec.components()
         assert names == ["layer0/kernel", "layer0/bias", "layer1/kernel", "layer1/bias"]
-        assert [cid.index for cid in params.ids] == [0, 1, 2, 3]
+        # component i is the i-th segment of the flat vector
+        assert np.diff(spec.offsets()).tolist() == [6, 3, 6, 2]
+
+
+@pytest.mark.parametrize("dims", [(2, (), 3), (16, (32,), 4), (16, (32, 32), 4)])
+def test_offsets_bound_the_layer_views(dims):
+    spec = NetworkSpec(*dims)
+    sizes = [int(np.prod(shape)) for shape in spec.component_shapes()]
+    offsets = spec.offsets()
+    assert list(offsets) == [0, *np.cumsum(sizes).tolist()]
+    flat = np.arange(float(offsets[-1]))
+    views = [t for pair in layer_views(spec, flat) for t in pair]
+    assert len(views) == len(spec.components()) == len(offsets) - 1
+    for t, a, b, shape in zip(views, offsets[:-1], offsets[1:], spec.component_shapes()):
+        assert t.shape == shape and np.shares_memory(t, flat)
+        assert np.array_equal(t.ravel(), flat[a:b])
 
 
 class TestForward:
     def test_zero_params_zero_logits(self):
         spec = NetworkSpec(3, (4,), 2)
         params = init_params(spec, seed=0)
-        for t in params.tensors:
-            t[:] = 0.0
+        params[:] = 0.0
         x = np.random.default_rng(1).normal(size=(5, 3))
-        assert np.all(forward(spec, params.flat(), x) == 0.0)
+        assert np.all(forward(spec, params, x) == 0.0)
 
     def test_identity_single_layer(self):
         spec = NetworkSpec(2, (), 2)
         params = init_params(spec, seed=0)
-        params.tensors[0][:] = np.eye(2)
-        params.tensors[1][:] = 0.0
+        ((w, b),) = layer_views(spec, params)
+        w[:] = np.eye(2)
+        b[:] = 0.0
         x = np.array([[1.5, -2.0], [0.0, 3.0]])
-        assert np.array_equal(forward(spec, params.flat(), x), x)
+        assert np.array_equal(forward(spec, params, x), x)
 
     def test_hand_evaluated_relu_chain(self):
         # x=(1,-1): z1 = (1*2-1*1, 1*1-1*3) = (1,-2), relu -> (1,0),
         # logits = (1*1+0*3+0.1, 1*2+0*4-0.2) = (1.1, 1.8)
         spec = NetworkSpec(2, (2,), 2)
         params = init_params(spec, seed=0)
-        params.tensors[0][:] = np.array([[2.0, 1.0], [1.0, 3.0]])
-        params.tensors[1][:] = 0.0
-        params.tensors[2][:] = np.array([[1.0, 2.0], [3.0, 4.0]])
-        params.tensors[3][:] = np.array([0.1, -0.2])
-        logits = forward(spec, params.flat(), np.array([[1.0, -1.0]]))
+        (w0, b0), (w1, b1) = layer_views(spec, params)
+        w0[:] = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b0[:] = 0.0
+        w1[:] = np.array([[1.0, 2.0], [3.0, 4.0]])
+        b1[:] = np.array([0.1, -0.2])
+        logits = forward(spec, params, np.array([[1.0, -1.0]]))
         np.testing.assert_allclose(logits, [[1.1, 1.8]], rtol=0, atol=1e-15)
 
     def test_shape_mismatch_raises(self):
         spec = NetworkSpec(3, (4,), 2)
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError):
-            forward(spec, params.flat(), np.zeros((5, 4)))
+            forward(spec, params, np.zeros((5, 4)))
 
     def test_deterministic(self):
         spec = NetworkSpec(6, (5,), 3)
         params = init_params(spec, seed=3)
         x = np.random.default_rng(2).normal(size=(4, 6))
-        assert np.array_equal(forward(spec, params.flat(), x), forward(spec, params.flat(), x))
+        assert np.array_equal(forward(spec, params, x), forward(spec, params, x))
 
 
 class TestLossAndGrad:
     def test_uniform_logits_loss_is_ln_c(self):
         spec = NetworkSpec(3, (), 4)
         params = init_params(spec, seed=0)
-        for t in params.tensors:
-            t[:] = 0.0
+        params[:] = 0.0
         batch = Batch(x=np.ones((6, 3)), y=np.array([0, 1, 2, 3, 0, 1]))
-        loss, _, _ = loss_and_grad(spec, params.flat(), batch)
+        loss, _, _ = loss_and_grad(spec, params, batch)
         assert abs(loss - math.log(4)) < 1e-15
 
     def test_gradients_match_finite_differences(self):
@@ -120,9 +136,9 @@ class TestLossAndGrad:
         spec = NetworkSpec(3, (4,), 3)
         params = init_params(spec, seed=5)
         batch = Batch(x=rng.normal(size=(8, 3)), y=rng.integers(0, 3, 8))
-        _, grads, _ = loss_and_grad(spec, params.flat(), batch)
+        _, grads, _ = loss_and_grad(spec, params, batch)
         fd = central_fd_grads(spec, params, batch)
-        for g, g_fd in zip(params_from_flat(spec, grads).tensors, fd):
+        for g, g_fd in zip(segments(spec, grads), segments(spec, fd)):
             rel = np.abs(g - g_fd) / (np.abs(g_fd) + 1e-8)
             assert rel.max() < 1e-6
 
@@ -132,22 +148,22 @@ class TestLossAndGrad:
         params = init_params(spec, seed=9)
         x = rng.normal(size=(6, 4))
         y = rng.integers(0, 3, 6)
-        loss1, g1, _ = loss_and_grad(spec, params.flat(), Batch(x=x, y=y))
+        loss1, g1, _ = loss_and_grad(spec, params, Batch(x=x, y=y))
         loss2, g2, _ = loss_and_grad(
-            spec, params.flat(), Batch(x=np.vstack([x, x]), y=np.concatenate([y, y])))
+            spec, params, Batch(x=np.vstack([x, x]), y=np.concatenate([y, y])))
         assert abs(loss1 - loss2) < 1e-14
-        for a, b in zip(params_from_flat(spec, g1).tensors, params_from_flat(spec, g2).tensors):
+        for a, b in zip(segments(spec, g1), segments(spec, g2)):
             assert np.abs(a - b).max() < 1e-14
 
     def test_grad_structure_mirrors_params(self):
         spec = NetworkSpec(3, (4, 5), 2)
         params = init_params(spec, seed=1)
         batch = Batch(x=np.ones((2, 3)), y=np.array([0, 1]))
-        _, flat_grads, _ = loss_and_grad(spec, params.flat(), batch)
-        assert flat_grads.shape == (params.n_params(),)
-        grads = params_from_flat(spec, flat_grads)
-        assert grads.ids == params.ids
-        for g, t in zip(grads.tensors, params.tensors):
+        _, flat_grads, _ = loss_and_grad(spec, params, batch)
+        assert flat_grads.shape == params.shape
+        grads = [t for pair in layer_views(spec, flat_grads) for t in pair]
+        assert len(grads) == len(spec.components())
+        for g, t in zip(grads, (t for pair in layer_views(spec, params) for t in pair)):
             assert g.shape == t.shape
 
     def test_divergence_raises(self):
@@ -155,9 +171,9 @@ class TestLossAndGrad:
         # uses to drop the row
         spec = NetworkSpec(2, (), 2)
         params = init_params(spec, seed=0)
-        params.tensors[0][:] = 1e308
+        layer_views(spec, params)[0][0][:] = 1e308
         batch = Batch(x=np.full((2, 2), 1e30), y=np.array([0, 1]))
-        _, _, finite = loss_and_grad(spec, params.flat(), batch)
+        _, _, finite = loss_and_grad(spec, params, batch)
         assert not finite
 
     def test_leading_axis_rows_match_single_runs(self):
@@ -166,7 +182,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(21)
         spec = NetworkSpec(5, (7, 6), 3)
         batch = Batch(x=rng.normal(size=(9, 5)), y=rng.integers(0, 3, 9))
-        rows = np.stack([init_params(spec, seed=s).flat() for s in range(4)])
+        rows = np.stack([init_params(spec, seed=s) for s in range(4)])
         rows[2, :35] = 1e308
         losses, grads, finite = loss_and_grad(spec, rows, batch)
         assert losses.shape == (4,) and grads.shape == rows.shape

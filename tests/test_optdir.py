@@ -27,10 +27,6 @@ def small_params(seed=0):
     return spec, init_params(spec, seed=seed)
 
 
-def offsets_of(params):
-    return np.concatenate([[0], np.cumsum([t.size for t in params.tensors])])
-
-
 def make_bank(kinds, offsets, rows=1):
     return DirectionBank(kinds, [[default_hyper_params(k) for k in kinds]] * rows, offsets)
 
@@ -180,16 +176,16 @@ class TestSegmentNorms:
             spec = NetworkSpec(int(rng.integers(1, 40)), (int(rng.integers(1, 40)),),
                                int(rng.integers(1, 10)))
             params = init_params(spec, seed=int(rng.integers(0, 2**31)))
-            rows = rng.normal(size=(int(rng.integers(1, 7)), params.n_params()))
+            rows = rng.normal(size=(int(rng.integers(1, 7)), params.size))
             rows *= 10.0 ** rng.integers(-12, 12)
-            norms = segment_norms(rows, offsets_of(params))
-            assert norms.shape == (len(params), len(rows))
+            norms = segment_norms(rows, spec.offsets())
+            assert norms.shape == (len(spec.components()), len(rows))
             # a leading axis batches the same dots
             np.testing.assert_array_equal(
-                segment_norms(np.stack([rows, rows[::-1]]), offsets_of(params)),
+                segment_norms(np.stack([rows, rows[::-1]]), spec.offsets()),
                 np.stack([norms, norms[:, ::-1]]))
-            for i, (a, b) in enumerate(zip(offsets_of(params)[:-1], offsets_of(params)[1:])):
-                shape = params.tensors[i].shape
+            for i, (a, b) in enumerate(zip(spec.offsets()[:-1], spec.offsets()[1:])):
+                shape = spec.component_shapes()[i]
                 for p, row in enumerate(rows):
                     assert norms[i, p] == np.linalg.norm(row[a:b].reshape(shape))
 
@@ -197,21 +193,21 @@ class TestSegmentNorms:
 class TestDirectionBank:
     def test_sgd_only_composition(self):
         spec, params = small_params()
-        bank = make_bank([OptimizerKind.SGD], offsets_of(params))
-        grad = np.full(params.n_params(), 0.5)
-        dirs, norms, _ = bank.step(grad[None], params.flat()[None])
-        assert dirs.shape == (1, 1, params.n_params())
-        assert norms.shape == (1, len(params), 1)
+        bank = make_bank([OptimizerKind.SGD], spec.offsets())
+        grad = np.full(params.size, 0.5)
+        dirs, norms, _ = bank.step(grad[None], params[None])
+        assert dirs.shape == (1, 1, params.size)
+        assert norms.shape == (1, len(spec.components()), 1)
         np.testing.assert_array_equal(dirs[0, 0], -grad)
 
     def test_state_isolation(self):
         spec, params = small_params()
         rng = np.random.default_rng(3)
-        grad_stream = [rng.normal(size=params.n_params()) for _ in range(5)]
+        grad_stream = [rng.normal(size=params.size) for _ in range(5)]
 
         def run(kinds):
-            bank = make_bank(kinds, offsets_of(params))
-            return [bank.step(g[None], params.flat()[None])[:2] for g in grad_stream]
+            bank = make_bank(kinds, spec.offsets())
+            return [bank.step(g[None], params[None])[:2] for g in grad_stream]
 
         solo = run([OptimizerKind.ADAM])
         mixed = run([OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.LION])
@@ -221,8 +217,8 @@ class TestDirectionBank:
 
     def test_zero_direction_log_norm_floor(self):
         spec, params = small_params()
-        bank = make_bank([OptimizerKind.SGD], offsets_of(params))
-        _, norms, _ = bank.step(np.zeros((1, params.n_params())), params.flat()[None])
+        bank = make_bank([OptimizerKind.SGD], spec.offsets())
+        _, norms, _ = bank.step(np.zeros((1, params.size)), params[None])
         # the floored logarithm the controller takes of it is pinned in
         # test_controller.py::TestVariants::test_zero_direction_log_norm_floor
         assert norms[0, 0, 0] == 0.0
@@ -231,63 +227,63 @@ class TestDirectionBank:
         spec, params = small_params()
         kinds = [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.ADAMAX,
                  OptimizerKind.LION, OptimizerKind.LAMB, OptimizerKind.WEIGHT_DECAY]
-        bank = make_bank(kinds, offsets_of(params))
-        dirs, norms, _ = bank.step(np.ones((1, params.n_params())), params.flat()[None])
-        assert dirs.shape == (1, len(kinds), params.n_params())
-        assert norms.shape == (1, len(params), len(kinds))
+        bank = make_bank(kinds, spec.offsets())
+        dirs, norms, _ = bank.step(np.ones((1, params.size)), params[None])
+        assert dirs.shape == (1, len(kinds), params.size)
+        assert norms.shape == (1, len(spec.components()), len(kinds))
         dirs, norms = dirs[0], norms[0]
-        offsets = offsets_of(params)
-        for comp, t in enumerate(params.tensors):
+        offsets = spec.offsets()
+        for comp, shape in enumerate(spec.component_shapes()):
             a, b = offsets[comp], offsets[comp + 1]
-            assert b - a == t.size
+            assert b - a == np.prod(shape)
             for p in range(len(kinds)):
-                assert norms[comp, p] == np.linalg.norm(dirs[p, a:b].reshape(t.shape))
-        np.testing.assert_array_equal(dirs[5], -params.flat())
+                assert norms[comp, p] == np.linalg.norm(dirs[p, a:b].reshape(shape))
+        np.testing.assert_array_equal(dirs[5], -params)
 
     def test_duplicate_kind_rejected(self):
         spec, params = small_params()
         with pytest.raises(ValueError):
-            make_bank([OptimizerKind.SGD, OptimizerKind.SGD], offsets_of(params))
+            make_bank([OptimizerKind.SGD, OptimizerKind.SGD], spec.offsets())
 
     def test_non_finite_direction_raises(self):
         # a non-finite row is reported in the mask and keeps its place; the
         # finite rows carry on with the bits of a bank that never saw it
         spec, params = small_params()
         kinds = [OptimizerKind.SGD, OptimizerKind.ADAM]
-        bank = make_bank(kinds, offsets_of(params), rows=3)
-        clean = make_bank(kinds, offsets_of(params), rows=3)
-        grad = np.ones((3, params.n_params()))
-        weights = np.tile(params.flat(), (3, 1))
+        bank = make_bank(kinds, spec.offsets(), rows=3)
+        clean = make_bank(kinds, spec.offsets(), rows=3)
+        grad = np.ones((3, params.size))
+        weights = np.tile(params, (3, 1))
         grad[1, 4] = np.inf
         dirs, norms, finite = bank.step(grad, weights)
         np.testing.assert_array_equal(finite, [True, False, True])
-        assert dirs.shape == (3, 2, params.n_params()) and norms.shape == (3, len(params), 2)
-        assert all(arr.shape == (3, params.n_params()) for arr in bank._state[1].values())
+        assert dirs.shape == (3, 2, params.size) and norms.shape == (3, len(spec.components()), 2)
+        assert all(arr.shape == (3, params.size) for arr in bank._state[1].values())
         clean_dirs, clean_norms, _ = clean.step(np.ones_like(grad), weights)
         np.testing.assert_array_equal(dirs[[0, 2]], clean_dirs[[0, 2]])
         np.testing.assert_array_equal(norms[[0, 2]], clean_norms[[0, 2]])
 
     def test_step_counter_shared(self):
         spec, params = small_params()
-        bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], offsets_of(params))
-        grad = np.ones((1, params.n_params()))
+        bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], spec.offsets())
+        grad = np.ones((1, params.size))
         assert bank.step_count == 0
-        bank.step(grad, params.flat()[None])
+        bank.step(grad, params[None])
         assert bank.step_count == 1
-        bank.step(grad, params.flat()[None])
+        bank.step(grad, params[None])
         assert bank.step_count == 2
 
     def test_rows_with_own_betas_match_single_row_banks(self):
         # every row of a C-row bank, with its own betas, gets the bits of a
         # one-row bank; LAMB's trust ratio stays per row and per segment
         spec, params = small_params()
-        offsets = offsets_of(params)
+        offsets = spec.offsets()
         kinds = list(OptimizerKind)
         rng = np.random.default_rng(17)
         hypers = [[HyperParams(beta1=float(b1), beta2=float(b2)) for b1, b2 in
                    rng.uniform(0.05, 0.999, size=(len(kinds), 2))] for _ in range(3)]
-        grads = rng.normal(size=(6, 3, params.n_params()))
-        weights = rng.normal(size=(6, 3, params.n_params()))
+        grads = rng.normal(size=(6, 3, params.size))
+        weights = rng.normal(size=(6, 3, params.size))
         batched = DirectionBank(kinds, hypers, offsets)
         single = [DirectionBank(kinds, [h], offsets) for h in hypers]
         for g, w in zip(grads, weights):
