@@ -7,7 +7,6 @@ from .controller import (
     EmaTracker,
     MetaParams,
     PsiLayout,
-    TimeFeatureConfig,
     Variant,
     compose_update,
     controller_forward_batch,
@@ -29,7 +28,6 @@ from .meta import (
     meta_train,
     nes_generation,
     pretrain_checkpoint,
-    sample_task,
     shaped_utilities,
 )
 from .nnlite import (
@@ -41,6 +39,6 @@ from .nnlite import (
     init_params,
     loss_and_grad,
 )
-from .optdir import DirectionBank, HyperParams, OptimizerKind, segment_norms
+from .optdir import DirectionBank, OptimizerKind, segment_norms
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
-"""Baselines, paired evaluation suites, speedup and state-size reports, and
-the ablation battery.
+"""Optimizer handles, paired evaluation suites, speedup and state-size
+reports, and the ablation battery.
 
-Baseline optimizers are coded directly here, independent of the direction
+The baseline optimizers live in meta, written apart from the direction
 providers, so equivalence tests between the controller path and a plain
 optimizer run compare two separately written implementations.
 """
@@ -12,19 +12,22 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from . import meta as meta_mod
 from .controller import DEFAULT_GAMMAS, PsiLayout, Variant
-from .meta import (
+from .meta import (  # noqa: F401 (the baselines keep their old names here)
+    BaselineKind,
+    BaselineSpec,
+    BaselineStepper,
     InnerRunResult,
     NesConfig,
     Task,
     TaskDistributionSpec,
     TrajectoryRow,
     controller_stepper_factory,
+    cosine_lr,
     inner_loop_eval,
     make_task,
 )
@@ -32,79 +35,6 @@ from .nnlite import NetworkSpec
 from .optdir import STATE_SLOTS, OptimizerKind
 
 _TAG_EVAL_TASKS = 21
-
-
-class BaselineKind(str, Enum):
-    ADAM_CONST = "adam_const"
-    ADAM_COSINE = "adam_cosine"
-    SGD_CONST = "sgd_const"
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    kind: BaselineKind
-    lr0: float
-    head_only: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr0 < 0:
-            raise ValueError("lr0 must be non-negative")
-
-    @property
-    def label(self) -> str:
-        head = ", head" if self.head_only else ""
-        return f"{self.kind.value}(lr={self.lr0:g}{head})"
-
-
-def cosine_lr(k: int, K: int, lr0: float) -> float:
-    """Half-cosine from lr0 at k=1 toward zero across the horizon."""
-    if not 1 <= k <= K:
-        raise ValueError(f"step {k} outside 1..{K}")
-    return lr0 * 0.5 * (1.0 + math.cos(math.pi * (k - 1) / K))
-
-
-class BaselineStepper:
-    """Plain SGD/Adam on the single flat parameter row [1, n] of the inner
-    loop. head_only freezes everything except the final kernel+bias pair,
-    leaving the rest bit-identical for the whole run."""
-
-    n_rows = 1
-
-    def __init__(self, spec: BaselineSpec, task: Task):
-        self.spec = spec
-        self.K = task.K
-        offsets = task.spec.offsets()
-        self.start = offsets[-3] if spec.head_only else 0
-        if spec.kind != BaselineKind.SGD_CONST:
-            self.m = np.zeros((1, offsets[-1] - self.start))
-            self.v = np.zeros_like(self.m)
-
-    def _lr(self, k: int) -> float:
-        if self.spec.kind == BaselineKind.ADAM_COSINE:
-            return cosine_lr(k, self.K, self.spec.lr0)
-        return self.spec.lr0
-
-    def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(new params, finite mask)."""
-        del losses
-        s = self.spec
-        lr = self._lr(k)
-        new = params.copy()
-        g = grads[:, self.start:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if s.kind == BaselineKind.SGD_CONST:
-                new[:, self.start:] = params[:, self.start:] - lr * g
-            else:
-                self.m = s.beta1 * self.m + (1 - s.beta1) * g
-                self.v = s.beta2 * self.v + (1 - s.beta2) * g * g
-                m_hat = self.m / (1 - s.beta1 ** k)
-                v_hat = self.v / (1 - s.beta2 ** k)
-                new[:, self.start:] = params[:, self.start:] - lr * m_hat / (np.sqrt(v_hat) + s.eps)
-        return new, np.isfinite(new[:, self.start:]).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -122,7 +52,7 @@ class OptimizerHandle:
 def baseline_handle(spec: BaselineSpec) -> OptimizerHandle:
     def factory(task: Task, record: bool = False):
         del record
-        return BaselineStepper(spec, task)
+        return BaselineStepper(spec, task.spec.offsets(), task.K)
 
     return OptimizerHandle(label=spec.label, factory=factory)
 
@@ -132,10 +62,6 @@ def controller_handle(psi_flat: np.ndarray, layout: PsiLayout, label: str = "l3r
     return OptimizerHandle(
         label=label,
         factory=controller_stepper_factory(psi_flat, layout, renormalize=renormalize))
-
-
-def run_baseline(task: Task, spec: BaselineSpec) -> InnerRunResult:
-    return baseline_handle(spec).run(task)
 
 
 @dataclass

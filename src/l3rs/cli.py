@@ -336,10 +336,11 @@ def cmd_evaluate(args) -> int:
         handle = bench.controller_handle(psi.flat, psi.layout, label=label,
                                          renormalize=run.renormalize)
     elif args.baseline:
-        if args.lr < 0:
-            raise ConfigError(f"--lr must be non-negative, got {args.lr!r}")
-        spec = bench.BaselineSpec(kind=bench.BaselineKind(args.baseline),
-                                  lr0=args.lr, head_only=args.head_only)
+        try:
+            spec = bench.BaselineSpec(kind=bench.BaselineKind(args.baseline),
+                                      lr0=args.lr, head_only=args.head_only)
+        except ValueError as exc:
+            raise ConfigError(f"--lr: {exc}") from exc
         handle = bench.baseline_handle(spec)
         label = args.label or handle.label
         handle = bench.OptimizerHandle(label=label, factory=handle.factory)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import optdir
 from .nnlite import NetworkSpec
-from .optdir import DirectionBank, HyperParams, OptimizerKind, segment_norms
+from .optdir import DirectionBank, OptimizerKind, segment_norms
 
 DEFAULT_GAMMAS = (0.0, 0.9, 0.99)
 EMBED_DIM = 16
@@ -46,6 +46,10 @@ HIDDEN_2 = 16
 N_TIME_FEATURES = 15
 LAMBDA_INIT = 1e-3
 CHECKPOINT_VERSION = 1
+# reference points of the progress features: 11 linear alphas in [0, 1] feed
+# tanh(10*(k/K - alpha)); 4 log-spaced betas in [1e-4, 1e-1] feed tanh(log(K*beta))
+TIME_ALPHAS = np.arange(11) / 10.0
+TIME_BETAS = np.array([1e-4, 1e-3, 1e-2, 1e-1])
 
 
 def sigmoid(x):
@@ -58,29 +62,14 @@ def logit(p):
     return np.log(p / (1.0 - p))
 
 
-@dataclass(frozen=True)
-class TimeFeatureConfig:
-    """Reference points for the progress features.
-
-    11 linear alphas in [0, 1] feed tanh(10*(k/K - alpha)); 4 log-spaced
-    betas in [1e-4, 1e-1] feed tanh(log(K*beta)).
-    """
-
-    alphas: tuple[float, ...] = tuple(np.arange(11) / 10.0)
-    betas: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
-
-
-DEFAULT_TIME_CONFIG = TimeFeatureConfig()
-
-
-def time_features(k: int, K: int, cfg: TimeFeatureConfig = DEFAULT_TIME_CONFIG) -> np.ndarray:
+def time_features(k: int, K: int) -> np.ndarray:
     """11 relative then 4 absolute progress features, each in (-1, 1)."""
     if K <= 0:
         raise ValueError("K must be positive")
     if not 1 <= k <= K:
         raise ValueError(f"step {k} outside 1..{K}")
-    rel = np.tanh(10.0 * (k / K - np.asarray(cfg.alphas)))
-    absf = np.tanh(np.log(K * np.asarray(cfg.betas)))
+    rel = np.tanh(10.0 * (k / K - TIME_ALPHAS))
+    absf = np.tanh(np.log(K * TIME_BETAS))
     return np.concatenate([rel, absf])
 
 
@@ -88,41 +77,35 @@ class EmaTracker:
     """Bias-corrected EMAs of log weight norms, log gradient norms and loss.
 
     Per component: log||w||_2 and log||g||_2 for every smoothing factor in
-    gammas; the loss EMAs are global. With ``rows`` set, every statistic
-    gains a leading axis of that many independent rows (one per candidate).
-    Statistics must be the pre-update values for the step being recorded,
-    and update() runs exactly once per inner step.
+    gammas; the loss EMAs are global. Every statistic leads with an axis of
+    ``rows`` independent rows (one per candidate). Statistics must be the
+    pre-update values for the step being recorded, and update() runs
+    exactly once per inner step.
     """
 
-    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS, rows: int | None = None):
+    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS, rows: int = 1):
         self.gammas = np.asarray(tuple(gammas), dtype=float)
         if len(self.gammas) > 0 and (self.gammas.min() < 0 or self.gammas.max() >= 1):
             raise ValueError("gammas must lie in [0, 1)")
-        self.n_components = n_components
         self.k = 0
-        lead = () if rows is None else (rows,)
-        self._comp = np.zeros((*lead, n_components, 2, len(self.gammas)))
-        self._loss = np.zeros((*lead, len(self.gammas)))
+        self._comp = np.zeros((rows, n_components, 2, len(self.gammas)))
+        self._loss = np.zeros((rows, len(self.gammas)))
 
     def update(self, loss, comp_stats: np.ndarray) -> None:
-        """loss is a scalar or [C]; comp_stats is [L, 2] or [C, L, 2]:
-        (log||w||, log||g||) per component."""
+        """loss is [C]; comp_stats is [C, L, 2]: (log||w||, log||g||) per
+        component."""
         if comp_stats.shape != self._comp.shape[:-1]:
             raise ValueError("component statistics have the wrong shape")
         self.k += 1
-        if len(self.gammas) == 0:
-            return
         g = self.gammas
         self._comp = g * self._comp + (1.0 - g) * comp_stats[..., None]
         self._loss = g * self._loss + (1.0 - g) * np.asarray(loss)[..., None]
 
     def read(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corrected EMAs: ([..., L, 2, n_gammas], [..., n_gammas]). Errors
+        """Corrected EMAs: ([C, L, 2, n_gammas], [C, n_gammas]). Errors
         before any update."""
         if self.k == 0:
             raise ValueError("no samples recorded yet")
-        if len(self.gammas) == 0:
-            return self._comp.copy(), self._loss.copy()
         corr = 1.0 - self.gammas ** self.k  # gamma == 0 gives divisor 1 for k >= 1
         return self._comp / corr, self._loss / corr
 
@@ -181,8 +164,13 @@ class PsiLayout:
         return sum(int(np.prod(s)) for s in self.mlp_shapes)
 
     @property
+    def learned_betas(self) -> list[bool]:
+        """Per base kind: whether psi carries its betas (in hyper_raw order)."""
+        return [k in optdir.KINDS_WITH_BETAS for k in self.base_kinds]
+
+    @property
     def n_hyper(self) -> int:
-        return 2 * sum(1 for k in self.base_kinds if k in optdir.KINDS_WITH_BETAS)
+        return 2 * sum(self.learned_betas)
 
     @property
     def embedding_size(self) -> int:
@@ -287,33 +275,9 @@ def init_meta_params(layout: PsiLayout, seed: int) -> MetaParams:
     psi.mlp.b3[:, layout.n_providers] = math.log(LAMBDA_INIT)
     if psi.embeddings is not None:
         psi.embeddings[:] = rng.normal(0.0, 0.1, psi.embeddings.shape)
-    idx = 0
-    for kind in layout.base_kinds:
-        if kind in optdir.KINDS_WITH_BETAS:
-            hp = optdir.default_hyper_params(kind)
-            psi.hyper_raw[idx] = logit(hp.beta1)
-            psi.hyper_raw[idx + 1] = logit(hp.beta2)
-            idx += 2
+    defaults = optdir.default_betas(layout.base_kinds)
+    psi.hyper_raw[:] = logit(defaults[layout.learned_betas]).ravel()
     return psi
-
-
-def hyper_params_of(layout: PsiLayout, hyper_raw: np.ndarray) -> list[HyperParams] | None:
-    """Squash the raw scalars hyper_raw [n_hyper] of one psi into (0,1)
-    betas, one HyperParams per kind; None when a beta rounds to exactly 0
-    or 1 (a raw value above about 36.7 or below about -745)."""
-    out = []
-    idx = 0
-    for kind in layout.base_kinds:
-        if kind in optdir.KINDS_WITH_BETAS:
-            b1 = float(sigmoid(hyper_raw[idx]))
-            b2 = float(sigmoid(hyper_raw[idx + 1]))
-            idx += 2
-            if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
-                return None
-            out.append(HyperParams(beta1=b1, beta2=b2))
-        else:
-            out.append(optdir.default_hyper_params(kind))
-    return out
 
 
 def build_features(ema_comp: np.ndarray, ema_loss: np.ndarray, tf: np.ndarray,
@@ -403,7 +367,6 @@ class ControllerContext:
     """
 
     def __init__(self, psi: MetaParams, spec: NetworkSpec, K: int,
-                 time_cfg: TimeFeatureConfig = DEFAULT_TIME_CONFIG,
                  renormalize: bool = False, policy=None):
         layout = psi.layout
         offsets = spec.offsets()
@@ -415,16 +378,20 @@ class ControllerContext:
         self.psi = psi if psi.flat.ndim == 2 else unflatten(psi.flat[None], layout)
         self.layout = layout
         self.K = K
-        self.time_cfg = time_cfg
         self.renormalize = renormalize
         self.policy = policy
-        hypers = [hyper_params_of(layout, raw) for raw in self.psi.hyper_raw]
-        self._betas_valid = np.array([h is not None for h in hypers])
-        defaults = [optdir.default_hyper_params(kind) for kind in layout.base_kinds]
-        self.bank = DirectionBank(list(layout.base_kinds), [h or defaults for h in hypers],
-                                  offsets)
+        rows = self.n_rows
+        defaults = optdir.default_betas(layout.base_kinds)
+        squashed = sigmoid(self.psi.hyper_raw)
+        # a beta that rounds to exactly 0 or 1 (a raw value above about 36.7
+        # or below about -745) leaves its whole row invalid
+        self._betas_valid = ((0.0 < squashed) & (squashed < 1.0)).all(axis=-1)
+        betas = np.tile(defaults, (rows, 1, 1))
+        betas[:, layout.learned_betas] = squashed.reshape(rows, -1, 2)
+        betas = np.where(self._betas_valid[:, None, None], betas, defaults)
+        self.bank = DirectionBank(list(layout.base_kinds), betas, offsets)
         tracked = 1 if layout.variant == Variant.GLOBAL else n_comp
-        self.tracker = EmaTracker(tracked, layout.gammas, rows=len(hypers))
+        self.tracker = EmaTracker(tracked, layout.gammas, rows=rows)
         self.n_model_components = n_comp
 
     @property
@@ -457,7 +424,7 @@ class ControllerContext:
             return mu, lam, np.ones(len(norms), dtype=bool)
 
         ema_comp, ema_loss = self.tracker.read()
-        tf = time_features(k, self.K, self.time_cfg)
+        tf = time_features(k, self.K)
         if layout.variant == Variant.GLOBAL:
             whole = 0.5 * np.log(np.maximum(np.sum(norms ** 2, axis=-2),
                                             optdir.NORM_FLOOR ** 2))

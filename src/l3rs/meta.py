@@ -1,5 +1,5 @@
-"""Task distributions, the inner-loop evaluator, and the evolution-strategies
-outer loop that meta-trains controller parameters.
+"""Task distributions, the inner loop and its baseline optimizers, and the
+evolution-strategies outer loop that meta-trains controller parameters.
 
 A task is (initial weights, K training batches, one evaluation batch).
 Tasks are synthetic Gaussian-blob classification problems: class means drawn
@@ -23,8 +23,10 @@ scores DIVERGENCE_PENALTY and leaves the others untouched. Single runs
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -49,6 +51,8 @@ from .nnlite import (
 )
 
 DIVERGENCE_PENALTY = 1e4
+# the baselines' Adam constants, never varied
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 _MASK = (1 << 63) - 1
 
@@ -196,14 +200,6 @@ def make_task(dist: TaskDistributionSpec, seed: int, split: str = "metatrain",
                 class_ids=tuple(int(c) for c in class_ids), split=split)
 
 
-def sample_task(dist: TaskDistributionSpec, rng: np.random.Generator,
-                split: str = "metatrain", init_from: np.ndarray | None = None,
-                k_override: int | None = None) -> Task:
-    """Draw a task seed from ``rng`` and build that task."""
-    seed = int(rng.integers(0, _MASK))
-    return make_task(dist, seed, split=split, init_from=init_from, k_override=k_override)
-
-
 @dataclass
 class TrajectoryRow:
     step: int
@@ -264,6 +260,80 @@ def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
         return ControllerStepper(ctx, task.spec.components(), record)
 
     return make
+
+
+class BaselineKind(str, Enum):
+    ADAM_CONST = "adam_const"
+    ADAM_COSINE = "adam_cosine"
+    SGD_CONST = "sgd_const"
+
+
+@dataclass(frozen=True)
+class BaselineSpec:
+    kind: BaselineKind
+    lr0: float
+    head_only: bool = False
+
+    def __post_init__(self):
+        if not 0.0 <= self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be finite and non-negative, got {self.lr0!r}")
+
+    @property
+    def label(self) -> str:
+        head = ", head" if self.head_only else ""
+        return f"{self.kind.value}(lr={self.lr0:g}{head})"
+
+
+def cosine_lr(k: int, K: int, lr0: float) -> float:
+    """Half-cosine from lr0 at k=1 toward zero across the horizon."""
+    if not 1 <= k <= K:
+        raise ValueError(f"step {k} outside 1..{K}")
+    return lr0 * 0.5 * (1.0 + math.cos(math.pi * (k - 1) / K))
+
+
+class BaselineStepper:
+    """Plain SGD/Adam on the single flat parameter row [1, n] of the inner
+    loop, for parameters split at ``offsets`` and a horizon of K steps.
+    head_only freezes everything except the final kernel+bias pair,
+    leaving the rest bit-identical for the whole run.
+
+    Written apart from the direction bank, so equivalence tests between the
+    controller path and a plain optimizer run compare two separately
+    written implementations; pretraining runs on it too."""
+
+    n_rows = 1
+
+    def __init__(self, spec: BaselineSpec, offsets: np.ndarray, K: int):
+        self.spec = spec
+        self.K = K
+        self.start = offsets[-3] if spec.head_only else 0
+        if spec.kind != BaselineKind.SGD_CONST:
+            self.m = np.zeros((1, offsets[-1] - self.start))
+            self.v = np.zeros_like(self.m)
+
+    def _lr(self, k: int) -> float:
+        if self.spec.kind == BaselineKind.ADAM_COSINE:
+            return cosine_lr(k, self.K, self.spec.lr0)
+        return self.spec.lr0
+
+    def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(new params, finite mask)."""
+        del losses
+        lr = self._lr(k)
+        new = params.copy()
+        g = grads[:, self.start:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.spec.kind == BaselineKind.SGD_CONST:
+                new[:, self.start:] = params[:, self.start:] - lr * g
+            else:
+                self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
+                self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
+                m_hat = self.m / (1 - ADAM_BETA1 ** k)
+                v_hat = self.v / (1 - ADAM_BETA2 ** k)
+                new[:, self.start:] = (params[:, self.start:]
+                                       - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        return new, np.isfinite(new[:, self.start:]).all(axis=-1)
 
 
 def inner_loop_batch(make_stepper, task: Task,
@@ -512,26 +582,21 @@ def meta_train(cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
 
 def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> np.ndarray:
     """Flat parameters [n] of a fresh dist.pretrain_network() trained on the
-    pretrain split with plain Adam (lr 1e-3, constant) for ``steps`` steps;
-    deterministic in ``seed``."""
+    pretrain split with the constant-rate Adam baseline (lr 1e-3) for
+    ``steps`` steps; deterministic in ``seed``."""
     spec = dist.pretrain_network()
     theta = init_params(spec, int(derived_rng(seed, _TAG_INIT).integers(0, _MASK)))
-    if steps == 0:
-        return theta
     means = dist.class_means()
     pool = dist.split_classes("pretrain")
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    adam = BaselineStepper(BaselineSpec(BaselineKind.ADAM_CONST, 1e-3), spec.offsets(), steps)
     for k in range(1, steps + 1):
         batch = _blob_batch(dist, means, pool, dist.train_batch_size,
                             derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN, k))
-        _, g, finite = loss_and_grad(spec, theta, batch)
+        # one unbatched network: the [n] backward pass is cheaper than [1, n]
+        loss, grad, finite = loss_and_grad(spec, theta, batch)
         if not finite:
             raise DivergenceError(f"pretraining diverged at step {k}")
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        theta = theta - lr * (m / (1 - b1 ** k)) / (np.sqrt(v / (1 - b2 ** k)) + eps)
+        (theta,), _ = adam.step(theta[None], grad[None], loss, k)
     return theta
 
 

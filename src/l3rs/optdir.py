@@ -16,12 +16,12 @@ dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 NORM_FLOOR = 1e-12  # l2 norms are floored here before logs and normalization
+EPS = 1e-8  # the fixed, never learned eps of Adam, Adamax and LAMB
 
 
 class OptimizerKind(str, Enum):
@@ -52,25 +52,9 @@ STATE_SLOTS = {
 }
 
 
-@dataclass(frozen=True)
-class HyperParams:
-    """Scalar hyperparameters of one provider. eps is fixed, never learned."""
-
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
-
-
-def default_hyper_params(kind: OptimizerKind) -> HyperParams:
-    if kind == OptimizerKind.LION:
-        return HyperParams(beta1=0.9, beta2=0.99)
-    return HyperParams(beta1=0.9, beta2=0.999)
+def default_betas(kinds) -> np.ndarray:
+    """Conventional (beta1, beta2) [P, 2] of each kind; Lion's beta2 is 0.99."""
+    return np.array([(0.9, 0.99 if kind == OptimizerKind.LION else 0.999) for kind in kinds])
 
 
 def _debias(beta, k: int):
@@ -150,26 +134,24 @@ class DirectionBank:
     candidate) of a flat parameter vector split into L segments at
     ``offsets``.
 
-    ``hypers[c][p]`` holds the hyperparameters of provider p for row c.
+    ``betas[c, p]`` holds (beta1, beta2) of provider p for row c, [C, P, 2].
     States are [C, n] arrays. A bank belongs to exactly one inner-loop
     evaluation and is never shared.
     """
 
-    def __init__(self, kinds: list[OptimizerKind], hypers: list[list[HyperParams]],
-                 offsets: np.ndarray):
+    def __init__(self, kinds: list[OptimizerKind], betas: np.ndarray, offsets: np.ndarray):
         if len(kinds) != len(set(kinds)):
             raise ValueError("each optimizer kind may appear at most once")
-        if any(len(row) != len(kinds) for row in hypers):
-            raise ValueError("one HyperParams per kind and row")
+        betas = np.asarray(betas, dtype=float)
+        if betas.ndim != 3 or betas.shape[1:] != (len(kinds), 2):
+            raise ValueError(f"betas have shape {betas.shape}, expected [C, {len(kinds)}, 2]")
         self.kinds = list(kinds)
-        # per provider: (beta1, beta2, eps), each a [C, 1] column
-        self._hyper = [tuple(np.array([[getattr(row[p], f)] for row in hypers])
-                             for f in ("beta1", "beta2", "eps"))
-                       for p in range(len(kinds))]
+        # per provider: (beta1, beta2), each a [C, 1] column
+        self._betas = [(betas[:, p, 0:1], betas[:, p, 1:2]) for p in range(len(kinds))]
         self.step_count = 0
         self.offsets = np.asarray(offsets)
         self.sizes = np.diff(self.offsets)
-        shape = (len(hypers), int(self.offsets[-1]))
+        shape = (len(betas), int(self.offsets[-1]))
         self._state = [{name: np.zeros(shape) for name in _SLOTS.get(kind, ())}
                        for kind in kinds]
 
@@ -177,16 +159,16 @@ class DirectionBank:
     def n_providers(self) -> int:
         return len(self.kinds)
 
-    def _direction(self, kind: OptimizerKind, hyper, state: dict,
+    def _direction(self, kind: OptimizerKind, betas, state: dict,
                    grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
         k = self.step_count
-        beta1, beta2, eps = hyper
+        beta1, beta2 = betas
         if kind == OptimizerKind.SGD:
             return dir_sgd(grad)
         if kind == OptimizerKind.ADAM:
-            return dir_adam(state, grad, beta1, beta2, eps, k)
+            return dir_adam(state, grad, beta1, beta2, EPS, k)
         if kind == OptimizerKind.ADAMAX:
-            return dir_adamax(state, grad, beta1, beta2, eps, k)
+            return dir_adamax(state, grad, beta1, beta2, EPS, k)
         if kind == OptimizerKind.LION:
             return dir_lion(state, grad, beta1, beta2)
         if kind == OptimizerKind.LAMB:
@@ -194,7 +176,7 @@ class DirectionBank:
             # which degenerates to 1 when either norm is zero. No weight-decay
             # term, no clipping: unit normalization downstream makes the ratio
             # immaterial to the blended update.
-            r = -dir_adam(state, grad, beta1, beta2, eps, k)
+            r = -dir_adam(state, grad, beta1, beta2, EPS, k)
             wr_norms = segment_norms(np.stack([weights, r], axis=-2), self.offsets)
             w_norms, r_norms = wr_norms[..., 0], wr_norms[..., 1]
             trust = np.divide(w_norms, r_norms, out=np.ones_like(w_norms),
@@ -215,6 +197,6 @@ class DirectionBank:
         self.step_count += 1
         dirs = np.empty((len(grad), self.n_providers, grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, (kind, hyper, state) in enumerate(zip(self.kinds, self._hyper, self._state)):
-                dirs[:, p] = self._direction(kind, hyper, state, grad, weights)
+            for p, (kind, betas, state) in enumerate(zip(self.kinds, self._betas, self._state)):
+                dirs[:, p] = self._direction(kind, betas, state, grad, weights)
         return dirs, segment_norms(dirs, self.offsets), np.isfinite(dirs).all(axis=(1, 2))

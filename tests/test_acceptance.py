@@ -163,7 +163,7 @@ def _final_theta(task, stepper):
 
 
 def _final_theta_baseline(task, spec):
-    return _final_theta(task, BaselineStepper(spec, task))
+    return _final_theta(task, BaselineStepper(spec, task.spec.offsets(), task.K))
 
 
 def _final_theta_controller(task, layout, policy):
@@ -238,16 +238,16 @@ def test_criterion_5_ema_and_time_features():
         for _ in range(200):
             xi = float(rng.normal(scale=5))
             tr = EmaTracker(1, gammas=(gamma,))
-            tr.update(xi, np.array([[xi, xi]]))
+            tr.update(np.array([xi]), np.array([[[xi, xi]]]))
             comp, loss = tr.read()
-            for got in (comp[0, 0, 0], comp[0, 1, 0], loss[0]):
+            for got in (comp[0, 0, 0, 0], comp[0, 0, 1, 0], loss[0, 0]):
                 assert abs(got - xi) <= 4e-16 * abs(xi)
     # a constant stream stays at the constant after correction
     tr = EmaTracker(2, gammas=(0.0, 0.9, 0.99))
     for _ in range(200):
-        tr.update(3.25, np.array([[1.5, -0.5], [0.25, 2.0]]))
+        tr.update(np.array([3.25]), np.array([[[1.5, -0.5], [0.25, 2.0]]]))
         comp, loss = tr.read()
-        assert np.abs(comp[0, 0, :] - 1.5).max() <= 1e-12
+        assert np.abs(comp[0, 0, 0, :] - 1.5).max() <= 1e-12
         assert np.abs(loss - 3.25).max() <= 1e-12
     # 15 features strictly inside (-1, 1) with the stated monotonicities
     for K in (1, 2, 7, 50, 500, 5000):

@@ -13,7 +13,6 @@ from l3rs.bench import (
     cross_cells,
     evaluate_suite,
     run_ablation_battery,
-    run_baseline,
     speedup,
     state_size_report,
     steps_to_target,
@@ -61,7 +60,7 @@ class TestCosineLr:
 class TestRunBaseline:
     def test_zero_lr_sgd_keeps_theta0(self):
         task = make_task(DIST, seed=1, k_override=7)
-        res = run_baseline(task, BaselineSpec(BaselineKind.SGD_CONST, lr0=0.0))
+        res = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=0.0)).run(task)
         expected = inner_loop_eval(
             lambda t, record=False: _NullStepper(), task)
         assert res.meta_loss == expected.meta_loss
@@ -75,7 +74,7 @@ class TestRunBaseline:
         def factory(t, record=False):
             from l3rs.bench import BaselineStepper
 
-            stepper_holder["s"] = BaselineStepper(spec, t)
+            stepper_holder["s"] = BaselineStepper(spec, t.spec.offsets(), t.K)
             return stepper_holder["s"]
 
         # replay the run manually to capture the final params
@@ -95,7 +94,7 @@ class TestRunBaseline:
         # lambda = lr * ||d_adam|| with a one-hot mix reproduces plain Adam
         eta = 1e-2
         task = make_task(DIST, seed=5, k_override=25)
-        base = run_baseline(task, BaselineSpec(BaselineKind.ADAM_CONST, lr0=eta))
+        base = baseline_handle(BaselineSpec(BaselineKind.ADAM_CONST, lr0=eta)).run(task)
 
         layout = layout_for(DIST)
         psi = flatten(init_meta_params(layout, seed=0))

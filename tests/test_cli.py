@@ -221,11 +221,12 @@ class TestEvaluate:
             assert float(row["acc_diff"]) == 0.0
             assert float(row["loss_diff"]) == 0.0
 
-    def test_negative_lr_reports_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lr", ["-1", "nan", "inf"])
+    def test_negative_lr_reports_error(self, tmp_path, capsys, lr):
         cfg = write_config(tmp_path)
         capsys.readouterr()
         assert run_cli("evaluate", "--config", cfg, "--out-dir", str(tmp_path / "e"),
-                       "--baseline", "sgd_const", "--lr", "-1") == 1
+                       "--baseline", "sgd_const", "--lr", lr) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--lr" in err
 

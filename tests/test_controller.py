@@ -17,15 +17,21 @@ from l3rs.controller import (
     compose_update,
     controller_forward_batch,
     flatten,
-    hyper_params_of,
     init_meta_params,
     load_psi,
     save_psi,
+    sigmoid,
     time_features,
     unflatten,
 )
 from l3rs.nnlite import NetworkSpec, init_params
-from l3rs.optdir import NORM_FLOOR, OptimizerKind, segment_norms
+from l3rs.optdir import (
+    KINDS_WITH_BETAS,
+    NORM_FLOOR,
+    OptimizerKind,
+    default_betas,
+    segment_norms,
+)
 
 SGD_ADAM = (OptimizerKind.SGD, OptimizerKind.ADAM)
 
@@ -71,39 +77,39 @@ class TestEmaTracker:
     def test_gamma_zero_tracks_latest(self):
         tr = EmaTracker(1, gammas=(0.0,))
         for xi in [2.0, -1.0, 5.5]:
-            tr.update(xi, np.array([[xi, xi]]))
+            tr.update(np.array([xi]), np.array([[[xi, xi]]]))
             comp, loss = tr.read()
-            assert comp[0, 0, 0] == xi
-            assert loss[0] == xi
+            assert comp[0, 0, 0, 0] == xi
+            assert loss[0, 0] == xi
 
     def test_two_step_hand_recursion(self):
         # gamma 0.9: a1 = 0.1*1 = 0.1, a2 = 0.9*0.1 + 0.1*3 = 0.39
         tr = EmaTracker(1, gammas=(0.9,))
-        tr.update(1.0, np.array([[1.0, 1.0]]))
-        tr.update(3.0, np.array([[3.0, 3.0]]))
-        assert tr._loss[0] == pytest.approx(0.39, abs=1e-15)
+        tr.update(np.array([1.0]), np.array([[[1.0, 1.0]]]))
+        tr.update(np.array([3.0]), np.array([[[3.0, 3.0]]]))
+        assert tr._loss[0, 0] == pytest.approx(0.39, abs=1e-15)
         _, loss = tr.read()
-        assert loss[0] == pytest.approx(0.39 / 0.19, abs=1e-12)
-        assert loss[0] == pytest.approx(2.052632, abs=1e-6)
+        assert loss[0, 0] == pytest.approx(0.39 / 0.19, abs=1e-12)
+        assert loss[0, 0] == pytest.approx(2.052632, abs=1e-6)
 
     def test_constant_stream_closed_form(self):
         tr = EmaTracker(1, gammas=(0.9,))
         xi = 4.0
         for k in range(1, 20):
-            tr.update(xi, np.array([[xi, xi]]))
+            tr.update(np.array([xi]), np.array([[[xi, xi]]]))
             # raw accumulator follows the geometric series xi * (1 - gamma^k)
-            assert tr._loss[0] == pytest.approx(xi * (1 - 0.9 ** k), rel=1e-13)
+            assert tr._loss[0, 0] == pytest.approx(xi * (1 - 0.9 ** k), rel=1e-13)
             _, loss = tr.read()
-            assert abs(loss[0] - xi) < 1e-12
+            assert abs(loss[0, 0] - xi) < 1e-12
 
     def test_first_read_equals_first_sample(self):
         for gamma in (0.0, 0.5, 0.99):
             tr = EmaTracker(2, gammas=(gamma,))
             stats = np.array([[1.5, -2.0], [0.25, 3.0]])
-            tr.update(7.0, stats)
+            tr.update(np.array([7.0]), stats[None])
             comp, loss = tr.read()
-            np.testing.assert_allclose(comp[:, :, 0], stats, rtol=0, atol=1e-15)
-            assert loss[0] == pytest.approx(7.0, abs=1e-15)
+            np.testing.assert_allclose(comp[0, :, :, 0], stats, rtol=0, atol=1e-15)
+            assert loss[0, 0] == pytest.approx(7.0, abs=1e-15)
 
     def test_read_before_update_errors(self):
         with pytest.raises(ValueError):
@@ -117,18 +123,18 @@ class TestEmaTracker:
             losses, stats = rng.normal(size=4), rng.normal(size=(4, 3, 2))
             batched.update(losses, stats)
             for tr, loss, st in zip(single, losses, stats):
-                tr.update(float(loss), st)
+                tr.update(np.array([loss]), st[None])
         comp, loss = batched.read()
         for row, tr in zip(comp, single):
-            np.testing.assert_array_equal(row, tr.read()[0])
-        np.testing.assert_array_equal(loss, [t.read()[1] for t in single])
+            np.testing.assert_array_equal(row, tr.read()[0][0])
+        np.testing.assert_array_equal(loss, [t.read()[1][0] for t in single])
 
     def test_empty_gamma_set(self):
         tr = EmaTracker(3, gammas=())
-        tr.update(1.0, np.zeros((3, 2)))
+        tr.update(np.array([1.0]), np.zeros((1, 3, 2)))
         comp, loss = tr.read()
-        assert comp.shape == (3, 2, 0)
-        assert loss.shape == (0,)
+        assert comp.shape == (1, 3, 2, 0)
+        assert loss.shape == (1, 0)
 
 
 class TestTimeFeatures:
@@ -268,15 +274,46 @@ class TestInitMetaParams:
     def test_recovered_betas(self):
         layout = PsiLayout(n_components=2, base_kinds=SGD_ADAM)
         psi = init_meta_params(layout, seed=0)
-        hp = hyper_params_of(layout, psi.hyper_raw)
-        assert abs(hp[1].beta1 - 0.9) < 1e-12
-        assert abs(hp[1].beta2 - 0.999) < 1e-12
+        beta1, beta2 = sigmoid(psi.hyper_raw)
+        assert abs(beta1 - 0.9) < 1e-12
+        assert abs(beta2 - 0.999) < 1e-12
 
     def test_deterministic(self):
         layout = PsiLayout(n_components=3, base_kinds=SGD_ADAM)
         a = init_meta_params(layout, seed=11)
         b = init_meta_params(layout, seed=11)
         assert np.array_equal(a.flat, b.flat)
+
+
+class TestBankBetas:
+    def test_bank_betas_are_the_squashed_raw_values(self):
+        # every learned beta reaches the bank as float(sigmoid(raw)), bit for
+        # bit; a row with a beta that rounds to 1.0 or 0.0 runs on the
+        # defaults and is reported invalid
+        spec = NetworkSpec(3, (4,), 2)
+        kinds = tuple(OptimizerKind)
+        layout = PsiLayout(n_components=len(spec.components()), base_kinds=kinds)
+        psi = init_meta_params(layout, seed=0).flat
+        block = psi + 0.1 * np.random.default_rng(9).standard_normal((5, len(psi)))
+        raw = block[:, layout.flat_size - layout.n_hyper:]
+        raw[1, 0] = 40.0
+        raw[3, 5] = -800.0
+        ctx = ControllerContext(unflatten(block, layout), spec, K=5)
+        learned = [p for p, kind in enumerate(kinds) if kind in KINDS_WITH_BETAS]
+        defaults = default_betas(kinds)
+        for c in range(len(block)):
+            for p, (beta1, beta2) in enumerate(ctx.bank._betas):
+                got = (beta1[c, 0].item(), beta2[c, 0].item())
+                if c in (1, 3) or p not in learned:
+                    assert got == tuple(defaults[p].tolist())
+                else:
+                    i = 2 * learned.index(p)
+                    want = (float(sigmoid(raw[c, i])), float(sigmoid(raw[c, i + 1])))
+                    assert got == want
+        params = np.tile(init_params(spec, seed=0), (len(block), 1))
+        grads = np.random.default_rng(10).normal(size=params.shape)
+        *_, finite = ctx.step(params, grads, np.ones(len(block)), 1)
+        np.testing.assert_array_equal(finite, [True, False, True, False, True])
 
 
 class TestControllerForward:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from l3rs import cli
-from l3rs.bench import BaselineKind, BaselineSpec, run_baseline
+from l3rs.bench import BaselineKind, BaselineSpec, baseline_handle
 from l3rs.controller import PsiLayout, Variant, init_meta_params
 from l3rs.meta import (
     TaskDistributionSpec,
@@ -113,8 +113,8 @@ def diverging_block():
 
 
 def diverging_sgd_run():
-    return run_baseline(make_task(DIST, TASK_SEEDS[0], split="metatest", k_override=K),
-                        DIVERGING_SGD)
+    return baseline_handle(DIVERGING_SGD).run(
+        make_task(DIST, TASK_SEEDS[0], split="metatest", k_override=K))
 
 
 def cli_digests(tmp_path) -> dict[str, str]:

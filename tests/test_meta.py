@@ -24,7 +24,6 @@ from l3rs.meta import (
     nes_generation,
     pretrain_checkpoint,
     pretrain_eval,
-    sample_task,
     save_pretrained,
     shaped_utilities,
 )
@@ -44,17 +43,12 @@ class TestTaskSampling:
     def test_regeneration_is_bit_identical(self):
         t1 = make_task(DIST, seed=77, split="metatest")
         t2 = make_task(DIST, seed=77, split="metatest")
+        assert t1.seed == 77
         assert t1.K == t2.K and t1.class_ids == t2.class_ids
         assert np.array_equal(t1.theta0, t2.theta0)
         for ba, bb in zip(t1.train_batches, t2.train_batches):
             assert np.array_equal(ba.x, bb.x) and np.array_equal(ba.y, bb.y)
         assert np.array_equal(t1.eval_batch.x, t2.eval_batch.x)
-
-    def test_sample_task_records_usable_seed(self):
-        rng = np.random.default_rng(5)
-        t = sample_task(DIST, rng, split="metatrain")
-        again = make_task(DIST, t.seed, split="metatrain")
-        assert np.array_equal(t.eval_batch.x, again.eval_batch.x)
 
     def test_forced_class_subset(self):
         # classes_per_task equals the split size, so every task uses the whole split
@@ -157,7 +151,7 @@ class TestInnerLoopEval:
     def test_adam_oracle_solves_separable_task(self):
         # near-noiseless 2-class blobs are linearly separable; a plain Adam
         # run at lr 1e-2 must fit them within 30 steps
-        from l3rs.bench import BaselineKind, BaselineSpec, run_baseline
+        from l3rs.bench import BaselineKind, BaselineSpec, baseline_handle
 
         dist = dataclasses.replace(DIST, blob_std=0.15, classes_per_task=2,
                                    metatest_classes=2, metatrain_classes=4,
@@ -165,7 +159,7 @@ class TestInnerLoopEval:
         accs = []
         for seed in range(5):
             task = make_task(dist, seed=seed, split="metatest")
-            res = run_baseline(task, BaselineSpec(BaselineKind.ADAM_CONST, lr0=1e-2))
+            res = baseline_handle(BaselineSpec(BaselineKind.ADAM_CONST, lr0=1e-2)).run(task)
             accs.append(res.eval_accuracy)
         assert np.mean(accs) >= 0.95
 

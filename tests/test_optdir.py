@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from l3rs.nnlite import NetworkSpec, init_params
 from l3rs.optdir import (
     DirectionBank,
-    HyperParams,
     OptimizerKind,
-    default_hyper_params,
+    default_betas,
     dir_adam,
     dir_adamax,
     dir_lion,
@@ -28,7 +27,7 @@ def small_params(seed=0):
 
 
 def make_bank(kinds, offsets, rows=1):
-    return DirectionBank(kinds, [[default_hyper_params(k) for k in kinds]] * rows, offsets)
+    return DirectionBank(kinds, np.tile(default_betas(kinds), (rows, 1, 1)), offsets)
 
 
 def lamb_first_step(grad, weights, offsets=None):
@@ -280,12 +279,11 @@ class TestDirectionBank:
         offsets = spec.offsets()
         kinds = list(OptimizerKind)
         rng = np.random.default_rng(17)
-        hypers = [[HyperParams(beta1=float(b1), beta2=float(b2)) for b1, b2 in
-                   rng.uniform(0.05, 0.999, size=(len(kinds), 2))] for _ in range(3)]
+        betas = rng.uniform(0.05, 0.999, size=(3, len(kinds), 2))
         grads = rng.normal(size=(6, 3, params.size))
         weights = rng.normal(size=(6, 3, params.size))
-        batched = DirectionBank(kinds, hypers, offsets)
-        single = [DirectionBank(kinds, [h], offsets) for h in hypers]
+        batched = DirectionBank(kinds, betas, offsets)
+        single = [DirectionBank(kinds, b[None], offsets) for b in betas]
         for g, w in zip(grads, weights):
             dirs, norms, finite = batched.step(g, w)
             assert finite.all()
@@ -294,16 +292,18 @@ class TestDirectionBank:
                 np.testing.assert_array_equal(dirs[c], d1[0])
                 np.testing.assert_array_equal(norms[c], n1[0])
 
+    def test_betas_of_the_wrong_shape_rejected(self):
+        spec, _ = small_params()
+        kinds = [OptimizerKind.SGD, OptimizerKind.ADAM]
+        for shape in ((2, 2), (1, 3, 2), (1, 2, 3), (1, 2)):
+            with pytest.raises(ValueError, match="betas have shape"):
+                DirectionBank(kinds, np.full(shape, 0.9), spec.offsets())
+
 
 class TestHyperParams:
-    def test_ranges_validated(self):
-        with pytest.raises(ValueError):
-            HyperParams(beta1=1.0)
-        with pytest.raises(ValueError):
-            HyperParams(beta2=0.0)
-        with pytest.raises(ValueError):
-            HyperParams(eps=0.0)
+    """Conventional hyperparameters of the providers."""
 
     def test_lion_defaults_differ(self):
-        assert default_hyper_params(OptimizerKind.LION).beta2 == 0.99
-        assert default_hyper_params(OptimizerKind.ADAM).beta2 == 0.999
+        betas = default_betas([OptimizerKind.LION, OptimizerKind.ADAM])
+        assert betas[0, 1] == 0.99
+        assert betas[1, 1] == 0.999

@@ -107,8 +107,8 @@ def test_evaluator_fitness_equals_handle_runs():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("raw_beta", [40.0, -800.0])
 def test_beta_rounding_to_one_or_zero_kills_only_its_row(raw_beta):
-    # sigmoid(40) rounds to exactly 1.0 and sigmoid(-800) to 0.0, which
-    # HyperParams rejects; the row scores the penalty, the block runs on
+    # sigmoid(40) rounds to exactly 1.0 and sigmoid(-800) to 0.0, which the
+    # validity mask rejects; the row scores the penalty, the block runs on
     layout = layout_for(Variant.FULL)
     cands = population(layout, scales=(0.0, 0.05, 0.1), seed=6)
     cands[1, -1] = raw_beta
