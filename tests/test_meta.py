@@ -50,6 +50,15 @@ class TestTaskSampling:
             assert np.array_equal(ba.x, bb.x) and np.array_equal(ba.y, bb.y)
         assert np.array_equal(t1.eval_batch.x, t2.eval_batch.x)
 
+    def test_sample_task_records_usable_seed(self):
+        # the seeds the NES loop draws for a generation are recorded on the
+        # task and rebuild it bit for bit
+        for seed in generation_task_seeds(NesConfig(meta_batch=3, seed=5), 0):
+            t = make_task(DIST, seed, split="metatrain")
+            assert t.seed == seed
+            again = make_task(DIST, t.seed, split="metatrain")
+            assert np.array_equal(t.eval_batch.x, again.eval_batch.x)
+
     def test_forced_class_subset(self):
         # classes_per_task equals the split size, so every task uses the whole split
         t = make_task(DIST, seed=3, split="metatest")
