@@ -8,8 +8,6 @@ optimizer run compare two separately written implementations.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +15,9 @@ import numpy as np
 
 from . import meta as meta_mod
 from .controller import DEFAULT_GAMMAS, PsiLayout, Variant
-from .meta import (  # noqa: F401 (the baselines keep their old names here)
+from .files import write_csv
+# perfbench's tracer and the tests look these names up in bench
+from .meta import (  # noqa: F401
     BaselineKind,
     BaselineSpec,
     BaselineStepper,
@@ -256,7 +256,7 @@ def run_ablation_battery(cfg: AblationConfig) -> AblationResult:
 
 
 # ---------------------------------------------------------------------------
-# report files: deterministic CSV/JSON emission
+# report files: deterministic CSV emission
 
 
 def _fmt(v) -> str:
@@ -264,55 +264,35 @@ def _fmt(v) -> str:
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["optimizer", "K", "mean_acc", "std_acc", "mean_loss",
-                    "std_loss", "n_tasks"])
-        for c in report.cells:
-            w.writerow([c.optimizer, c.K, _fmt(c.mean_acc), _fmt(c.std_acc),
-                        _fmt(c.mean_loss), _fmt(c.std_loss), c.n_tasks])
+    write_csv(path, ["optimizer", "K", "mean_acc", "std_acc", "mean_loss", "std_loss",
+                     "n_tasks"],
+              ([c.optimizer, c.K, _fmt(c.mean_acc), _fmt(c.std_acc), _fmt(c.mean_loss),
+                _fmt(c.std_loss), c.n_tasks] for c in report.cells))
 
 
 def write_eval_tasks_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["optimizer", "K", "task_index", "task_seed", "acc", "loss"])
-        for c in report.cells:
-            for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc, c.task_loss)):
-                w.writerow([c.optimizer, c.K, i, seed, _fmt(acc), _fmt(loss)])
+    write_csv(path, ["optimizer", "K", "task_index", "task_seed", "acc", "loss"],
+              ([c.optimizer, c.K, i, seed, _fmt(acc), _fmt(loss)]
+               for c in report.cells
+               for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc,
+                                                         c.task_loss))))
 
 
 def write_trajectory_csv(rows: list[TrajectoryRow], n_providers: int, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "component"] + [f"mu_{p}" for p in range(n_providers)]
-                   + ["lambda", "loss"])
-        for r in rows:
-            w.writerow([r.step, r.component] + [_fmt(m) for m in r.mu]
-                       + [_fmt(r.lam), _fmt(r.train_loss)])
+    write_csv(path, ["step", "component"] + [f"mu_{p}" for p in range(n_providers)]
+              + ["lambda", "loss"],
+              ([r.step, r.component] + [_fmt(m) for m in r.mu]
+               + [_fmt(r.lam), _fmt(r.train_loss)] for r in rows))
 
 
 def write_ablation_csv(result: AblationResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "base_optimizers", "variant", "gammas",
-                    "mean_acc", "std_acc", "mean_loss", "std_loss"])
-        for r in result.rows:
-            w.writerow([r.label, r.base_optimizers, r.variant, r.gammas,
-                        _fmt(r.mean_acc), _fmt(r.std_acc),
-                        _fmt(r.mean_loss), _fmt(r.std_loss)])
+    write_csv(path, ["label", "base_optimizers", "variant", "gammas", "mean_acc", "std_acc",
+                     "mean_loss", "std_loss"],
+              ([r.label, r.base_optimizers, r.variant, r.gammas, _fmt(r.mean_acc),
+                _fmt(r.std_acc), _fmt(r.mean_loss), _fmt(r.std_loss)] for r in result.rows))
 
 
 def write_history_csv(history, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["generation", "mean_fitness", "best_fitness", "alpha", "sigma"])
-        for h in history:
-            w.writerow([h.generation, _fmt(h.mean_fitness), _fmt(h.best_fitness),
-                        _fmt(h.alpha), _fmt(h.sigma)])
-
-
-def write_summary_json(obj: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_csv(path, ["generation", "mean_fitness", "best_fitness", "alpha", "sigma"],
+              ([h.generation, _fmt(h.mean_fitness), _fmt(h.best_fitness), _fmt(h.alpha),
+                _fmt(h.sigma)] for h in history))

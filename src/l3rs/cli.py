@@ -29,6 +29,7 @@ from .controller import (
     time_features,
     unflatten,
 )
+from .files import write_csv, write_json
 from .meta import NesConfig, NesState, TaskDistributionSpec
 from .optdir import OptimizerKind
 
@@ -44,36 +45,15 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "out_dir": "runs/default",
     "workers": 1,
-    "distribution": {
-        "input_dim": 16,
-        "total_classes": 16,
-        "blob_std": 0.75,
-        "generator_seed": 0,
-        "pretrain_classes": 8,
-        "metatrain_classes": 4,
-        "metatest_classes": 4,
-        "classes_per_task": 4,
-        "hidden": [32],
-        "train_batch_size": 32,
-        "eval_batch_size": 256,
-        "k_min": 5,
-        "k_max": 25,
-    },
+    "distribution": dataclasses.asdict(TaskDistributionSpec()),
     "layout": {
         "base_optimizers": ["sgd", "adam"],
         "variant": "full",
         "gammas": [0.0, 0.9, 0.99],
         "renormalize": False,
     },
-    "nes": {
-        "population": 32,
-        "meta_batch": 4,
-        "generations": 2000,
-        "sigma0": 0.05,
-        "alpha0": 0.1,
-        "decay_period": 500,
-        "decay_factor": 0.5,
-    },
+    # the run's seed is the top-level "seed"
+    "nes": {k: v for k, v in dataclasses.asdict(NesConfig()).items() if k != "seed"},
     "pretrain": {"steps": 500},
     "evaluate": {
         "n_tasks": 50,
@@ -172,23 +152,9 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
     if workers is not None:
         cfg["workers"] = workers
 
-    d = cfg["distribution"]
     try:
-        dist = TaskDistributionSpec(
-            input_dim=d["input_dim"], total_classes=d["total_classes"],
-            blob_std=d["blob_std"], generator_seed=d["generator_seed"],
-            pretrain_classes=d["pretrain_classes"],
-            metatrain_classes=d["metatrain_classes"],
-            metatest_classes=d["metatest_classes"],
-            classes_per_task=d["classes_per_task"], hidden=tuple(d["hidden"]),
-            train_batch_size=d["train_batch_size"],
-            eval_batch_size=d["eval_batch_size"],
-            k_min=d["k_min"], k_max=d["k_max"])
-        n = cfg["nes"]
-        nes = NesConfig(population=n["population"], meta_batch=n["meta_batch"],
-                        generations=n["generations"], sigma0=n["sigma0"],
-                        alpha0=n["alpha0"], decay_period=n["decay_period"],
-                        decay_factor=n["decay_factor"], seed=cfg["seed"])
+        dist = TaskDistributionSpec(**cfg["distribution"])
+        nes = NesConfig(**cfg["nes"], seed=cfg["seed"])
         run = RunConfig(raw=cfg, seed=cfg["seed"], out_dir=Path(cfg["out_dir"]),
                         workers=int(cfg["workers"]), dist=dist, nes=nes,
                         renormalize=bool(cfg["layout"]["renormalize"]),
@@ -205,9 +171,7 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
 
 def _write_config_snapshot(run: RunConfig) -> None:
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(run.out_dir / "config.json", "w") as fh:
-        json.dump(run.raw, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(run.out_dir / "config.json", run.raw)
 
 
 def _main_checkpoint(run: RunConfig, path: str | None):
@@ -232,9 +196,8 @@ def cmd_pretrain(args) -> int:
     path = run.out_dir / "checkpoint_pretrain.json"
     meta.save_pretrained(path, run.dist.pretrain_network(), params)
     loss, acc = meta.pretrain_eval(run.dist, params, run.seed)
-    bench.write_summary_json(
-        {"pretrain_steps": run.pretrain_steps, "eval_loss": loss, "eval_acc": acc},
-        run.out_dir / "pretrain_metrics.json")
+    write_json(run.out_dir / "pretrain_metrics.json",
+               {"pretrain_steps": run.pretrain_steps, "eval_loss": loss, "eval_acc": acc})
     print(f"pretrain steps={run.pretrain_steps} eval_loss={loss!r} eval_acc={acc!r}")
     print(f"wrote {path}")
     return 0
@@ -245,7 +208,6 @@ def cmd_meta_train(args) -> int:
     _write_config_snapshot(run)
     layout = run.layout_for(run.dist)
     checkpoint = _main_checkpoint(run, args.checkpoint)
-    history_path = run.out_dir / "history.csv"
 
     state = None
     if args.resume:
@@ -254,17 +216,20 @@ def cmd_meta_train(args) -> int:
             raise ConfigError("resume checkpoint layout does not match the configuration")
         if doc.get("config_hash") != run.config_hash():
             raise ConfigError("resume checkpoint was produced by a different configuration")
-        gen = int(doc["generation"])
-        state = NesState(psi=psi.flat.copy(), generation=gen,
-                         history=_read_history(history_path, gen))
+        history = _resume_history(doc, args.resume)
+        state = NesState(psi=psi.flat.copy(), generation=len(history), history=history)
 
-    def save(tag, st):
+    def save(tag, st, **extra):
         save_psi(run.out_dir / f"psi_{tag}.json", unflatten(st.psi, layout),
-                 extra={"generation": st.generation, "config_hash": run.config_hash()})
+                 extra={"generation": st.generation, "config_hash": run.config_hash(),
+                        **extra})
 
     def on_generation(st):
+        # an intermediate checkpoint carries the history so far, so a resume
+        # needs nothing else; psi_final.json does not
         if st.generation % CHECKPOINT_EVERY == 0 and st.generation < run.nes.generations:
-            save(f"gen{st.generation:05d}", st)
+            save(f"gen{st.generation:05d}", st,
+                 history=[dataclasses.astuple(h) for h in st.history])
 
     psi, history = meta.meta_train(run.nes, run.dist, layout, init_from=checkpoint,
                                    workers=run.workers, state=state,
@@ -272,7 +237,7 @@ def cmd_meta_train(args) -> int:
                                    on_generation=on_generation)
     final = NesState(psi=psi, generation=run.nes.generations, history=history)
     save("final", final)
-    bench.write_history_csv(history, history_path)
+    bench.write_history_csv(history, run.out_dir / "history.csv")
     if history:
         print(f"meta-train generations={run.nes.generations} "
               f"final_mean_fitness={history[-1].mean_fitness!r}")
@@ -280,21 +245,17 @@ def cmd_meta_train(args) -> int:
     return 0
 
 
-def _read_history(path, up_to_generation):
-    if not path.exists():
-        raise ConfigError(f"cannot resume: {path} not found")
-    out = []
-    with open(path) as fh:
-        for row in csv.DictReader(fh):
-            g = int(row["generation"])
-            if g <= up_to_generation:
-                out.append(meta.GenerationStats(
-                    generation=g, mean_fitness=float(row["mean_fitness"]),
-                    best_fitness=float(row["best_fitness"]),
-                    alpha=float(row["alpha"]), sigma=float(row["sigma"])))
-    if len(out) != up_to_generation:
-        raise ConfigError("history.csv does not cover the resumed generations")
-    return out
+def _resume_history(doc, path):
+    """The history rows a psi checkpoint carries, one per generation so far."""
+    try:
+        history = [meta.GenerationStats(*row) for row in doc["history"]]
+        whole = [h.generation for h in history] == list(range(1, int(doc["generation"]) + 1))
+    except (KeyError, TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ConfigError(f"cannot resume: {path} lacks its generation or the history "
+                          "rows up to it")
+    return history
 
 
 def _regime_setting(run: RunConfig, regime: str, checkpoint_path: str | None):
@@ -360,7 +321,7 @@ def cmd_evaluate(args) -> int:
                    "mean_loss": c.mean_loss, "std_loss": c.std_loss}
                   for c in report.cells],
     }
-    bench.write_summary_json(summary, run.out_dir / f"eval_{slug}_summary.json")
+    write_json(run.out_dir / f"eval_{slug}_summary.json", summary)
     if args.paired:
         _write_paired(report, args.paired, run.out_dir / f"eval_{slug}_paired.csv")
     for c in report.cells:
@@ -377,21 +338,19 @@ def _write_paired(report: bench.EvalReport, ref_tasks_csv: str, path) -> None:
         for row in csv.DictReader(fh):
             ref[(int(row["K"]), int(row["task_index"]))] = (
                 int(row["task_seed"]), float(row["acc"]), float(row["loss"]))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["optimizer", "K", "task_index", "task_seed", "acc", "loss",
-                    "acc_diff", "loss_diff"])
-        for c in report.cells:
-            for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc,
-                                                      c.task_loss)):
-                key = (c.K, i)
-                if key not in ref:
-                    raise ConfigError(f"reference run lacks K={c.K} task {i}")
-                ref_seed, ref_acc, ref_loss = ref[key]
-                if ref_seed != seed:
-                    raise ConfigError("paired comparison requires identical task seeds")
-                w.writerow([c.optimizer, c.K, i, seed, repr(acc), repr(loss),
-                            repr(acc - ref_acc), repr(loss - ref_loss)])
+    rows = []
+    for c in report.cells:
+        for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc, c.task_loss)):
+            key = (c.K, i)
+            if key not in ref:
+                raise ConfigError(f"reference run lacks K={c.K} task {i}")
+            ref_seed, ref_acc, ref_loss = ref[key]
+            if ref_seed != seed:
+                raise ConfigError("paired comparison requires identical task seeds")
+            rows.append([c.optimizer, c.K, i, seed, repr(acc), repr(loss),
+                         repr(acc - ref_acc), repr(loss - ref_loss)])
+    write_csv(path, ["optimizer", "K", "task_index", "task_seed", "acc", "loss",
+                     "acc_diff", "loss_diff"], rows)
 
 
 def cmd_inspect(args) -> int:
@@ -411,16 +370,13 @@ def cmd_inspect(args) -> int:
                                traj_path)
 
     k_grid = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000]
-    with open(run.out_dir / "time_features_by_step.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k"] + [f"rel_{i}" for i in range(11)] + [f"abs_{j}" for j in range(4)])
-        for k in range(1, task.K + 1):
-            w.writerow([k] + [repr(float(v)) for v in time_features(k, task.K)])
-    with open(run.out_dir / "time_features_by_horizon.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K"] + [f"abs_{j}" for j in range(4)])
-        for K in k_grid:
-            w.writerow([K] + [repr(float(v)) for v in time_features(K, K)[11:]])
+    write_csv(run.out_dir / "time_features_by_step.csv",
+              ["k"] + [f"rel_{i}" for i in range(11)] + [f"abs_{j}" for j in range(4)],
+              ([k] + [repr(float(v)) for v in time_features(k, task.K)]
+               for k in range(1, task.K + 1)))
+    write_csv(run.out_dir / "time_features_by_horizon.csv",
+              ["K"] + [f"abs_{j}" for j in range(4)],
+              ([K] + [repr(float(v)) for v in time_features(K, K)[11:]] for K in k_grid))
     print(f"task seed={args.task_seed} K={task.K} meta_loss={result.meta_loss!r} "
           f"acc={result.eval_accuracy!r}")
     print(f"wrote {traj_path}")
@@ -475,10 +431,7 @@ def cmd_report(args) -> int:
     rows.sort(key=lambda r: (r[0], float(r[1]) if len(r) > 1 else 0.0))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header or [])
-        w.writerows(rows)
+    write_csv(out, header or [], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

@@ -36,6 +36,7 @@ from enum import Enum
 import numpy as np
 
 from . import optdir
+from .files import write_json
 from .nnlite import NetworkSpec
 from .optdir import DirectionBank, OptimizerKind, segment_norms
 
@@ -476,9 +477,7 @@ def _write_checkpoint(path, header: dict, key: str, values: np.ndarray,
            key: [format(v, ".17g") for v in values]}
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc, sort_keys=False)
 
 
 def _read_checkpoint(path, header_key: str, parse, key: str):

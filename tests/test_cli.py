@@ -1,6 +1,12 @@
 import csv
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +45,16 @@ def write_config(tmp_path, extra=None, name="config.json"):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def is_json(path):
+    """Whether ``path`` holds one whole JSON document (the atomic writer
+    renames a file into place whole, so this holds once it exists)."""
+    try:
+        json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    return True
 
 
 class TestConfig:
@@ -143,6 +159,33 @@ class TestMetaTrain:
                 == (resumed / "history.csv").read_bytes())
         assert ((full / "psi_final.json").read_bytes()
                 == (resumed / "psi_final.json").read_bytes())
+
+    def test_resume_after_sigkill_matches_uninterrupted(self, tmp_path):
+        """A real meta-train process killed after its generation-50 checkpoint
+        lands resumes from that file alone, in the same out_dir."""
+        cfg = write_config(tmp_path, {"nes": {"population": 2, "meta_batch": 1,
+                                              "generations": 120}})
+        out = tmp_path / "run"
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "l3rs.cli", "meta-train", "--config", cfg,
+             "--out-dir", str(out)], env=env, stdout=subprocess.DEVNULL)
+        checkpoint = out / "psi_gen00050.json"
+        deadline = time.monotonic() + 120
+        while not is_json(checkpoint) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.002)
+        proc.kill()
+        assert proc.wait() == -signal.SIGKILL, "the run ended before it was killed"
+        assert checkpoint.exists() and not (out / "history.csv").exists()
+
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out),
+                       "--resume", str(checkpoint)) == 0
+        full = tmp_path / "full"
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(full)) == 0
+        for name in ("history.csv", "psi_final.json"):
+            assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_resume_rejects_other_config(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
@@ -270,6 +313,26 @@ class TestMalformedCheckpoints:
                        "--checkpoint", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "1 values, but its network needs" in err
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("history"),
+        lambda doc: doc.update(history=doc["history"][:1]),
+        lambda doc: doc["history"][1].pop(),
+        lambda doc: doc.pop("generation"),
+    ], ids=["missing", "too_few_rows", "short_row", "no_generation"])
+    def test_meta_train_rejects_checkpoint_without_history(self, tmp_path, capsys,
+                                                           monkeypatch, edit):
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
+        cfg = write_config(tmp_path, {"nes": {"generations": 4}})
+        out = tmp_path / "run"
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out)) == 0
+        path = out / "psi_gen00002.json"
+        rewrite_json(path, edit)
+        capsys.readouterr()
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out),
+                       "--resume", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: cannot resume: ")
 
 
 class TestInspect:
