@@ -2,15 +2,17 @@
 
 Every other byte-identity test compares two runs of the same code, so a
 change that moves every output bit consistently passes them. These sha256
-digests were computed from the per-component implementation, and the
+digests were computed from the per-component implementation, the
 diverging-run digests from the inner loop that removed diverged rows from
-the block, and they must hold for any rewrite that claims to compute the
-same thing.
+the block, and the evaluate_suite report digests from the suite that ran
+one task at a time, and they must hold for any rewrite that claims to
+compute the same thing.
 
 Run ``python tests/test_golden.py`` (with ``src`` on the path) to print the
 digests of the current code.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -18,14 +20,22 @@ import numpy as np
 import pytest
 
 from l3rs import cli
-from l3rs.bench import BaselineKind, BaselineSpec, baseline_handle
+from l3rs.bench import (
+    BaselineKind,
+    BaselineSpec,
+    baseline_handle,
+    controller_handle,
+    evaluate_suite,
+)
 from l3rs.controller import PsiLayout, Variant, init_meta_params
 from l3rs.meta import (
+    DIVERGENCE_PENALTY,
     TaskDistributionSpec,
     controller_stepper_factory,
     inner_loop_batch,
     inner_loop_eval,
     make_task,
+    pretrain_checkpoint,
 )
 from l3rs.optdir import OptimizerKind
 
@@ -39,6 +49,14 @@ PSI_NOISE = 0.1
 # per-row noise scales of a block whose rows diverge at different steps
 BLOCK_SCALES = (0.0, 0.5, 0.5, 0.5, 1.0, 2.0)
 DIVERGING_SGD = BaselineSpec(BaselineKind.SGD_CONST, lr0=1e6)
+# evaluate_suite over every handle kind; at this rate plain SGD diverges on
+# some of the K = 7 tasks but not all, from either initialization
+EVAL_TASKS = 4
+EVAL_K = (0, 3, 7)
+EVAL_SEED = 3
+EVAL_BASELINE_LR = {BaselineKind.ADAM_CONST: 1e-2, BaselineKind.ADAM_COSINE: 1e-2,
+                    BaselineKind.SGD_CONST: 1e-1}
+DIVERGING_EVAL_SGD = BaselineSpec(BaselineKind.SGD_CONST, lr0=1e5)
 
 CLI_CONFIG = {
     "seed": 3,
@@ -61,6 +79,10 @@ PINNED_RUNS = {
 PINNED_DEEP_GLOBAL = "39ffcb260499f9f771b7f4f359a315e4b2b759530c987df5cffa318facf314e4"
 PINNED_DIVERGING_BLOCK = "039e4af4d5d3ec0a2bc014a7106414f59f76f4f3ec27d5a830c457e4fbb6a3a4"
 PINNED_DIVERGING_SGD = "826959556141c734dd900ddc7ff5ede03bb1969f17c9a103ba58758cf442794d"
+PINNED_EVAL_REPORTS = {
+    "checkpoint": "dd259a2e82d571ac0715c56187462501f70112a337ee8909e0a974f0072dd72b",
+    "random_init": "bb9b85003ba5d4deebe400c9988f17b7a99caee0dd55be0a4175aff1ef2cbdd1",
+}
 PINNED_FILES = {
     "checkpoint_pretrain.json": "f8f0c4f066e0094d67b60894fc402ff453628f7958a7d157111d28b7e222fca4",
     "psi_final.json": "5f0c878ee2a5b8ad5a835627b98ee1ce2d21109d67987b8e309bfa0359961eb2",
@@ -87,12 +109,16 @@ def layout_for(variant: str, dist=DIST) -> PsiLayout:
                      base_kinds=tuple(OptimizerKind), variant=Variant(variant))
 
 
+def perturbed_psi(layout: PsiLayout) -> np.ndarray:
+    psi = init_meta_params(layout, seed=1).flat
+    return psi + PSI_NOISE * np.random.default_rng(2).standard_normal(psi.shape)
+
+
 def run_digest(variant: str, renormalize: bool, dist=DIST) -> str:
     """Trajectory, loss and accuracy of every step of two held-out tasks
     under a perturbed fresh controller with all six base optimizers."""
     layout = layout_for(variant, dist)
-    psi = init_meta_params(layout, seed=1).flat
-    psi = psi + PSI_NOISE * np.random.default_rng(2).standard_normal(psi.shape)
+    psi = perturbed_psi(layout)
     factory = controller_stepper_factory(psi, layout, renormalize=renormalize)
     items = []
     for seed in TASK_SEEDS:
@@ -115,6 +141,28 @@ def diverging_block():
 def diverging_sgd_run():
     return baseline_handle(DIVERGING_SGD).run(
         make_task(DIST, TASK_SEEDS[0], split="metatest", k_override=K))
+
+
+def eval_handles() -> list:
+    """Perturbed full and per_layer_mlp controllers with and without
+    renormalize, every baseline kind with and without head_only, and the
+    diverging SGD."""
+    handles = []
+    for variant in ("full", "per_layer_mlp"):
+        layout = layout_for(variant)
+        handles.extend(controller_handle(perturbed_psi(layout), layout,
+                                         label=f"{variant}/renormalize={renormalize}",
+                                         renormalize=renormalize)
+                       for renormalize in (False, True))
+    handles.extend(baseline_handle(BaselineSpec(kind, lr0=lr, head_only=head_only))
+                   for kind, lr in EVAL_BASELINE_LR.items() for head_only in (False, True))
+    return handles + [baseline_handle(DIVERGING_EVAL_SGD)]
+
+
+def eval_report(init: str):
+    init_from = pretrain_checkpoint(DIST, 20, 0) if init == "checkpoint" else None
+    return evaluate_suite(eval_handles(), DIST, EVAL_TASKS, EVAL_K, EVAL_SEED,
+                          init_from=init_from)
 
 
 def cli_digests(tmp_path) -> dict[str, str]:
@@ -151,6 +199,14 @@ def test_diverging_sgd_digest():
     assert sha(result_items(res)) == PINNED_DIVERGING_SGD
 
 
+@pytest.mark.parametrize("init", sorted(PINNED_EVAL_REPORTS))
+def test_evaluate_suite_report_digest(init):
+    report = eval_report(init)
+    penalties = report.cell(DIVERGING_EVAL_SGD.label, max(EVAL_K)).task_loss
+    assert 0 < penalties.count(DIVERGENCE_PENALTY) < EVAL_TASKS
+    assert sha(dataclasses.astuple(c) for c in report.cells) == PINNED_EVAL_REPORTS[init]
+
+
 def test_cli_meta_train_file_bytes(tmp_path):
     assert cli_digests(tmp_path) == PINNED_FILES
 
@@ -165,6 +221,9 @@ if __name__ == "__main__":
     block = sha(item for res in diverging_block() for item in result_items(res))
     print(f"PINNED_DIVERGING_BLOCK = \"{block}\"")
     print(f"PINNED_DIVERGING_SGD = \"{sha(result_items(diverging_sgd_run()))}\"")
+    for init in PINNED_EVAL_REPORTS:
+        digest = sha(dataclasses.astuple(c) for c in eval_report(init).cells)
+        print(f"    \"{init}\": \"{digest}\",")
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in cli_digests(Path(tmp)).items():
             print(f"    \"{name}\": \"{digest}\",")
