@@ -28,8 +28,10 @@ from .meta import (  # noqa: F401
     TrajectoryRow,
     controller_stepper_factory,
     cosine_lr,
+    inner_loop_batch,
     inner_loop_eval,
     make_task,
+    make_task_block,
 )
 from .nnlite import NetworkSpec
 from .optdir import STATE_SLOTS, OptimizerKind
@@ -43,7 +45,7 @@ class OptimizerHandle:
     optimizer on one task."""
 
     label: str
-    factory: object  # callable(task, record=False) -> stepper with one row
+    factory: object  # callable(task, record=False) -> stepper with one row per task row
 
     def run(self, task: Task, record_trajectory: bool = False) -> InnerRunResult:
         return inner_loop_eval(self.factory, task, record_trajectory=record_trajectory)
@@ -52,7 +54,7 @@ class OptimizerHandle:
 def baseline_handle(spec: BaselineSpec) -> OptimizerHandle:
     def factory(task: Task, record: bool = False):
         del record
-        return BaselineStepper(spec, task.spec.offsets(), task.K)
+        return BaselineStepper(spec, task.spec.offsets(), task.K, task.n_rows)
 
     return OptimizerHandle(label=spec.label, factory=factory)
 
@@ -98,25 +100,27 @@ def evaluate_suite(handles, dist: TaskDistributionSpec, n_tasks: int,
                    k_list, eval_seed: int, split: str = "metatest",
                    init_from: np.ndarray | None = None) -> EvalReport:
     """Paired evaluation: the same task seeds are used for every optimizer
-    and every K, so per-task differences are well-defined."""
+    and every K, so per-task differences are well-defined. Each (optimizer,
+    K) cell is one inner loop over a block of all n_tasks tasks, and every
+    task's result equals its own handle.run."""
+    if n_tasks < 1:
+        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if isinstance(handles, OptimizerHandle):
         handles = [handles]
     seeds = evaluation_task_seeds(eval_seed, n_tasks)
     report = EvalReport()
     for K in k_list:
-        tasks = [make_task(dist, s, split=split, init_from=init_from, k_override=K)
-                 for s in seeds]
+        block = make_task_block(dist, seeds, K, split=split, init_from=init_from)
         for handle in handles:
-            accs, losses = [], []
-            for task in tasks:
-                res = handle.run(task)
-                accs.append(res.eval_accuracy)
-                losses.append(res.meta_loss)
+            results = inner_loop_batch(handle.factory, block)
+            accs = [r.eval_accuracy for r in results]
+            losses = [r.meta_loss for r in results]
             report.cells.append(EvalCell(
                 optimizer=handle.label, K=int(K), n_tasks=n_tasks,
                 mean_acc=float(np.mean(accs)), std_acc=float(np.std(accs)),
                 mean_loss=float(np.mean(losses)), std_loss=float(np.std(losses)),
                 task_seeds=list(seeds), task_acc=accs, task_loss=losses))
+        del block  # so that the next cell's block is built without this one
     return report
 
 

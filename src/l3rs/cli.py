@@ -136,6 +136,12 @@ def apply_set_override(cfg: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
+def _check_count(value, where: str, least: int) -> None:
+    """A task count or horizon must be an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{where} must be an integer >= {least}, got {value!r}")
+
+
 def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
                 workers: int | None = None) -> RunConfig:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
@@ -160,8 +166,16 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
                         renormalize=bool(cfg["layout"]["renormalize"]),
                         pretrain_steps=int(cfg["pretrain"]["steps"]))
         run.layout_for(dist)  # validates the layout section
-        if cfg["evaluate"]["regime"] not in REGIMES:
-            raise ConfigError(f"unknown regime {cfg['evaluate']['regime']!r}")
+        ev, ab = cfg["evaluate"], cfg["ablate"]
+        if ev["regime"] not in REGIMES:
+            raise ConfigError(f"unknown regime {ev['regime']!r}")
+        _check_count(ev["n_tasks"], "evaluate.n_tasks", 1)
+        if not isinstance(ev["k_list"], list):
+            raise ConfigError(f"evaluate.k_list must be a list, got {ev['k_list']!r}")
+        for k in ev["k_list"]:
+            _check_count(k, "every evaluate.k_list entry", 0)
+        _check_count(ab["eval_n_tasks"], "ablate.eval_n_tasks", 1)
+        _check_count(ab["eval_k"], "ablate.eval_k", 0)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

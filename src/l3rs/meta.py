@@ -11,14 +11,16 @@ bit from (distribution, task seed), and one meta-training generation is a
 pure function of (config seed, generation), which is what makes runs
 resumable and independent of worker count.
 
-Every candidate of a generation trains on the same tasks, so there is one
-inner loop, inner_loop_batch, and it runs a whole block of candidates at
-once: parameters, gradients and optimizer state are [C, n] arrays with one
-row per candidate, and each row gets exactly the bits of its own
-single-candidate run. Rows are never dropped: divergence is one per-row
-mask that the loop owns, and a row that stops being finite is masked dead,
-scores DIVERGENCE_PENALTY and leaves the others untouched. Single runs
-(evaluation, inspection, baselines) are the same loop with C = 1.
+There is one inner loop, inner_loop_batch, and it runs a whole block of
+rows at once: parameters, gradients and optimizer state are [R, n] arrays,
+and each row gets exactly the bits of its own single run. A row is a
+(candidate, task) pair: every candidate of a generation trains on the same
+task, and an evaluation cell stacks its tasks, all of one horizon, into
+one block task (make_task_block) for a single optimizer. Rows are never
+dropped: divergence is one per-row mask that the loop owns, and a row that
+stops being finite is masked dead, scores DIVERGENCE_PENALTY and leaves the
+others untouched. Single runs (inspection, probes, pretraining) are the
+same loop with one row.
 """
 
 from __future__ import annotations
@@ -128,16 +130,22 @@ class TaskDistributionSpec:
 @dataclass
 class Task:
     """One fine-tuning problem: flat theta0 [n], K train batches, one eval
-    batch."""
+    batch. A block of R tasks of one horizon (make_task_block) has theta0
+    [R, n], batches with a leading row axis, and a seed and class_ids per
+    row."""
 
     spec: NetworkSpec
     theta0: np.ndarray
     train_batches: list[Batch]
     eval_batch: Batch
     K: int
-    seed: int
-    class_ids: tuple[int, ...]
+    seed: int | tuple[int, ...]
+    class_ids: tuple[int, ...] | tuple[tuple[int, ...], ...]
     split: str
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.theta0) if self.theta0.ndim == 2 else 1
 
 
 def _blob_batch(dist: TaskDistributionSpec, means: np.ndarray,
@@ -200,6 +208,35 @@ def make_task(dist: TaskDistributionSpec, seed: int, split: str = "metatrain",
                 class_ids=tuple(int(c) for c in class_ids), split=split)
 
 
+def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "metatrain",
+                    init_from: np.ndarray | None = None) -> Task:
+    """The tasks of ``seeds``, all with horizon K, stacked row by row into
+    one block task: theta0 [R, n], one [R, B, d] train batch per step and an
+    [R, E, d] eval batch. Row r holds the bits of make_task(seeds[r]); each
+    task is copied in as soon as it is built, so no more than one of them
+    is held beside the block."""
+    if K < 0 or len(seeds) < 1:
+        raise ValueError(f"a task block needs K >= 0 and a seed, got K={K} and {len(seeds)} seeds")
+    spec, rows, d = dist.task_network(), len(seeds), dist.input_dim
+    theta0 = np.empty((rows, spec.offsets()[-1]))
+    x = np.empty((K, rows, dist.train_batch_size, d))
+    y = np.empty((K, rows, dist.train_batch_size), dtype=np.int64)
+    eval_x = np.empty((rows, dist.eval_batch_size, d))
+    eval_y = np.empty((rows, dist.eval_batch_size), dtype=np.int64)
+    class_ids = []
+    for r, seed in enumerate(seeds):
+        task = make_task(dist, seed, split=split, init_from=init_from, k_override=K)
+        theta0[r] = task.theta0
+        for k, batch in enumerate(task.train_batches):
+            x[k, r], y[k, r] = batch.x, batch.y
+        eval_x[r], eval_y[r] = task.eval_batch.x, task.eval_batch.y
+        class_ids.append(task.class_ids)
+    return Task(spec=spec, theta0=theta0,
+                train_batches=[Batch(x=x[k], y=y[k]) for k in range(K)],
+                eval_batch=Batch(x=eval_x, y=eval_y), K=K,
+                seed=tuple(int(s) for s in seeds), class_ids=tuple(class_ids), split=split)
+
+
 @dataclass
 class TrajectoryRow:
     step: int
@@ -250,11 +287,14 @@ def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
 
     The returned callable takes (task, record=False) and yields a fresh
     stepper with zeroed optimizer and tracker state, as a new fine-tuning
-    run requires.
+    run requires. A single psi on a block task of R rows is repeated to R
+    rows (as a read-only view), one per task.
     """
-    psi = unflatten(np.atleast_2d(np.asarray(psi_flat, dtype=float)), layout)
+    flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
 
     def make(task: Task, record: bool = False) -> ControllerStepper:
+        rows = max(len(flat), task.n_rows)
+        psi = unflatten(np.broadcast_to(flat, (rows, flat.shape[-1])), layout)
         ctx = ControllerContext(psi, task.spec, task.K,
                                 renormalize=renormalize, policy=policy)
         return ControllerStepper(ctx, task.spec.components(), record)
@@ -292,23 +332,24 @@ def cosine_lr(k: int, K: int, lr0: float) -> float:
 
 
 class BaselineStepper:
-    """Plain SGD/Adam on the single flat parameter row [1, n] of the inner
-    loop, for parameters split at ``offsets`` and a horizon of K steps.
-    head_only freezes everything except the final kernel+bias pair,
-    leaving the rest bit-identical for the whole run.
+    """Plain SGD/Adam on the flat parameter rows [n_rows, n] of the inner
+    loop (one per task of a block), for parameters split at ``offsets`` and
+    a horizon of K steps. Every operation is elementwise, so each row gets
+    the bits of its own one-row run. head_only freezes everything except
+    the final kernel+bias pair, leaving the rest bit-identical for the
+    whole run.
 
     Written apart from the direction bank, so equivalence tests between the
     controller path and a plain optimizer run compare two separately
     written implementations; pretraining runs on it too."""
 
-    n_rows = 1
-
-    def __init__(self, spec: BaselineSpec, offsets: np.ndarray, K: int):
+    def __init__(self, spec: BaselineSpec, offsets: np.ndarray, K: int, n_rows: int = 1):
         self.spec = spec
         self.K = K
+        self.n_rows = n_rows
         self.start = offsets[-3] if spec.head_only else 0
         if spec.kind != BaselineKind.SGD_CONST:
-            self.m = np.zeros((1, offsets[-1] - self.start))
+            self.m = np.zeros((n_rows, offsets[-1] - self.start))
             self.v = np.zeros_like(self.m)
 
     def _lr(self, k: int) -> float:
@@ -338,13 +379,15 @@ class BaselineStepper:
 
 def inner_loop_batch(make_stepper, task: Task,
                      record_trajectory: bool = False) -> list[InnerRunResult]:
-    """The inner loop: run all C rows of the stepper (C candidates, or one
-    optimizer) for exactly K steps on the task's shared train batches, one
-    batch per step, then score the eval batch. Returns one result per row.
+    """The inner loop: run all R rows of the stepper for exactly K steps, one
+    train batch per step, then score the eval batch. Returns one result per
+    row. The rows are C candidates on one task, whose theta0 [n] and
+    batches they share, or one optimizer on a block task whose row r
+    (theta0 [R, n], batches with a leading row axis) is row r's own.
 
     ``make_stepper(task, record)`` yields a stepper with ``n_rows`` and
-    ``step(params [C, n], grads [C, n], losses [C], k)``, which returns
-    (new params [C, n], finite [C]). Every row stays in the block for the
+    ``step(params [R, n], grads [R, n], losses [R], k)``, which returns
+    (new params [R, n], finite [R]). Every row stays in the block for the
     whole run; the loop owns the one ``alive`` mask and ANDs every finite
     mask into it.
 
@@ -356,7 +399,7 @@ def inner_loop_batch(make_stepper, task: Task,
     their bits.
     """
     stepper = make_stepper(task, record_trajectory)
-    params = np.tile(task.theta0, (stepper.n_rows, 1))
+    params = np.array(np.broadcast_to(task.theta0, (stepper.n_rows, task.theta0.shape[-1])))
     alive = np.ones(stepper.n_rows, dtype=bool)
     train_losses: list[list[float]] = [[] for _ in range(stepper.n_rows)]
     for k in range(1, task.K + 1):

@@ -8,8 +8,11 @@ Parameters are flat vectors: the kernel then the bias of each dense layer in
 input-to-output order, at the segment offsets of NetworkSpec.offsets(), the
 one place that works out where a component sits. Forward and backward
 passes take a flat array [..., n_params] with any leading axes, typically
-[C, n_params] for C networks trained side by side on the same batches, and
-run every network through each layer in one batched matmul.
+[R, n_params] for R networks trained side by side, and run every network
+through each layer in one batched matmul. The rows share one batch
+(inputs [n, d], labels [n]) or each get their own (inputs [R, n, d],
+labels [R, n]); either way row r gets the bits of its own single-network
+call.
 """
 
 from __future__ import annotations
@@ -75,16 +78,18 @@ class NetworkSpec:
 
 @dataclass
 class Batch:
-    """Classification batch: x is [n, input_dim] float64, y is [n] int labels."""
+    """Classification batch: x is [n, input_dim] float64, y is [n] int labels,
+    or, with a leading row axis, one such batch per row: x [R, n, input_dim]
+    and y [R, n]."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        if self.x.ndim != 2 or self.y.ndim != 1 or self.x.shape[0] != self.y.shape[0]:
+        if self.x.ndim not in (2, 3) or self.x.shape[:-1] != self.y.shape:
             raise ValueError("batch shapes disagree")
-        if self.x.shape[0] < 1:
-            raise ValueError("batch must contain at least one row")
+        if self.x.shape[-2] < 1:
+            raise ValueError("batch must contain at least one example")
 
 
 def init_params(spec: NetworkSpec, seed: int) -> np.ndarray:
@@ -117,9 +122,10 @@ def _forward_cached(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray):
     ReLU are applied in place: a [C, n, width] activation is the largest
     array of a batched pass, and a ReLU output is positive exactly where
     its input is, so backprop needs no separate pre-activations."""
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
         raise ValueError(
-            f"input has shape {x.shape}, expected [n, {spec.input_dim}]"
+            f"input has shape {x.shape}, expected [n, {spec.input_dim}] "
+            f"or [R, n, {spec.input_dim}]"
         )
     layers = layer_views(spec, flat)
     acts = [x]
@@ -136,25 +142,37 @@ def _forward_cached(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray):
 
 def forward(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Logits [..., n, output_dim] for flat parameters [..., n_params] (one
-    network per leading index) and shared inputs x [n, input_dim]."""
+    network per leading index) and inputs x [n, input_dim] shared by every
+    network, or x [R, n, input_dim] with one row per network."""
     _, acts = _forward_cached(spec, flat, x)
     return acts[-1]
 
 
-def _cross_entropy_parts(logits: np.ndarray, y: np.ndarray):
+def _label_index(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Index of each example's label among logits [..., n, classes], for
+    np.take_along_axis on the class axis: labels [n] shared by every leading
+    index, or [..., n], gain leading unit axes and a trailing one."""
+    y = np.asarray(y)
+    if logits.shape[-2] != y.shape[-1]:
+        raise ValueError("logits and labels disagree in length")
+    return y.reshape((1,) * (logits.ndim - 1 - y.ndim) + y.shape + (1,))
+
+
+def _cross_entropy_parts(logits: np.ndarray, label: np.ndarray):
     # max-shifted log-sum-exp keeps large logits from overflowing
     shift = logits.max(axis=-1, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         exp = np.exp(logits - shift)
         lse = shift[..., 0] + np.log(exp.sum(axis=-1))
-        loss = np.mean(lse - logits[..., np.arange(len(y)), y], axis=-1)
+        loss = np.mean(lse - np.take_along_axis(logits, label, axis=-1)[..., 0], axis=-1)
         softmax = exp / exp.sum(axis=-1, keepdims=True)
     return loss, softmax
 
 
 def mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean softmax cross-entropy over the rows of logits [..., n, classes]."""
-    loss, _ = _cross_entropy_parts(logits, y)
+    """Mean softmax cross-entropy over the examples of logits [..., n,
+    classes], for labels y [n] or [..., n]."""
+    loss, _ = _cross_entropy_parts(logits, _label_index(logits, y))
     return loss
 
 
@@ -163,15 +181,16 @@ def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
     """Mean softmax cross-entropy [...], its exact gradient [..., n_params]
     laid out like ``flat``, and the finite mask [...]: True where the loss
     and every gradient entry are finite. Callers treat a False entry as
-    inner-loop divergence of that network.
+    inner-loop divergence of that network. A batch with a leading row axis
+    gives network r the r-th row.
     """
     layers, acts = _forward_cached(spec, flat, batch.x)
-    loss, softmax = _cross_entropy_parts(acts[-1], batch.y)
+    label = _label_index(acts[-1], batch.y)
+    loss, softmax = _cross_entropy_parts(acts[-1], label)
 
-    n = batch.x.shape[0]
     delta = softmax
-    delta[..., np.arange(n), batch.y] -= 1.0
-    delta /= n
+    np.put_along_axis(delta, label, np.take_along_axis(delta, label, axis=-1) - 1.0, axis=-1)
+    delta /= batch.x.shape[-2]
 
     grads: list[np.ndarray] = [None] * (2 * len(layers))  # type: ignore[list-item]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,11 +205,12 @@ def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Fraction of rows of logits [..., n, classes] whose argmax matches the
-    label.
+    """Fraction of the examples of logits [..., n, classes] whose argmax
+    matches the label, for labels [n] or [..., n].
 
     np.argmax breaks ties toward the lowest class index.
     """
-    if logits.shape[-2] != len(labels):
+    labels = np.asarray(labels)
+    if logits.shape[-2] != labels.shape[-1]:
         raise ValueError("logits and labels disagree in length")
-    return np.mean(np.argmax(logits, axis=-1) == np.asarray(labels), axis=-1)
+    return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)

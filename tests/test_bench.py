@@ -9,6 +9,7 @@ from l3rs.bench import (
     BaselineKind,
     BaselineSpec,
     baseline_handle,
+    controller_handle,
     cosine_lr,
     cross_cells,
     evaluate_suite,
@@ -19,6 +20,7 @@ from l3rs.bench import (
     write_ablation_csv,
     write_eval_csv,
 )
+from l3rs import meta
 from l3rs.controller import PsiLayout, Variant, flatten, init_meta_params
 from l3rs.meta import (
     NesConfig,
@@ -132,6 +134,38 @@ class TestEvaluateSuite:
         # identical task seeds across optimizers at each K
         for K in (2, 4):
             assert (r1.cell(h1.label, K).task_seeds == r1.cell(h2.label, K).task_seeds)
+
+    @pytest.mark.parametrize("n_tasks", [1, 5])
+    def test_one_inner_loop_per_cell(self, monkeypatch, n_tasks):
+        # one loss_and_grad call per step of each (optimizer, K) cell,
+        # whatever the number of tasks in the cell
+        calls = []
+        original = meta.loss_and_grad
+        monkeypatch.setattr(meta, "loss_and_grad",
+                            lambda *a: calls.append(1) or original(*a))
+        layout = layout_for(DIST)
+        handles = [controller_handle(flatten(init_meta_params(layout, seed=0)), layout),
+                   baseline_handle(BaselineSpec(BaselineKind.ADAM_COSINE, lr0=1e-2))]
+        k_list = [0, 2, 5]
+        evaluate_suite(handles, DIST, n_tasks=n_tasks, k_list=k_list, eval_seed=4)
+        assert len(calls) == len(handles) * sum(k_list)
+
+    def test_tasks_never_interact(self):
+        # the first m tasks of an n-task report are the m-task report
+        handles = [baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1)),
+                   baseline_handle(BaselineSpec(BaselineKind.ADAM_CONST, lr0=1e-2))]
+        small = evaluate_suite(handles, DIST, n_tasks=2, k_list=[3, 6], eval_seed=9)
+        large = evaluate_suite(handles, DIST, n_tasks=5, k_list=[3, 6], eval_seed=9)
+        for a, b in zip(small.cells, large.cells):
+            assert (a.optimizer, a.K) == (b.optimizer, b.K)
+            assert a.task_seeds == b.task_seeds[:2]
+            assert a.task_acc == b.task_acc[:2] and a.task_loss == b.task_loss[:2]
+
+    @pytest.mark.parametrize("n_tasks", [0, -2])
+    def test_needs_a_task(self, n_tasks):
+        handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
+        with pytest.raises(ValueError, match="n_tasks"):
+            evaluate_suite(handle, DIST, n_tasks=n_tasks, k_list=[2], eval_seed=0)
 
     def test_csv_written(self, tmp_path):
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))

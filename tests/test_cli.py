@@ -85,6 +85,25 @@ class TestConfig:
         cfg = write_config(tmp_path)
         assert run_cli("pretrain", "--config", cfg, "--set", "nes.bogus=1") == 1
 
+    @pytest.mark.parametrize("assignment", [
+        "evaluate.n_tasks=0", "evaluate.n_tasks=-2", "evaluate.n_tasks=2.5",
+        "evaluate.k_list=[-1]", "evaluate.k_list=[2,1.5]", "evaluate.k_list=[true]",
+        "evaluate.k_list=5", "ablate.eval_n_tasks=0", "ablate.eval_k=-1",
+        "ablate.eval_k=two"])
+    def test_bad_task_counts_rejected(self, tmp_path, capsys, assignment):
+        cfg = write_config(tmp_path)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(tmp_path / "e"),
+                       "--baseline", "sgd_const", "--set", assignment) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and assignment.split("=")[0] in err
+        assert not (tmp_path / "e").exists()
+
+    def test_ablate_rejects_zero_tasks(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"ablate": {"eval_n_tasks": 0}})
+        assert run_cli("ablate", "--config", cfg, "--out-dir", str(tmp_path / "a")) == 1
+        assert "ablate.eval_n_tasks" in capsys.readouterr().err
+
 
 class TestPretrain:
     def test_zero_steps_equals_fresh_init(self, tmp_path):

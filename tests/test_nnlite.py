@@ -195,6 +195,70 @@ class TestLossAndGrad:
                                           forward(spec, rows[c], batch.x))
 
 
+class TestPerRowBatches:
+    """A batch with a leading row axis gives row r of every output the bits
+    of a separate call on row r's parameters and examples, also next to a
+    row that is not finite."""
+
+    spec = NetworkSpec(5, (7, 6), 3)
+    rows = 4
+
+    def block(self):
+        rng = np.random.default_rng(8)
+        params = np.stack([init_params(self.spec, seed=s) for s in range(self.rows)])
+        params[2] = 1e200  # overflows in the second layer
+        batch = Batch(x=rng.normal(size=(self.rows, 9, 5)),
+                      y=rng.integers(0, 3, (self.rows, 9)))
+        return params, batch
+
+    @pytest.mark.parametrize("one_row", [False, True], ids=["flat", "1xn"])
+    def test_forward_and_loss_and_grad(self, one_row):
+        params, batch = self.block()
+        logits = forward(self.spec, params, batch.x)
+        losses, grads, finite = loss_and_grad(self.spec, params, batch)
+        assert logits.shape == (self.rows, 9, 3) and grads.shape == params.shape
+        np.testing.assert_array_equal(finite, [True, True, False, True])
+        for r in range(self.rows):
+            theta = params[r:r + 1] if one_row else params[r]
+            row = Batch(x=batch.x[r], y=batch.y[r])
+            loss, grad, ok = loss_and_grad(self.spec, theta, row)
+            assert ok == finite[r]
+            assert forward(self.spec, theta, row.x).tobytes() == logits[r].tobytes()
+            assert np.asarray(loss).tobytes() == losses[r].tobytes()
+            assert grad.tobytes() == grads[r].tobytes()
+
+    def test_mean_cross_entropy_and_accuracy(self):
+        params, batch = self.block()
+        logits = forward(self.spec, params, batch.x)
+        losses = mean_cross_entropy(logits, batch.y)
+        accs = accuracy(logits, batch.y)
+        assert losses.shape == accs.shape == (self.rows,)
+        for r in range(self.rows):
+            assert mean_cross_entropy(logits[r], batch.y[r]).tobytes() == losses[r].tobytes()
+            assert accuracy(logits[r], batch.y[r]) == accs[r]
+
+    def test_shared_labels_broadcast_over_rows(self):
+        params, batch = self.block()
+        logits = forward(self.spec, params, batch.x[0])
+        labels = batch.y[0]
+        np.testing.assert_array_equal(mean_cross_entropy(logits, labels),
+                                      mean_cross_entropy(logits, np.tile(labels, (4, 1))))
+        np.testing.assert_array_equal(accuracy(logits, labels),
+                                      accuracy(logits, np.tile(labels, (4, 1))))
+
+    @pytest.mark.parametrize("x_shape,y_shape", [((2, 9, 5), (3, 9)), ((2, 9, 5), (9,)),
+                                                 ((9, 5), (2, 9)), ((2, 0, 5), (2, 0))])
+    def test_mismatched_batch_rejected(self, x_shape, y_shape):
+        with pytest.raises(ValueError):
+            Batch(x=np.zeros(x_shape), y=np.zeros(y_shape, dtype=int))
+
+    def test_label_length_checked(self):
+        logits = np.zeros((2, 9, 3))
+        for fn in (mean_cross_entropy, accuracy):
+            with pytest.raises(ValueError):
+                fn(logits, np.zeros((2, 8), dtype=int))
+
+
 class TestAccuracy:
     def test_one_hot_correct(self):
         logits = np.eye(3)

@@ -1,11 +1,12 @@
-"""Population-batched inner loop: every candidate row of a block must get
-exactly the bits of its own single-candidate run, whatever else is in the
-block, including candidates that diverge at different steps."""
+"""Row-batched inner loop: every row of a block must get exactly the bits of
+its own single run, whatever else is in the block, including rows that
+diverge at different steps. A row is a candidate on a shared task, or one
+task of a block of tasks under a single optimizer."""
 
 import numpy as np
 import pytest
 
-from l3rs.bench import controller_handle
+from l3rs.bench import BaselineKind, BaselineSpec, baseline_handle, controller_handle
 from l3rs.controller import PsiLayout, Variant, init_meta_params
 from l3rs.meta import (
     DIVERGENCE_PENALTY,
@@ -16,6 +17,7 @@ from l3rs.meta import (
     generation_task_seeds,
     inner_loop_batch,
     make_task,
+    make_task_block,
 )
 from l3rs.optdir import OptimizerKind
 
@@ -139,3 +141,48 @@ def test_sequential_evaluators_keep_their_own_environment():
     for ev, (_, _, cands), fits in zip(evaluators, settings, alone):
         np.testing.assert_array_equal(ev(cands, 0), fits)
     assert not np.array_equal(alone[0], alone[2])
+
+
+BLOCK_SEEDS = (21, 22, 23, 24)
+BLOCK_HANDLES = [f"{v.value}/{r}" for v in Variant for r in ("plain", "renormalize")] + [
+    k.value for k in BaselineKind]
+
+
+def block_handle(name):
+    if name in {k.value for k in BaselineKind}:
+        return baseline_handle(BaselineSpec(BaselineKind(name), lr0=1e-2))
+    variant, mode = name.split("/")
+    layout = layout_for(Variant(variant))
+    psi = population(layout, scales=(0.1,), seed=8)[0]
+    return controller_handle(psi, layout, renormalize=mode == "renormalize")
+
+
+@pytest.mark.parametrize("K", [0, 10])
+def test_task_block_rows_are_the_tasks(K):
+    block = make_task_block(DIST, BLOCK_SEEDS, K, split="metatest")
+    assert block.n_rows == len(BLOCK_SEEDS) and len(block.train_batches) == K
+    for r, seed in enumerate(BLOCK_SEEDS):
+        task = make_task(DIST, seed, split="metatest", k_override=K)
+        assert (block.seed[r], block.class_ids[r]) == (task.seed, task.class_ids)
+        assert block.theta0[r].tobytes() == task.theta0.tobytes()
+        for stacked, own in zip([*block.train_batches, block.eval_batch],
+                                [*task.train_batches, task.eval_batch]):
+            assert stacked.x[r].tobytes() == own.x.tobytes()
+            assert np.array_equal(stacked.y[r], own.y)
+
+
+@pytest.mark.parametrize("name", BLOCK_HANDLES)
+def test_task_block_rows_equal_single_runs(name):
+    # row 1 starts from weights that overflow at once; the other rows train
+    # to the end with exactly the bits of their own handle.run
+    handle = block_handle(name)
+    block = make_task_block(DIST, BLOCK_SEEDS, 10, split="metatest")
+    block.theta0[1] = 1e200
+    results = inner_loop_batch(handle.factory, block)
+    assert [r.diverged for r in results] == [False, True, False, False]
+    for r, (seed, res) in enumerate(zip(BLOCK_SEEDS, results)):
+        task = make_task(DIST, seed, split="metatest", k_override=10)
+        task.theta0 = block.theta0[r].copy()
+        single = handle.run(task)
+        assert outcome(res) == outcome(single)
+        assert res.diverged is single.diverged
