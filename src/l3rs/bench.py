@@ -42,7 +42,7 @@ _TAG_EVAL_TASKS = 21
 @dataclass(frozen=True)
 class OptimizerHandle:
     """A named stepper factory: everything the suite needs to run one
-    optimizer on one task."""
+    optimizer on one task, or on every row of a block task."""
 
     label: str
     factory: object  # callable(task, record=False) -> stepper with one row per task row

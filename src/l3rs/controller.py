@@ -9,8 +9,9 @@ emits P+1 logits per component: a softmax over the P mixing coefficients and
 an exponential head for lambda, so mu is always a distribution and lambda is
 always positive.
 
-One inner step advances C candidates at once (a population block, or C = 1
-for a single run) on flat vectors: parameters and gradients are [C, n], the
+One inner step advances C rows at once (a population block of candidates,
+one psi repeated over the tasks of an evaluation block, or C = 1 for a
+single run) on flat vectors: parameters and gradients are [C, n], the
 bank's directions [C, P, n], all split into components at the segment
 offsets; every per-component norm comes from optdir.segment_norms, the EMAs
 are [C, L, 2, G], and the update is one flat expression over [C, P, n]. The

@@ -119,7 +119,7 @@ def layer_views(spec: NetworkSpec, flat: np.ndarray) -> list[tuple[np.ndarray, n
 
 def _forward_cached(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray):
     """Forward pass keeping the activations for backprop. The bias and the
-    ReLU are applied in place: a [C, n, width] activation is the largest
+    ReLU are applied in place: an [R, n, width] activation is the largest
     array of a batched pass, and a ReLU output is positive exactly where
     its input is, so backprop needs no separate pre-activations."""
     if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
@@ -189,7 +189,8 @@ def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
     loss, softmax = _cross_entropy_parts(acts[-1], label)
 
     delta = softmax
-    np.put_along_axis(delta, label, np.take_along_axis(delta, label, axis=-1) - 1.0, axis=-1)
+    # minus the one-hot labels: subtracting 0.0 keeps every other entry's bits
+    delta -= label == np.arange(delta.shape[-1])
     delta /= batch.x.shape[-2]
 
     grads: list[np.ndarray] = [None] * (2 * len(layers))  # type: ignore[list-item]
