@@ -34,6 +34,7 @@ import numpy as np
 
 from .controller import (
     ControllerContext,
+    MetaParams,
     PsiLayout,
     _read_checkpoint,
     _write_checkpoint,
@@ -291,11 +292,13 @@ def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
     rows (as a read-only view), one per task.
     """
     flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
+    views: dict[int, MetaParams] = {}  # by row count; unflatten is not cheap
 
     def make(task: Task, record: bool = False) -> ControllerStepper:
         rows = max(len(flat), task.n_rows)
-        psi = unflatten(np.broadcast_to(flat, (rows, flat.shape[-1])), layout)
-        ctx = ControllerContext(psi, task.spec, task.K,
+        if rows not in views:
+            views[rows] = unflatten(np.broadcast_to(flat, (rows, flat.shape[-1])), layout)
+        ctx = ControllerContext(views[rows], task.spec, task.K,
                                 renormalize=renormalize, policy=policy)
         return ControllerStepper(ctx, task.spec.components(), record)
 
