@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import bench, meta
 from .controller import (
+    DEFAULT_GAMMAS,
     CheckpointError,
     PsiLayout,
     Variant,
@@ -48,8 +49,8 @@ DEFAULT_CONFIG = {
     "distribution": dataclasses.asdict(TaskDistributionSpec()),
     "layout": {
         "base_optimizers": ["sgd", "adam"],
-        "variant": "full",
-        "gammas": [0.0, 0.9, 0.99],
+        "variant": PsiLayout.variant.value,  # the dataclass default
+        "gammas": list(DEFAULT_GAMMAS),
         "renormalize": False,
     },
     # the run's seed is the top-level "seed"
@@ -136,10 +137,29 @@ def apply_set_override(cfg: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_count(value, where: str, least: int) -> None:
     """A task count or horizon must be an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if not _is_int(value) or value < least:
         raise ConfigError(f"{where} must be an integer >= {least}, got {value!r}")
+
+
+def _check_integer_fields(cls, section: dict, where: str) -> None:
+    """A field of ``section`` whose default in the dataclass ``cls`` is an
+    int, or a tuple of ints, must be one too (a bool is not), so that 4.0
+    is rejected here rather than deep inside a run."""
+    for f in dataclasses.fields(cls):
+        if f.name not in section:
+            continue
+        value = section[f.name]
+        if isinstance(f.default, tuple):
+            if not (isinstance(value, (list, tuple)) and all(map(_is_int, value))):
+                raise ConfigError(f"{where}.{f.name} must be a list of integers, got {value!r}")
+        elif _is_int(f.default) and not _is_int(value):
+            raise ConfigError(f"{where}.{f.name} must be an integer, got {value!r}")
 
 
 def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
@@ -148,6 +168,8 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object, got {user!r:.40}")
         if user.get("schema_version", 1) != 1:
             raise ConfigError(f"unsupported schema_version {user.get('schema_version')}")
         cfg = _merge(cfg, user)
@@ -159,6 +181,8 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
         cfg["workers"] = workers
 
     try:
+        _check_integer_fields(TaskDistributionSpec, cfg["distribution"], "distribution")
+        _check_integer_fields(NesConfig, cfg["nes"], "nes")
         dist = TaskDistributionSpec(**cfg["distribution"])
         nes = NesConfig(**cfg["nes"], seed=cfg["seed"])
         run = RunConfig(raw=cfg, seed=cfg["seed"], out_dir=Path(cfg["out_dir"]),
@@ -297,6 +321,7 @@ def _slug(label: str) -> str:
 
 def cmd_evaluate(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
+    reference = _read_reference(args.paired) if args.paired else None
     _write_config_snapshot(run)
     ev = run.raw["evaluate"]
     regime = args.regime or ev["regime"]
@@ -336,22 +361,33 @@ def cmd_evaluate(args) -> int:
                   for c in report.cells],
     }
     write_json(run.out_dir / f"eval_{slug}_summary.json", summary)
-    if args.paired:
-        _write_paired(report, args.paired, run.out_dir / f"eval_{slug}_paired.csv")
+    if reference is not None:
+        _write_paired(report, reference, run.out_dir / f"eval_{slug}_paired.csv")
     for c in report.cells:
         print(f"{c.optimizer} K={c.K}: acc={c.mean_acc:.4f}+-{c.std_acc:.4f} "
               f"loss={c.mean_loss:.4f}+-{c.std_loss:.4f}")
     return 0
 
 
-def _write_paired(report: bench.EvalReport, ref_tasks_csv: str, path) -> None:
-    """Per-task differences against a reference run's eval_*_tasks.csv,
-    matched on (K, task_index) with the seeds cross-checked."""
+def _read_reference(ref_tasks_csv: str) -> dict:
+    """(K, task_index) -> (task_seed, acc, loss) of a reference run's
+    eval_*_tasks.csv."""
     ref = {}
     with open(ref_tasks_csv) as fh:
         for row in csv.DictReader(fh):
-            ref[(int(row["K"]), int(row["task_index"]))] = (
-                int(row["task_seed"]), float(row["acc"]), float(row["loss"]))
+            try:
+                ref[(int(row["K"]), int(row["task_index"]))] = (
+                    int(row["task_seed"]), float(row["acc"]), float(row["loss"]))
+            except KeyError as exc:
+                raise ConfigError(f"{ref_tasks_csv} lacks the column {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{ref_tasks_csv}: bad row {row!r}: {exc}") from None
+    return ref
+
+
+def _write_paired(report: bench.EvalReport, ref: dict, path) -> None:
+    """Per-task differences against a reference run (_read_reference),
+    matched on (K, task_index) with the seeds cross-checked."""
     rows = []
     for c in report.cells:
         for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc, c.task_loss)):
@@ -435,17 +471,21 @@ def cmd_report(args) -> int:
     for path in args.inputs:
         with open(path) as fh:
             reader = csv.reader(fh)
-            head = next(reader)
+            head = next(reader, None)
+            if head is None:
+                raise ConfigError(f"{path} is empty")
             if header is None:
                 header = head
             elif head != header:
-                print(f"error: {path} has a different header", file=sys.stderr)
-                return 1
+                raise ConfigError(f"{path} has a different header")
             rows.extend(reader)
-    rows.sort(key=lambda r: (r[0], float(r[1]) if len(r) > 1 else 0.0))
+    try:
+        rows.sort(key=lambda r: (r[0], float(r[1]) if len(r) > 1 else 0.0))
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"cannot sort the rows by label and number: {exc}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, header or [], rows)
+    write_csv(out, header, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

@@ -9,18 +9,18 @@ emits P+1 logits per component: a softmax over the P mixing coefficients and
 an exponential head for lambda, so mu is always a distribution and lambda is
 always positive.
 
-One inner step advances C rows at once (a population block of candidates,
-one psi repeated over the tasks of an evaluation block, or C = 1 for a
-single run) on flat vectors: parameters and gradients are [C, n], the
-bank's directions [C, P, n], all split into components at the segment
-offsets; every per-component norm comes from optdir.segment_norms, the EMAs
-are [C, L, 2, G], and the update is one flat expression over [C, P, n]. The
-controller MLPs are stacked (a leading n_mlps axis: 1, or L for
-per_layer_mlp) behind the candidate axis, so the frames [C, L, F] of every
-variant take one batched matmul per MLP layer. Every per-candidate array
-keeps all C rows for the whole run: a candidate whose directions, logits or
-lambdas stop being finite is only reported in the step's finite mask, and
-the others are not disturbed.
+ControllerContext is the inner loop's stepper. It takes row-batched psi
+only: C candidates on one task, or one psi repeated over the tasks of a
+block. One step advances all C rows at once on flat vectors: parameters
+and gradients are [C, n], the bank's directions [C, P, n], all split into
+components at the segment offsets; every per-component norm comes from
+optdir.segment_norms, the EMAs are [C, L, 2, G], and the update is one
+flat expression over [C, P, n]. The controller MLPs are stacked (a leading
+n_mlps axis: 1, or L for per_layer_mlp) behind the candidate axis, so the
+frames [C, L, F] of every variant take one batched matmul per MLP layer.
+Every per-candidate array keeps all C rows for the whole run: a candidate
+whose directions, logits or lambdas stop being finite is only reported in
+the step's finite mask, and the others are not disturbed.
 
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
@@ -121,7 +121,8 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class PsiLayout:
-    """Shape of the flat meta-parameter vector for one configuration."""
+    """Shape of the flat meta-parameter vector for one configuration; the
+    sizes derived from it are attributes, computed at construction."""
 
     n_components: int
     base_kinds: tuple[OptimizerKind, ...]
@@ -138,49 +139,21 @@ class PsiLayout:
             raise ValueError("duplicate base optimizer kind")
         if self.n_components < 1:
             raise ValueError("need at least one component")
-
-    @property
-    def n_providers(self) -> int:
-        return len(self.base_kinds)
-
-    @property
-    def feature_dim(self) -> int:
-        f = 3 * len(self.gammas) + N_TIME_FEATURES + self.n_providers
-        if self.variant == Variant.FULL:
-            f += EMBED_DIM
-        return f
-
-    @property
-    def n_mlps(self) -> int:
-        return self.n_components if self.variant == Variant.PER_LAYER_MLP else 1
-
-    @property
-    def mlp_shapes(self) -> tuple[tuple[int, ...], ...]:
-        p = self.n_providers
-        f = self.feature_dim
-        return ((f, HIDDEN_1), (HIDDEN_1,), (HIDDEN_1, HIDDEN_2), (HIDDEN_2,),
-                (HIDDEN_2, p + 1), (p + 1,))
-
-    @property
-    def mlp_size(self) -> int:
-        return sum(int(np.prod(s)) for s in self.mlp_shapes)
-
-    @property
-    def learned_betas(self) -> list[bool]:
-        """Per base kind: whether psi carries its betas (in hyper_raw order)."""
-        return [k in optdir.KINDS_WITH_BETAS for k in self.base_kinds]
-
-    @property
-    def n_hyper(self) -> int:
-        return 2 * sum(self.learned_betas)
-
-    @property
-    def embedding_size(self) -> int:
-        return EMBED_DIM * self.n_components if self.variant == Variant.FULL else 0
-
-    @property
-    def flat_size(self) -> int:
-        return self.n_mlps * self.mlp_size + self.embedding_size + self.n_hyper
+        # the derived sizes, computed once: unflatten reads them for every
+        # view (set through __dict__, as the dataclass is frozen)
+        p, full = len(self.base_kinds), self.variant == Variant.FULL
+        f = 3 * len(self.gammas) + N_TIME_FEATURES + p + (EMBED_DIM if full else 0)
+        shapes = ((f, HIDDEN_1), (HIDDEN_1,), (HIDDEN_1, HIDDEN_2), (HIDDEN_2,),
+                  (HIDDEN_2, p + 1), (p + 1,))
+        n_mlps = self.n_components if self.variant == Variant.PER_LAYER_MLP else 1
+        mlp_size = sum(math.prod(s) for s in shapes)
+        # per base kind: whether psi carries its betas (in hyper_raw order)
+        learned = [k in optdir.KINDS_WITH_BETAS for k in self.base_kinds]
+        n_hyper, n_embed = 2 * sum(learned), EMBED_DIM * self.n_components if full else 0
+        vars(self).update(n_providers=p, feature_dim=f, mlp_shapes=shapes, n_mlps=n_mlps,
+                          mlp_size=mlp_size, learned_betas=learned, n_hyper=n_hyper,
+                          embedding_size=n_embed,
+                          flat_size=n_mlps * mlp_size + n_embed + n_hyper)
 
     def to_dict(self) -> dict:
         return {
@@ -249,7 +222,7 @@ def unflatten(vec: np.ndarray, layout: PsiLayout) -> MetaParams:
     blocks = vec[..., :n_mlp_values].reshape(*lead, layout.n_mlps, layout.mlp_size)
     arrays, offset = [], 0
     for shape in layout.mlp_shapes:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         arrays.append(blocks[..., offset:offset + n].reshape(*lead, layout.n_mlps, *shape))
         offset += n
     embeddings = None
@@ -352,16 +325,26 @@ def compose_update(lam: np.ndarray, mu: np.ndarray, dirs: np.ndarray, norms: np.
     return np.repeat(lam, sizes, axis=-1) * out
 
 
+@dataclass
+class TrajectoryRow:
+    step: int
+    component: str
+    mu: tuple[float, ...]
+    lam: float
+    train_loss: float
+
+
 class ControllerContext:
-    """Everything one inner-loop evaluation of C candidates needs: the
-    direction bank, the EMA tracker and a read-only view of the batched
-    meta-parameters [C, flat_size] (a single psi counts as C = 1), for the
-    flat parameters of ``spec`` and a horizon of K steps.
+    """The inner loop's stepper for C rows: the direction bank, the EMA
+    tracker and a read-only view of the row-batched meta-parameters
+    [C, flat_size], for the flat parameters of ``spec`` and K steps.
 
     ``policy`` replaces the MLP head when set: it receives the component
     index and that component's direction log-norms and returns (mu, lambda).
     Used by equivalence tests to force known optimizers through the update
-    path.
+    path. With ``record``, every step appends per-component TrajectoryRows
+    to ``trajectories[row]`` for the rows it reports finite (dead rows come
+    in as NaN and never are).
 
     A candidate whose betas round to 0 or 1 has no valid hyperparameters:
     its bank row runs on the defaults and it is never reported finite, so
@@ -369,7 +352,7 @@ class ControllerContext:
     """
 
     def __init__(self, psi: MetaParams, spec: NetworkSpec, K: int,
-                 renormalize: bool = False, policy=None):
+                 renormalize: bool = False, policy=None, record: bool = False):
         layout = psi.layout
         offsets = spec.offsets()
         n_comp = len(offsets) - 1
@@ -377,12 +360,14 @@ class ControllerContext:
             raise ValueError(
                 f"layout built for {layout.n_components} components, model has {n_comp}"
             )
-        self.psi = psi if psi.flat.ndim == 2 else unflatten(psi.flat[None], layout)
+        if psi.flat.ndim != 2:
+            raise ValueError("the controller takes row-batched psi [C, flat_size]")
+        self.psi = psi
         self.layout = layout
         self.K = K
         self.renormalize = renormalize
         self.policy = policy
-        rows = self.n_rows
+        self.n_rows = rows = len(psi.flat)
         defaults = optdir.default_betas(layout.base_kinds)
         squashed = sigmoid(self.psi.hyper_raw)
         # a beta that rounds to exactly 0 or 1 (a raw value above about 36.7
@@ -395,10 +380,9 @@ class ControllerContext:
         tracked = 1 if layout.variant == Variant.GLOBAL else n_comp
         self.tracker = EmaTracker(tracked, layout.gammas, rows=rows)
         self.n_model_components = n_comp
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.psi.flat)
+        self._names = spec.components()
+        self.trajectories: list[list[TrajectoryRow]] | None = (
+            [[] for _ in range(rows)] if record else None)
 
     def _stats(self, wg_norms: np.ndarray) -> np.ndarray:
         """[C, L, 2] log (||w||, ||g||), or [C, 1, 2] whole-model norms for
@@ -437,14 +421,13 @@ class ControllerContext:
         return controller_forward_batch(self.psi.mlp, frames)
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+             k: int) -> tuple[np.ndarray, np.ndarray]:
         """One update of the flat parameters params [C, n] from the flat
         gradients grads [C, n] and the train losses [C].
 
-        Returns (new params [C, n], mu [C, L, P], lambda [C, L], finite
-        [C]); a row whose directions, logits or lambda are not finite, or
-        whose betas round to 0 or 1, is False in ``finite``, and its other
-        outputs are meaningless.
+        Returns (new params [C, n], finite [C]); a row whose directions,
+        logits or lambda are not finite, or whose betas round to 0 or 1, is
+        False in ``finite``, and its new params are meaningless.
 
         Order of effects: directions from pre-update weights and gradients,
         then the EMA recursion on pre-update statistics, then the controller
@@ -460,7 +443,14 @@ class ControllerContext:
             self.tracker.update(losses, self._stats(wg_norms))
             mu, lam, ok = self.decide(norms, k)
             new = params + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
-        return new, mu, lam, finite & ok & self._betas_valid
+        finite = finite & ok & self._betas_valid
+        if self.trajectories is not None:
+            for row in np.flatnonzero(finite).tolist():
+                loss = losses[row].item()
+                self.trajectories[row].extend(
+                    TrajectoryRow(step=k, component=name, mu=tuple(m), lam=l, train_loss=loss)
+                    for name, m, l in zip(self._names, mu[row].tolist(), lam[row].tolist()))
+        return new, finite
 
 
 class CheckpointError(ValueError):

@@ -1,10 +1,12 @@
 """Task distributions, the inner loop and its baseline optimizers, and the
 evolution-strategies outer loop that meta-trains controller parameters.
 
-A task is (initial weights, K training batches, one evaluation batch).
-Tasks are synthetic Gaussian-blob classification problems: class means drawn
-uniformly in [-1, 1]^d with isotropic noise, carved into disjoint pretrain /
-meta-train / meta-test class splits so meta-testing sees unseen classes.
+A task is (initial weights, K training batches, one evaluation batch), and
+a Task is always a block of them, one per row, all of one horizon
+(make_task_block; make_task is its one-row block). Tasks are synthetic
+Gaussian-blob classification problems: class means drawn uniformly in
+[-1, 1]^d with isotropic noise, carved into disjoint pretrain / meta-train
+/ meta-test class splits so meta-testing sees unseen classes.
 
 Everything is reconstructible from integer seeds: a task regenerates bit for
 bit from (distribution, task seed), and one meta-training generation is a
@@ -14,13 +16,13 @@ resumable and independent of worker count.
 There is one inner loop, inner_loop_batch, and it runs a whole block of
 rows at once: parameters, gradients and optimizer state are [R, n] arrays,
 and each row gets exactly the bits of its own single run. A row is a
-(candidate, task) pair: every candidate of a generation trains on the same
-task, and an evaluation cell stacks its tasks, all of one horizon, into
-one block task (make_task_block) for a single optimizer. Rows are never
-dropped: divergence is one per-row mask that the loop owns, and a row that
-stops being finite is masked dead, scores DIVERGENCE_PENALTY and leaves the
-others untouched. Single runs (inspection, probes, pretraining) are the
-same loop with one row.
+(candidate, task) pair: the C candidates of a generation share a one-row
+task by broadcasting, and an evaluation cell runs one optimizer on a task
+of R rows. Rows are never dropped: divergence is one per-row mask that the
+loop owns, and a row that stops being finite is masked dead, scores
+DIVERGENCE_PENALTY and leaves the others untouched. Single runs
+(inspection, probes) are the same loop with one row; pretraining alone
+trains one unbatched network.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .controller import (
     ControllerContext,
     MetaParams,
     PsiLayout,
+    TrajectoryRow,
     _read_checkpoint,
     _write_checkpoint,
     flatten,
@@ -130,121 +133,94 @@ class TaskDistributionSpec:
 
 @dataclass
 class Task:
-    """One fine-tuning problem: flat theta0 [n], K train batches, one eval
-    batch. A block of R tasks of one horizon (make_task_block) has theta0
-    [R, n], batches with a leading row axis, and a seed and class_ids per
-    row."""
+    """A block of R fine-tuning problems of one horizon K, one per row:
+    flat theta0 [R, n], K train batches (x [R, B, d], y [R, B]) and one eval
+    batch (x [R, E, d], y [R, E]), with each row's seed and class ids. A
+    single task is the block of one row (make_task)."""
 
     spec: NetworkSpec
     theta0: np.ndarray
     train_batches: list[Batch]
     eval_batch: Batch
     K: int
-    seed: int | tuple[int, ...]
-    class_ids: tuple[int, ...] | tuple[tuple[int, ...], ...]
-    split: str
+    seed: tuple[int, ...]
+    class_ids: tuple[tuple[int, ...], ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.theta0) if self.theta0.ndim == 2 else 1
+        return len(self.theta0)
 
 
-def _blob_batch(dist: TaskDistributionSpec, means: np.ndarray,
-                class_ids: np.ndarray, n: int, rng: np.random.Generator) -> Batch:
-    y = rng.integers(0, len(class_ids), n)
-    x = means[class_ids[y]] + dist.blob_std * rng.standard_normal((n, dist.input_dim))
-    return Batch(x=x, y=y)
+def _draw_blobs(dist: TaskDistributionSpec, means: np.ndarray, class_ids: np.ndarray,
+                rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
+    """Fill x [n, d] and y [n] in place with n labelled samples from the
+    blobs of class_ids; labels are positions in class_ids."""
+    y[...] = rng.integers(0, len(class_ids), len(y))
+    np.add(means[class_ids[y]], dist.blob_std * rng.standard_normal(x.shape), out=x)
 
 
 def make_task(dist: TaskDistributionSpec, seed: int, split: str = "metatrain",
               init_from: np.ndarray | None = None, k_override: int | None = None) -> Task:
-    """Build the task identified by ``seed``, bit-identical on every call.
+    """The one-row block of the task identified by ``seed``, bit-identical
+    on every call: make_task_block(dist, [seed], K), where K is
+    ``k_override`` or else the horizon the seed draws from [k_min, k_max]."""
+    K = k_override
+    if K is None:
+        K = derived_rng(dist.generator_seed, seed, _TAG_K).integers(dist.k_min, dist.k_max + 1)
+    return make_task_block(dist, [seed], int(K), split=split, init_from=init_from)
+
+
+def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "metatrain",
+                    init_from: np.ndarray | None = None) -> Task:
+    """The tasks of ``seeds``, all with horizon K, one per row: each row's
+    class ids, theta0, train batches and eval batch are drawn from streams
+    derived from (generator seed, task seed) alone, straight into the block
+    arrays, so a row holds the same bits in every block and as make_task.
 
     ``init_from`` is a pretrained checkpoint, flat parameters laid out by
     dist.pretrain_network(), whose body is copied; the head is
     re-initialized whenever pretrain_classes differs from the task's class
     count (the usual fine-tuning head swap). Without a checkpoint the whole
-    model is freshly initialized. ``k_override`` forces the horizon, and the
-    train batches for a given seed are a common prefix across horizons.
+    model is freshly initialized. The train batches for a given seed are a
+    common prefix across horizons.
     """
-    means = dist.class_means()
-    pool = dist.split_classes(split)
-    class_rng = derived_rng(dist.generator_seed, seed, _TAG_CLASSES)
-    class_ids = np.sort(class_rng.choice(pool, dist.classes_per_task, replace=False))
-
-    if k_override is not None:
-        k = int(k_override)
-        if k < 0:
-            raise ValueError("K override must be >= 0")
-    else:
-        k_rng = derived_rng(dist.generator_seed, seed, _TAG_K)
-        k = int(k_rng.integers(dist.k_min, dist.k_max + 1))
-
-    spec = dist.task_network()
-    init_rng = derived_rng(dist.generator_seed, seed, _TAG_INIT)
-    if init_from is None:
-        theta0 = init_params(spec, int(init_rng.integers(0, _MASK)))
-    else:
-        pretrained = dist.pretrain_network().offsets()
-        if np.shape(init_from) != (pretrained[-1],):
-            raise ValueError(f"init_from has shape {np.shape(init_from)}, expected "
-                             f"[{pretrained[-1]}] (the pretrain network)")
-        if dist.pretrain_classes == dist.classes_per_task:
-            theta0 = np.array(init_from, dtype=float)
-        else:
-            fan_in = spec.layer_dims()[-1][0]
-            head = init_rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, dist.classes_per_task))
-            theta0 = np.concatenate([init_from[:pretrained[-3]], head.ravel(),
-                                     np.zeros(dist.classes_per_task)])
-
-    train_batches = [
-        _blob_batch(dist, means, class_ids, dist.train_batch_size,
-                    derived_rng(dist.generator_seed, seed, _TAG_BATCH, i))
-        for i in range(k)
-    ]
-    eval_batch = _blob_batch(dist, means, class_ids, dist.eval_batch_size,
-                             derived_rng(dist.generator_seed, seed, _TAG_EVAL))
-    return Task(spec=spec, theta0=theta0, train_batches=train_batches,
-                eval_batch=eval_batch, K=k, seed=int(seed),
-                class_ids=tuple(int(c) for c in class_ids), split=split)
-
-
-def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "metatrain",
-                    init_from: np.ndarray | None = None) -> Task:
-    """The tasks of ``seeds``, all with horizon K, stacked row by row into
-    one block task: theta0 [R, n], one [R, B, d] train batch per step and an
-    [R, E, d] eval batch. Row r holds the bits of make_task(seeds[r]); each
-    task is copied in as soon as it is built, so no more than one of them
-    is held beside the block."""
     if K < 0 or len(seeds) < 1:
         raise ValueError(f"a task block needs K >= 0 and a seed, got K={K} and {len(seeds)} seeds")
-    spec, rows, d = dist.task_network(), len(seeds), dist.input_dim
-    theta0 = np.empty((rows, spec.offsets()[-1]))
+    spec, rows, d, c = dist.task_network(), len(seeds), dist.input_dim, dist.classes_per_task
+    off = spec.offsets()
+    n_pretrained = dist.pretrain_network().offsets()[-1]
+    if init_from is not None and np.shape(init_from) != (n_pretrained,):
+        raise ValueError(f"init_from has shape {np.shape(init_from)}, expected "
+                         f"[{n_pretrained}] (the pretrain network)")
+    means, pool = dist.class_means(), dist.split_classes(split)
+    theta0 = np.empty((rows, off[-1]))
     x = np.empty((K, rows, dist.train_batch_size, d))
     y = np.empty((K, rows, dist.train_batch_size), dtype=np.int64)
     eval_x = np.empty((rows, dist.eval_batch_size, d))
     eval_y = np.empty((rows, dist.eval_batch_size), dtype=np.int64)
     class_ids = []
     for r, seed in enumerate(seeds):
-        task = make_task(dist, seed, split=split, init_from=init_from, k_override=K)
-        theta0[r] = task.theta0
-        for k, batch in enumerate(task.train_batches):
-            x[k, r], y[k, r] = batch.x, batch.y
-        eval_x[r], eval_y[r] = task.eval_batch.x, task.eval_batch.y
-        class_ids.append(task.class_ids)
+        class_rng = derived_rng(dist.generator_seed, seed, _TAG_CLASSES)
+        ids = np.sort(class_rng.choice(pool, c, replace=False))
+        class_ids.append(tuple(ids.tolist()))
+        init_rng = derived_rng(dist.generator_seed, seed, _TAG_INIT)
+        if init_from is None:
+            theta0[r] = init_params(spec, int(init_rng.integers(0, _MASK)))
+        elif dist.pretrain_classes == c:
+            theta0[r] = init_from
+        else:  # the checkpoint's body and a fresh head
+            fan_in = spec.layer_dims()[-1][0]
+            head = init_rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, c))
+            theta0[r] = np.concatenate([init_from[:off[-3]], head.ravel(), np.zeros(c)])
+        for k in range(K):
+            _draw_blobs(dist, means, ids, derived_rng(dist.generator_seed, seed, _TAG_BATCH, k),
+                        x[k, r], y[k, r])
+        _draw_blobs(dist, means, ids, derived_rng(dist.generator_seed, seed, _TAG_EVAL),
+                    eval_x[r], eval_y[r])
     return Task(spec=spec, theta0=theta0,
                 train_batches=[Batch(x=x[k], y=y[k]) for k in range(K)],
                 eval_batch=Batch(x=eval_x, y=eval_y), K=K,
-                seed=tuple(int(s) for s in seeds), class_ids=tuple(class_ids), split=split)
-
-
-@dataclass
-class TrajectoryRow:
-    step: int
-    component: str
-    mu: tuple[float, ...]
-    lam: float
-    train_loss: float
+                seed=tuple(int(s) for s in seeds), class_ids=tuple(class_ids))
 
 
 @dataclass
@@ -256,51 +232,26 @@ class InnerRunResult:
     trajectory: list[TrajectoryRow] | None = None
 
 
-class ControllerStepper:
-    """Adapts a ControllerContext to the stepper protocol of the inner loop
-    (n_rows, step); records per-component (mu, lambda) rows per candidate
-    when asked, for the rows a step reports finite (dead rows come in as
-    NaN and never are)."""
-
-    def __init__(self, ctx: ControllerContext, names: list[str], record: bool):
-        self.ctx = ctx
-        self.n_rows = ctx.n_rows
-        self._names = names
-        self.rows: list[list[TrajectoryRow]] | None = (
-            [[] for _ in range(self.n_rows)] if record else None)
-
-    def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
-        new_params, mu, lam, finite = self.ctx.step(params, grads, losses, k)
-        if self.rows is not None:
-            for row in np.flatnonzero(finite).tolist():
-                loss = losses[row].item()
-                self.rows[row].extend(
-                    TrajectoryRow(step=k, component=name, mu=tuple(m), lam=l, train_loss=loss)
-                    for name, m, l in zip(self._names, mu[row].tolist(), lam[row].tolist()))
-        return new_params, finite
-
-
 def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
                                renormalize: bool = False, policy=None):
     """Stepper factory for a flat meta-parameter vector [flat_size], or a
     block of C candidates [C, flat_size] trained side by side.
 
     The returned callable takes (task, record=False) and yields a fresh
-    stepper with zeroed optimizer and tracker state, as a new fine-tuning
-    run requires. A single psi on a block task of R rows is repeated to R
-    rows (as a read-only view), one per task.
+    ControllerContext with zeroed optimizer and tracker state, as a new
+    fine-tuning run requires. A single psi on a task of R rows is repeated
+    to R rows (as a read-only view), one per task; C candidates share a
+    one-row task.
     """
     flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
-    views: dict[int, MetaParams] = {}  # by row count; unflatten is not cheap
+    views: dict[int, MetaParams] = {}  # by row count; each is unflattened once
 
-    def make(task: Task, record: bool = False) -> ControllerStepper:
+    def make(task: Task, record: bool = False) -> ControllerContext:
         rows = max(len(flat), task.n_rows)
         if rows not in views:
             views[rows] = unflatten(np.broadcast_to(flat, (rows, flat.shape[-1])), layout)
-        ctx = ControllerContext(views[rows], task.spec, task.K,
-                                renormalize=renormalize, policy=policy)
-        return ControllerStepper(ctx, task.spec.components(), record)
+        return ControllerContext(views[rows], task.spec, task.K, renormalize=renormalize,
+                                 policy=policy, record=record)
 
     return make
 
@@ -384,9 +335,9 @@ def inner_loop_batch(make_stepper, task: Task,
                      record_trajectory: bool = False) -> list[InnerRunResult]:
     """The inner loop: run all R rows of the stepper for exactly K steps, one
     train batch per step, then score the eval batch. Returns one result per
-    row. The rows are C candidates on one task, whose theta0 [n] and
-    batches they share, or one optimizer on a block task whose row r
-    (theta0 [R, n], batches with a leading row axis) is row r's own.
+    row. The rows are C candidates on a one-row task, whose theta0 and
+    batches they share by broadcasting, or one optimizer on a task of R
+    rows, whose row r of theta0 and of every batch is row r's own.
 
     ``make_stepper(task, record)`` yields a stepper with ``n_rows`` and
     ``step(params [R, n], grads [R, n], losses [R], k)``, which returns
@@ -420,7 +371,7 @@ def inner_loop_batch(make_stepper, task: Task,
     meta_losses = mean_cross_entropy(logits, task.eval_batch.y)
     accs = accuracy(logits, task.eval_batch.y)
     alive &= np.isfinite(meta_losses)
-    trajectories = getattr(stepper, "rows", None) or [None] * stepper.n_rows
+    trajectories = getattr(stepper, "trajectories", None) or [None] * stepper.n_rows
     return [InnerRunResult(meta_loss=meta_loss if ok else DIVERGENCE_PENALTY,
                            eval_accuracy=acc if ok else 0.0, train_losses=losses,
                            diverged=not ok, trajectory=trajectory)
@@ -635,9 +586,11 @@ def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> np
     means = dist.class_means()
     pool = dist.split_classes("pretrain")
     adam = BaselineStepper(BaselineSpec(BaselineKind.ADAM_CONST, 1e-3), spec.offsets(), steps)
+    batch = Batch(x=np.empty((dist.train_batch_size, dist.input_dim)),
+                  y=np.empty(dist.train_batch_size, dtype=np.int64))
     for k in range(1, steps + 1):
-        batch = _blob_batch(dist, means, pool, dist.train_batch_size,
-                            derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN, k))
+        _draw_blobs(dist, means, pool, derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN, k),
+                    batch.x, batch.y)
         # one unbatched network: the [n] backward pass is cheaper than [1, n]
         loss, grad, finite = loss_and_grad(spec, theta, batch)
         if not finite:
@@ -650,10 +603,11 @@ def pretrain_eval(dist: TaskDistributionSpec, params: np.ndarray, seed: int,
                   n: int = 512) -> tuple[float, float]:
     """(loss, accuracy) of a pretrain-split model on a held-out batch."""
     spec = dist.pretrain_network()
-    batch = _blob_batch(dist, dist.class_means(), dist.split_classes("pretrain"),
-                        n, derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN_EVAL))
-    logits = forward(spec, params, batch.x)
-    return float(mean_cross_entropy(logits, batch.y)), float(accuracy(logits, batch.y))
+    x, y = np.empty((n, dist.input_dim)), np.empty(n, dtype=np.int64)
+    _draw_blobs(dist, dist.class_means(), dist.split_classes("pretrain"),
+                derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN_EVAL), x, y)
+    logits = forward(spec, params, x)
+    return float(mean_cross_entropy(logits, y)), float(accuracy(logits, y))
 
 
 def save_pretrained(path, spec: NetworkSpec, params: np.ndarray) -> None:

@@ -155,7 +155,7 @@ def test_criterion_2_update_invariants():
 
 
 def _final_theta(task, stepper):
-    params = task.theta0[None]
+    params = task.theta0
     for k in range(1, task.K + 1):
         losses, grads, _ = loss_and_grad(task.spec, params, task.train_batches[k - 1])
         params, _ = stepper.step(params, grads, losses, k)

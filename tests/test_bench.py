@@ -82,15 +82,15 @@ class TestRunBaseline:
         # replay the run manually to capture the final params
         from l3rs.nnlite import loss_and_grad
 
-        flat = task.theta0[None]
+        flat = task.theta0
         stepper = factory(task)
         for k in range(1, task.K + 1):
             losses, grads, _ = loss_and_grad(task.spec, flat, task.train_batches[k - 1])
             flat, _ = stepper.step(flat, grads, losses, k)
         off = task.spec.offsets()
         for a, b in zip(off[:-3], off[1:-2]):
-            assert np.array_equal(flat[0, a:b], task.theta0[a:b])
-        assert not np.array_equal(flat[0, off[-3]:off[-2]], task.theta0[off[-3]:off[-2]])
+            assert np.array_equal(flat[0, a:b], task.theta0[0, a:b])
+        assert not np.array_equal(flat[0, off[-3]:off[-2]], task.theta0[0, off[-3]:off[-2]])
 
     def test_adam_const_matches_controller_stub(self):
         # lambda = lr * ||d_adam|| with a one-hot mix reproduces plain Adam

@@ -47,6 +47,18 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+REF_COLUMNS = ["optimizer", "K", "task_index", "task_seed", "acc", "loss"]
+REF_ROW = {"optimizer": "adam", "K": "2", "task_index": "0", "task_seed": "7",
+           "acc": "0.5", "loss": "1.25"}
+
+
+def write_reference(tmp_path, header, rows):
+    """A reference tasks CSV for --paired, as eval_*_tasks.csv lays it out."""
+    path = tmp_path / "ref_tasks.csv"
+    path.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    return str(path)
+
+
 def is_json(path):
     """Whether ``path`` holds one whole JSON document (the atomic writer
     renames a file into place whole, so this holds once it exists)."""
@@ -98,6 +110,31 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and assignment.split("=")[0] in err
         assert not (tmp_path / "e").exists()
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert run_cli("pretrain", "--config", str(path), "--out-dir", str(tmp_path / "p")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "JSON object" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("assignment", [
+        "nes.population=4.0", "distribution.hidden=[32.0]", "nes.meta_batch=true"])
+    def test_integer_fields_reject_floats_and_bools(self, tmp_path, capsys, assignment):
+        # the dataclass defaults say which fields are integers; before this
+        # check, population 4.0 failed mid-meta-train with a TypeError
+        cfg = write_config(tmp_path)
+        capsys.readouterr()
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(tmp_path / "m"),
+                       "--set", assignment) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and assignment.split("=")[0] in err
+        assert not (tmp_path / "m").exists()
+
+    def test_float_fields_take_integers(self):
+        run = cli.load_config(None, ["distribution.blob_std=1", "nes.sigma0=1"])
+        assert run.dist.blob_std == 1 and run.nes.sigma0 == 1
 
     def test_ablate_rejects_zero_tasks(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"ablate": {"eval_n_tasks": 0}})
@@ -292,6 +329,27 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--lr" in err
 
+    @pytest.mark.parametrize("column", ["task_seed", "acc", "loss"])
+    def test_paired_reference_without_a_column(self, tmp_path, capsys, column):
+        header = [c for c in REF_COLUMNS if c != column]
+        ref = write_reference(tmp_path, header, [[REF_ROW[c] for c in header]])
+        assert self._paired(tmp_path, ref) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and column in err
+        assert not (tmp_path / "p").exists()
+
+    def test_paired_reference_with_a_non_integer_k(self, tmp_path, capsys):
+        ref = write_reference(tmp_path, REF_COLUMNS,
+                              [[REF_ROW[c] if c != "K" else "2.5" for c in REF_COLUMNS]])
+        assert self._paired(tmp_path, ref) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2.5" in err
+
+    @staticmethod
+    def _paired(tmp_path, ref):
+        return run_cli("evaluate", "--config", write_config(tmp_path), "--out-dir",
+                       str(tmp_path / "p"), "--baseline", "sgd_const", "--paired", ref)
+
     def test_random_init_regime(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "rand"
@@ -416,3 +474,19 @@ class TestReport:
         assert len(rows) == 4
         assert [r["optimizer"] for r in rows] == ["adam_const", "adam_const",
                                                   "sgd_const", "sgd_const"]
+
+    def test_empty_input_reports_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run_cli("report", "--inputs", str(empty), "--out", str(tmp_path / "o.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "empty" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_numeric_second_column_reports_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("optimizer,K\nsgd,five\n")
+        assert run_cli("report", "--inputs", str(bad), "--out", str(tmp_path / "o.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'five'" in err
+        assert not (tmp_path / "o.csv").exists()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -253,6 +255,18 @@ class TestLayoutAndCodec:
         per_layer = PsiLayout(n_components=4, base_kinds=SGD_ADAM, variant=Variant.PER_LAYER_MLP)
         assert per_layer.flat_size == 4 * shared.mlp_size + shared.n_hyper
 
+    def test_sizes_are_fixed_at_construction(self):
+        # the derived sizes are attributes, not fields: equality, hashing,
+        # repr and pickling see the four fields, and replace recomputes them
+        layout = PsiLayout(n_components=4, base_kinds=SGD_ADAM)
+        again = pickle.loads(pickle.dumps(layout))
+        assert again == layout and hash(again) == hash(layout)
+        assert again.flat_size == layout.flat_size == 2021
+        assert "flat_size" not in repr(layout)
+        per_layer = dataclasses.replace(layout, variant=Variant.PER_LAYER_MLP)
+        assert per_layer.n_mlps == 4 and per_layer.embedding_size == 0
+        assert per_layer.flat_size == 4 * per_layer.mlp_size + per_layer.n_hyper
+
     def test_hyper_count_follows_base_set(self):
         all_six = PsiLayout(
             n_components=4,
@@ -312,7 +326,7 @@ class TestBankBetas:
                     assert got == want
         params = np.tile(init_params(spec, seed=0), (len(block), 1))
         grads = np.random.default_rng(10).normal(size=params.shape)
-        *_, finite = ctx.step(params, grads, np.ones(len(block)), 1)
+        _, finite = ctx.step(params, grads, np.ones(len(block)), 1)
         np.testing.assert_array_equal(finite, [True, False, True, False, True])
 
 
@@ -470,8 +484,8 @@ class TestVariants:
             seen.append(log_norms.copy())
             return np.ones(1), 0.0
 
-        ctx = ControllerContext(init_meta_params(layout, seed=0), spec, K=1,
-                                policy=record_policy)
+        psi = unflatten(init_meta_params(layout, seed=0).flat[None], layout)
+        ctx = ControllerContext(psi, spec, K=1, policy=record_policy)
         zeros = np.zeros((1, params.size))
         ctx.step(params[None], zeros, losses=np.zeros(1), k=1)
         assert len(seen) == len(spec.components())
@@ -480,6 +494,12 @@ class TestVariants:
             assert log_norms[0] == pytest.approx(math.log(NORM_FLOOR))
             assert log_norms[0] == pytest.approx(-27.631, abs=1e-3)
 
+    def test_one_dimensional_psi_rejected(self):
+        spec = NetworkSpec(3, (4,), 2)
+        layout = PsiLayout(n_components=len(spec.components()), base_kinds=SGD_ADAM)
+        with pytest.raises(ValueError, match="row-batched"):
+            ControllerContext(init_meta_params(layout, seed=0), spec, K=1)
+
     def test_global_identical_across_components(self):
         spec = NetworkSpec(6, (5,), 3)
         params = init_params(spec, seed=1)
@@ -487,15 +507,16 @@ class TestVariants:
                            variant=Variant.GLOBAL)
         psi = init_meta_params(layout, seed=2)
         psi.flat[:] += np.random.default_rng(3).normal(scale=0.3, size=layout.flat_size)
-        ctx = ControllerContext(psi, spec, K=4)
+        ctx = ControllerContext(unflatten(psi.flat[None], layout), spec, K=4, record=True)
         rng = np.random.default_rng(4)
         flat = params[None]
         for k in range(1, 5):
             grads = rng.normal(size=flat.shape)
-            flat, mu, lam, _ = ctx.step(flat, grads, losses=np.ones(1), k=k)
-            mu, lam = mu[0], lam[0]
-            assert np.all(mu == mu[0])
-            assert np.all(lam == lam[0])
+            flat, finite = ctx.step(flat, grads, losses=np.ones(1), k=k)
+            assert finite.tolist() == [True]
+            rows = [r for r in ctx.trajectories[0] if r.step == k]
+            assert len(rows) == len(spec.components())
+            assert all(r.mu == rows[0].mu and r.lam == rows[0].lam for r in rows)
 
     def test_embeddings_differentiate_components(self):
         # identical statistics, different embedding rows: mu/lambda may differ;

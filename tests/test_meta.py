@@ -43,7 +43,7 @@ class TestTaskSampling:
     def test_regeneration_is_bit_identical(self):
         t1 = make_task(DIST, seed=77, split="metatest")
         t2 = make_task(DIST, seed=77, split="metatest")
-        assert t1.seed == 77
+        assert t1.seed == (77,) and t1.n_rows == 1
         assert t1.K == t2.K and t1.class_ids == t2.class_ids
         assert np.array_equal(t1.theta0, t2.theta0)
         for ba, bb in zip(t1.train_batches, t2.train_batches):
@@ -55,14 +55,14 @@ class TestTaskSampling:
         # task and rebuild it bit for bit
         for seed in generation_task_seeds(NesConfig(meta_batch=3, seed=5), 0):
             t = make_task(DIST, seed, split="metatrain")
-            assert t.seed == seed
-            again = make_task(DIST, t.seed, split="metatrain")
+            assert t.seed == (seed,)
+            again = make_task(DIST, t.seed[0], split="metatrain")
             assert np.array_equal(t.eval_batch.x, again.eval_batch.x)
 
     def test_forced_class_subset(self):
         # classes_per_task equals the split size, so every task uses the whole split
         t = make_task(DIST, seed=3, split="metatest")
-        assert t.class_ids == tuple(DIST.split_classes("metatest"))
+        assert t.class_ids == (tuple(DIST.split_classes("metatest")),)
 
     def test_fixed_horizon_range(self):
         dist = dataclasses.replace(DIST, k_min=10, k_max=10)
@@ -85,8 +85,8 @@ class TestTaskSampling:
         # body copied bitwise, head re-drawn at the task's width
         body = DIST.pretrain_network().offsets()[-3]
         assert body == t.spec.offsets()[-3]
-        assert np.array_equal(t.theta0[:body], ckpt[:body])
-        head_kernel, head_bias = layer_views(t.spec, t.theta0)[-1]
+        assert np.array_equal(t.theta0[0, :body], ckpt[:body])
+        head_kernel, head_bias = layer_views(t.spec, t.theta0[0])[-1]
         assert head_kernel.shape == (DIST.hidden[-1], DIST.classes_per_task)
         assert np.all(head_bias == 0.0)
 

@@ -163,12 +163,12 @@ def test_task_block_rows_are_the_tasks(K):
     assert block.n_rows == len(BLOCK_SEEDS) and len(block.train_batches) == K
     for r, seed in enumerate(BLOCK_SEEDS):
         task = make_task(DIST, seed, split="metatest", k_override=K)
-        assert (block.seed[r], block.class_ids[r]) == (task.seed, task.class_ids)
-        assert block.theta0[r].tobytes() == task.theta0.tobytes()
+        assert (block.seed[r], block.class_ids[r]) == (task.seed[0], task.class_ids[0])
+        assert block.theta0[r].tobytes() == task.theta0[0].tobytes()
         for stacked, own in zip([*block.train_batches, block.eval_batch],
                                 [*task.train_batches, task.eval_batch]):
-            assert stacked.x[r].tobytes() == own.x.tobytes()
-            assert np.array_equal(stacked.y[r], own.y)
+            assert stacked.x[r].tobytes() == own.x[0].tobytes()
+            assert np.array_equal(stacked.y[r], own.y[0])
 
 
 @pytest.mark.parametrize("name", BLOCK_HANDLES)
@@ -182,7 +182,7 @@ def test_task_block_rows_equal_single_runs(name):
     assert [r.diverged for r in results] == [False, True, False, False]
     for r, (seed, res) in enumerate(zip(BLOCK_SEEDS, results)):
         task = make_task(DIST, seed, split="metatest", k_override=10)
-        task.theta0 = block.theta0[r].copy()
+        task.theta0 = block.theta0[r:r + 1].copy()
         single = handle.run(task)
         assert outcome(res) == outcome(single)
         assert res.diverged is single.diverged
