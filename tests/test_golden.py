@@ -28,10 +28,13 @@ from l3rs.bench import (
     evaluate_suite,
 )
 from l3rs.controller import PsiLayout, Variant, init_meta_params
+from l3rs.files import write_json
 from l3rs.meta import (
     DIVERGENCE_PENALTY,
+    NesConfig,
     TaskDistributionSpec,
     controller_stepper_factory,
+    generation_task_seeds,
     inner_loop_batch,
     inner_loop_eval,
     make_task,
@@ -57,6 +60,12 @@ EVAL_SEED = 3
 EVAL_BASELINE_LR = {BaselineKind.ADAM_CONST: 1e-2, BaselineKind.ADAM_COSINE: 1e-2,
                     BaselineKind.SGD_CONST: 1e-1}
 DIVERGING_EVAL_SGD = BaselineSpec(BaselineKind.SGD_CONST, lr0=1e5)
+# a renormalized per_layer_mlp block on two meta-train tasks whose last row
+# grows finite weights so large on the second task that their segment norm
+# overflows to inf
+OVERFLOW_DIST = TaskDistributionSpec(hidden=(32, 32), k_min=8, k_max=16)
+OVERFLOW_SCALES = (0.0, 0.05, 0.2, 0.4, 0.6, 1.0)
+OVERFLOW_NES = NesConfig(population=6, meta_batch=2, seed=5)
 
 CLI_CONFIG = {
     "seed": 3,
@@ -65,6 +74,13 @@ CLI_CONFIG = {
     "pretrain": {"steps": 20},
 }
 CLI_FILES = ("checkpoint_pretrain.json", "psi_final.json", "history.csv")
+# the default config and one with a float key set to an int, a list key set
+# and a null key set, all written as config.json
+CONFIG_SETS = {
+    "default": [],
+    "overridden": ["nes.sigma0=1", "layout.gammas=[0.5, 0.9]", "ablate.gamma_sets=[[0.5], [1]]",
+                   "evaluate.regime=alt_both", "distribution.hidden=[8, 8]"],
+}
 
 PINNED_RUNS = {
     ("full", False): "bba524e6d3481ff6b4880842b36d12e820bb17146b8cd1c6fa5f250a841690cf",
@@ -79,9 +95,16 @@ PINNED_RUNS = {
 PINNED_DEEP_GLOBAL = "39ffcb260499f9f771b7f4f359a315e4b2b759530c987df5cffa318facf314e4"
 PINNED_DIVERGING_BLOCK = "039e4af4d5d3ec0a2bc014a7106414f59f76f4f3ec27d5a830c457e4fbb6a3a4"
 PINNED_DIVERGING_SGD = "826959556141c734dd900ddc7ff5ede03bb1969f17c9a103ba58758cf442794d"
+PINNED_OVERFLOWING_BLOCK = "f2ca099a1a17f6ca14bc07d34ef81dd210d6ffe9905b33db6fcb84fd0febf26b"
 PINNED_EVAL_REPORTS = {
     "checkpoint": "dd259a2e82d571ac0715c56187462501f70112a337ee8909e0a974f0072dd72b",
     "random_init": "bb9b85003ba5d4deebe400c9988f17b7a99caee0dd55be0a4175aff1ef2cbdd1",
+}
+PINNED_CONFIGS = {
+    "default": ("ea84200bac869091",
+                "18cd0f21b1682b7ee39ea031c9bb2201f1bc3d0c242c9b280de775f8bcfe3b72"),
+    "overridden": ("5fb54b751e47dccd",
+                   "862fb083c4a3e8e769c0af000d2d716a1b86378fe944c98689fedfca456aa3c9"),
 }
 PINNED_FILES = {
     "checkpoint_pretrain.json": "f8f0c4f066e0094d67b60894fc402ff453628f7958a7d157111d28b7e222fca4",
@@ -138,6 +161,18 @@ def diverging_block():
     return inner_loop_batch(controller_stepper_factory(cands, layout), task, True)
 
 
+def overflowing_block() -> list:
+    """Every row of the OVERFLOW_NES generation-3 population on both of its
+    tasks, trajectories recorded."""
+    layout = layout_for("per_layer_mlp", OVERFLOW_DIST)
+    psi = init_meta_params(layout, seed=1).flat
+    noise = np.random.default_rng(5).standard_normal((len(OVERFLOW_SCALES), len(psi)))
+    factory = controller_stepper_factory(psi + np.asarray(OVERFLOW_SCALES)[:, None] * noise,
+                                         layout, renormalize=True)
+    return [res for seed in generation_task_seeds(OVERFLOW_NES, 3)
+            for res in inner_loop_batch(factory, make_task(OVERFLOW_DIST, seed), True)]
+
+
 def diverging_sgd_run():
     return baseline_handle(DIVERGING_SGD).run(
         make_task(DIST, TASK_SEEDS[0], split="metatest", k_override=K))
@@ -163,6 +198,13 @@ def eval_report(init: str):
     init_from = pretrain_checkpoint(DIST, 20, 0) if init == "checkpoint" else None
     return evaluate_suite(eval_handles(), DIST, EVAL_TASKS, EVAL_K, EVAL_SEED,
                           init_from=init_from)
+
+
+def config_pins(sets, tmp_path) -> tuple[str, str]:
+    """(config_hash, sha256 of the config.json bytes) of a config."""
+    run = cli.load_config(None, sets)
+    write_json(tmp_path / "config.json", run.raw)
+    return run.config_hash(), hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
 
 
 def cli_digests(tmp_path) -> dict[str, str]:
@@ -199,12 +241,23 @@ def test_diverging_sgd_digest():
     assert sha(result_items(res)) == PINNED_DIVERGING_SGD
 
 
+def test_overflowing_block_digest():
+    block = overflowing_block()
+    assert block[-1].diverged and not block[0].diverged
+    assert sha(item for res in block for item in result_items(res)) == PINNED_OVERFLOWING_BLOCK
+
+
 @pytest.mark.parametrize("init", sorted(PINNED_EVAL_REPORTS))
 def test_evaluate_suite_report_digest(init):
     report = eval_report(init)
     penalties = report.cell(DIVERGING_EVAL_SGD.label, max(EVAL_K)).task_loss
     assert 0 < penalties.count(DIVERGENCE_PENALTY) < EVAL_TASKS
     assert sha(dataclasses.astuple(c) for c in report.cells) == PINNED_EVAL_REPORTS[init]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_config_hash_and_bytes(name, tmp_path):
+    assert config_pins(CONFIG_SETS[name], tmp_path) == PINNED_CONFIGS[name]
 
 
 def test_cli_meta_train_file_bytes(tmp_path):
@@ -221,9 +274,13 @@ if __name__ == "__main__":
     block = sha(item for res in diverging_block() for item in result_items(res))
     print(f"PINNED_DIVERGING_BLOCK = \"{block}\"")
     print(f"PINNED_DIVERGING_SGD = \"{sha(result_items(diverging_sgd_run()))}\"")
+    block = sha(item for res in overflowing_block() for item in result_items(res))
+    print(f"PINNED_OVERFLOWING_BLOCK = \"{block}\"")
     for init in PINNED_EVAL_REPORTS:
         digest = sha(dataclasses.astuple(c) for c in eval_report(init).cells)
         print(f"    \"{init}\": \"{digest}\",")
     with tempfile.TemporaryDirectory() as tmp:
+        for name, sets in CONFIG_SETS.items():
+            print(f"    \"{name}\": {config_pins(sets, Path(tmp))},")
         for name, digest in cli_digests(Path(tmp)).items():
             print(f"    \"{name}\": \"{digest}\",")
