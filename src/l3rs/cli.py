@@ -2,7 +2,8 @@
 
 One JSON config file describes a run; every subcommand is a pure function of
 that file plus any referenced input files, so reruns are byte-identical.
-Flags override config keys (--set a.b.c=value takes any JSON scalar).
+Flags override config keys (--set a.b.c=value takes a JSON value of the
+key's type, or else the text as a string).
 
 Subcommands: pretrain, meta-train, evaluate, inspect, ablate, report.
 """
@@ -71,8 +72,21 @@ DEFAULT_CONFIG = {
     },
 }
 
-REGIMES = ("in_domain", "heldout", "alt_data", "alt_checkpoint", "alt_both",
-           "random_init")
+# regime -> (alternative distribution, theta0 source, split); the source is
+# "main" (the --checkpoint file or the recomputed checkpoint), "alt" (pretrained
+# on the alternative distribution) or None (random init)
+REGIMES = {
+    "in_domain": (False, "main", "metatrain"),
+    "heldout": (False, "main", "metatest"),
+    "alt_data": (True, "main", "metatest"),
+    "alt_checkpoint": (False, "alt", "metatest"),
+    "alt_both": (True, "alt", "metatest"),
+    "random_init": (False, None, "metatest"),
+}
+# the type of a key whose default is null, which stays allowed
+_NULLABLE = {"ablate.gamma_sets": [[0.0]]}
+_TYPE_NAMES = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
+               float: ("a number", "numbers"), str: ("a string", "strings")}
 
 
 @dataclass
@@ -88,12 +102,9 @@ class RunConfig:
 
     def layout_for(self, dist: TaskDistributionSpec) -> PsiLayout:
         lay = self.raw["layout"]
-        return PsiLayout(
-            n_components=len(dist.task_network().components()),
-            base_kinds=tuple(OptimizerKind(k) for k in lay["base_optimizers"]),
-            gammas=tuple(lay["gammas"]),
-            variant=Variant(lay["variant"]),
-        )
+        return PsiLayout(n_components=len(dist.task_network().components()),
+                         base_kinds=lay["base_optimizers"], gammas=lay["gammas"],
+                         variant=lay["variant"])
 
     def config_hash(self) -> str:
         # out_dir and workers shape execution, not results; checkpoints made
@@ -103,22 +114,50 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _merge(base: dict, override: dict, path="") -> dict:
-    out = copy.deepcopy(base)
+def _fits(value, default) -> bool:
+    """Whether ``value`` has the type of ``default``: an int (not a bool) for
+    an int, an int or a float for a float, the same type for a bool or a
+    string, and a list whose entries fit the first entry for a list."""
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _type_name(default, plural: bool = False) -> str:
+    if isinstance(default, (list, tuple)):
+        return ("lists" if plural else "a list") + " of " + _type_name(default[0], True)
+    return _TYPE_NAMES[type(default)][plural]
+
+
+def _merge(cfg: dict, override: dict, schema: dict = DEFAULT_CONFIG, path: str = "") -> None:
+    """Update ``cfg`` in place from ``override``, a config object or the
+    nested object of one --set. Every key must be a key of ``schema``, the
+    DEFAULT_CONFIG section at ``path``, and every value must have the type
+    of its default there."""
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in schema:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
+        default = schema[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where} must be an object")
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = value
-    return out
+            _merge(cfg[key], value, default, where)
+            continue
+        if where in _NULLABLE:
+            if value is not None and not _fits(value, _NULLABLE[where]):
+                raise ConfigError(f"{where} must be null or {_type_name(_NULLABLE[where])}, "
+                                  f"got {value!r}")
+        elif not _fits(value, default):
+            raise ConfigError(f"{where} must be {_type_name(default)}, got {value!r}")
+        cfg[key] = value
 
 
-def apply_set_override(cfg: dict, assignment: str) -> None:
+def _parse_set(assignment: str) -> dict:
+    """--set a.b=v as the nested object {"a": {"b": v}}; v is JSON, or else
+    the text itself."""
     if "=" not in assignment:
         raise ConfigError(f"--set expects key=value, got {assignment!r}")
     dotted, _, text = assignment.partition("=")
@@ -126,83 +165,49 @@ def apply_set_override(cfg: dict, assignment: str) -> None:
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text
-    node = cfg
-    keys = dotted.split(".")
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[key]
-    if keys[-1] not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    node[keys[-1]] = value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_count(value, where: str, least: int) -> None:
-    """A task count or horizon must be an integer (not a bool) >= least."""
-    if not _is_int(value) or value < least:
-        raise ConfigError(f"{where} must be an integer >= {least}, got {value!r}")
-
-
-def _check_integer_fields(cls, section: dict, where: str) -> None:
-    """A field of ``section`` whose default in the dataclass ``cls`` is an
-    int, or a tuple of ints, must be one too (a bool is not), so that 4.0
-    is rejected here rather than deep inside a run."""
-    for f in dataclasses.fields(cls):
-        if f.name not in section:
-            continue
-        value = section[f.name]
-        if isinstance(f.default, tuple):
-            if not (isinstance(value, (list, tuple)) and all(map(_is_int, value))):
-                raise ConfigError(f"{where}.{f.name} must be a list of integers, got {value!r}")
-        elif _is_int(f.default) and not _is_int(value):
-            raise ConfigError(f"{where}.{f.name} must be an integer, got {value!r}")
+    for key in reversed(dotted.split(".")):
+        value = {key: value}
+    return value
 
 
 def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
                 workers: int | None = None) -> RunConfig:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    overrides = []
     if path is not None:
         with open(path) as fh:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: a config must be a JSON object, got {user!r:.40}")
-        if user.get("schema_version", 1) != 1:
-            raise ConfigError(f"unsupported schema_version {user.get('schema_version')}")
-        cfg = _merge(cfg, user)
-    for assignment in sets:
-        apply_set_override(cfg, assignment)
-    if out_dir is not None:
-        cfg["out_dir"] = out_dir
-    if workers is not None:
-        cfg["workers"] = workers
-
+        overrides.append(user)
+    overrides += [_parse_set(assignment) for assignment in sets]
+    flags = {"out_dir": out_dir, "workers": workers}
+    overrides.append({k: v for k, v in flags.items() if v is not None})
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for override in overrides:
+        _merge(cfg, override)
+    if cfg["schema_version"] != 1:
+        raise ConfigError(f"unsupported schema_version {cfg['schema_version']}")
+    ev, ab = cfg["evaluate"], cfg["ablate"]
+    if ev["regime"] not in REGIMES:
+        raise ConfigError(f"unknown regime {ev['regime']!r}")
+    # the bounds that the types do not give
+    for where, value, least in [
+            ("seed", cfg["seed"], 0), ("workers", cfg["workers"], 1),
+            ("pretrain.steps", cfg["pretrain"]["steps"], 0),
+            ("evaluate.n_tasks", ev["n_tasks"], 1), ("ablate.eval_n_tasks", ab["eval_n_tasks"], 1),
+            *(("every evaluate.k_list entry", k, 0) for k in ev["k_list"]),
+            ("ablate.eval_k", ab["eval_k"], 0)]:
+        if value < least:
+            raise ConfigError(f"{where} must be >= {least}, got {value!r}")
     try:
-        _check_integer_fields(TaskDistributionSpec, cfg["distribution"], "distribution")
-        _check_integer_fields(NesConfig, cfg["nes"], "nes")
         dist = TaskDistributionSpec(**cfg["distribution"])
-        nes = NesConfig(**cfg["nes"], seed=cfg["seed"])
         run = RunConfig(raw=cfg, seed=cfg["seed"], out_dir=Path(cfg["out_dir"]),
-                        workers=int(cfg["workers"]), dist=dist, nes=nes,
-                        renormalize=bool(cfg["layout"]["renormalize"]),
-                        pretrain_steps=int(cfg["pretrain"]["steps"]))
+                        workers=cfg["workers"], dist=dist,
+                        nes=NesConfig(**cfg["nes"], seed=cfg["seed"]),
+                        renormalize=cfg["layout"]["renormalize"],
+                        pretrain_steps=cfg["pretrain"]["steps"])
         run.layout_for(dist)  # validates the layout section
-        ev, ab = cfg["evaluate"], cfg["ablate"]
-        if ev["regime"] not in REGIMES:
-            raise ConfigError(f"unknown regime {ev['regime']!r}")
-        _check_count(ev["n_tasks"], "evaluate.n_tasks", 1)
-        if not isinstance(ev["k_list"], list):
-            raise ConfigError(f"evaluate.k_list must be a list, got {ev['k_list']!r}")
-        for k in ev["k_list"]:
-            _check_count(k, "every evaluate.k_list entry", 0)
-        _check_count(ab["eval_n_tasks"], "ablate.eval_n_tasks", 1)
-        _check_count(ab["eval_k"], "ablate.eval_k", 0)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return run
 
@@ -297,22 +302,17 @@ def _resume_history(doc, path):
 
 
 def _regime_setting(run: RunConfig, regime: str, checkpoint_path: str | None):
-    """(task distribution, split, theta0 source) for one evaluation regime."""
+    """(task distribution, split, theta0) for one evaluation regime."""
+    alt_data, source, split = REGIMES[regime]
     alt = dataclasses.replace(
         run.dist, generator_seed=run.raw["evaluate"]["alt_generator_seed"])
-    if regime == "in_domain":
-        return run.dist, "metatrain", _main_checkpoint(run, checkpoint_path)
-    if regime == "heldout":
-        return run.dist, "metatest", _main_checkpoint(run, checkpoint_path)
-    if regime == "alt_data":
-        return alt, "metatest", _main_checkpoint(run, checkpoint_path)
-    if regime == "alt_checkpoint":
-        return run.dist, "metatest", meta.pretrain_checkpoint(alt, run.pretrain_steps, run.seed)
-    if regime == "alt_both":
-        return alt, "metatest", meta.pretrain_checkpoint(alt, run.pretrain_steps, run.seed)
-    if regime == "random_init":
-        return run.dist, "metatest", None
-    raise ConfigError(f"unknown regime {regime!r}")
+    if source == "main":
+        init_from = _main_checkpoint(run, checkpoint_path)
+    elif source == "alt":
+        init_from = meta.pretrain_checkpoint(alt, run.pretrain_steps, run.seed)
+    else:
+        init_from = None
+    return alt if alt_data else run.dist, split, init_from
 
 
 def _slug(label: str) -> str:
@@ -332,9 +332,7 @@ def cmd_evaluate(args) -> int:
         expected = run.layout_for(run.dist)
         if psi.layout != expected:
             raise ConfigError("psi checkpoint layout does not match the configuration")
-        label = args.label or "l3rs"
-        handle = bench.controller_handle(psi.flat, psi.layout, label=label,
-                                         renormalize=run.renormalize)
+        handle = bench.controller_handle(psi.flat, psi.layout, renormalize=run.renormalize)
     elif args.baseline:
         try:
             spec = bench.BaselineSpec(kind=bench.BaselineKind(args.baseline),
@@ -342,20 +340,20 @@ def cmd_evaluate(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--lr: {exc}") from exc
         handle = bench.baseline_handle(spec)
-        label = args.label or handle.label
-        handle = bench.OptimizerHandle(label=label, factory=handle.factory)
     else:
         raise ConfigError("evaluate needs --psi FILE or --baseline KIND")
+    if args.label:
+        handle = dataclasses.replace(handle, label=args.label)
 
     report = bench.evaluate_suite(handle, dist, ev["n_tasks"], ev["k_list"],
                                   eval_seed=run.seed, split=split,
                                   init_from=init_from)
-    slug = _slug(label)
+    slug = _slug(handle.label)
     bench.write_eval_csv(report, run.out_dir / f"eval_{slug}.csv")
     bench.write_eval_tasks_csv(report, run.out_dir / f"eval_{slug}_tasks.csv")
     summary = {
         "regime": regime,
-        "optimizer": label,
+        "optimizer": handle.label,
         "cells": [{"K": c.K, "mean_acc": c.mean_acc, "std_acc": c.std_acc,
                    "mean_loss": c.mean_loss, "std_loss": c.std_loss}
                   for c in report.cells],

@@ -19,8 +19,8 @@ flat expression over [C, P, n]. The controller MLPs are stacked (a leading
 n_mlps axis: 1, or L for per_layer_mlp) behind the candidate axis, so the
 frames [C, L, F] of every variant take one batched matmul per MLP layer.
 Every per-candidate array keeps all C rows for the whole run: a candidate
-whose directions, logits or lambdas stop being finite is only reported in
-the step's finite mask, and the others are not disturbed.
+whose directions, segment norms, logits or lambdas stop being finite is
+only reported in the step's finite mask, and the others are not disturbed.
 
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
@@ -426,8 +426,9 @@ class ControllerContext:
         gradients grads [C, n] and the train losses [C].
 
         Returns (new params [C, n], finite [C]); a row whose directions,
-        logits or lambda are not finite, or whose betas round to 0 or 1, is
-        False in ``finite``, and its new params are meaningless.
+        segment norms (of weights, gradients or directions), logits or
+        lambda are not finite, or whose betas round to 0 or 1, is False in
+        ``finite``, and its new params are meaningless.
 
         Order of effects: directions from pre-update weights and gradients,
         then the EMA recursion on pre-update statistics, then the controller
@@ -435,7 +436,8 @@ class ControllerContext:
         """
         wg = np.stack([params, grads], axis=-2)
         offsets = self.bank.offsets
-        wg_norms = segment_norms(wg, offsets)
+        with np.errstate(over="ignore"):  # a norm that overflows kills its row below
+            wg_norms = segment_norms(wg, offsets)
         dirs, norms, finite = self.bank.step(grads, params)
         # a row that is not finite may carry inf into its EMAs and its
         # update; the NaN that inf makes there stays in that dead row
@@ -443,7 +445,7 @@ class ControllerContext:
             self.tracker.update(losses, self._stats(wg_norms))
             mu, lam, ok = self.decide(norms, k)
             new = params + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
-        finite = finite & ok & self._betas_valid
+        finite = finite & ok & self._betas_valid & np.isfinite(wg_norms).all(axis=(1, 2))
         if self.trajectories is not None:
             for row in np.flatnonzero(finite).tolist():
                 loss = losses[row].item()

@@ -494,16 +494,16 @@ def generation_task_seeds(cfg: NesConfig, generation: int) -> list[int]:
 
 def _eval_block_job(args):
     """Losses [block, meta_batch] of a contiguous block of candidates, each
-    task built once and run once for the whole block, in the evaluator's
-    environment ``env``, which the job carries."""
-    start, block, task_seeds, env = args
+    meta-train task built once and run once for the whole block, in the
+    evaluator's environment ``env``, which the job carries."""
+    block, task_seeds, env = args
     factory = controller_stepper_factory(block, env["layout"],
                                          renormalize=env["renormalize"])
     losses = np.empty((len(block), len(task_seeds)))
     for j, seed in enumerate(task_seeds):
-        task = make_task(env["dist"], seed, split=env["split"], init_from=env["init_from"])
+        task = make_task(env["dist"], seed, init_from=env["init_from"])
         losses[:, j] = [r.meta_loss for r in inner_loop_batch(factory, task)]
-    return start, losses
+    return losses
 
 
 class CandidateEvaluator:
@@ -511,17 +511,16 @@ class CandidateEvaluator:
     cut into contiguous candidate blocks whose sizes differ by at most one:
     one block when sequential, one per worker process otherwise (never more
     workers than candidates). Fitness does not depend on the blocks, since
-    every row gets the bits of its single-candidate run, and results are
-    reduced by candidate index. Each evaluator runs its blocks in its own
-    environment (distribution, layout, checkpoint, split and renormalize),
-    which every block job carries, whatever other evaluators exist."""
+    every row gets the bits of its single-candidate run, and results come
+    back in block order. Each evaluator runs its blocks in its own
+    environment (distribution, layout, checkpoint and renormalize), which
+    every block job carries, whatever other evaluators exist."""
 
     def __init__(self, cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
-                 init_from: np.ndarray | None, split: str = "metatrain",
-                 renormalize: bool = False, workers: int = 1):
+                 init_from: np.ndarray | None, renormalize: bool = False, workers: int = 1):
         self.cfg = cfg
         self.workers = max(1, min(int(workers), cfg.population))
-        self._env = dict(dist=dist, layout=layout, init_from=init_from, split=split,
+        self._env = dict(dist=dist, layout=layout, init_from=init_from,
                          renormalize=renormalize)
         self._pool = ProcessPoolExecutor(self.workers) if self.workers > 1 else None
 
@@ -529,16 +528,12 @@ class CandidateEvaluator:
         seeds = generation_task_seeds(self.cfg, generation)
         n, blocks = len(candidates), min(self.workers, len(candidates))
         bounds = [i * n // blocks for i in range(blocks + 1)]
-        jobs = [(a, candidates[a:b], seeds, self._env) for a, b in zip(bounds[:-1], bounds[1:])]
-        fits = np.zeros(len(candidates))
+        jobs = [(candidates[a:b], seeds, self._env) for a, b in zip(bounds[:-1], bounds[1:])]
         if self._pool is None:
             results = map(_eval_block_job, jobs)
         else:
             results = self._pool.map(_eval_block_job, jobs)
-        for start, losses in results:
-            for i, row in enumerate(losses, start):
-                fits[i] = -float(np.mean(row))
-        return fits
+        return np.array([-float(np.mean(row)) for losses in results for row in losses])
 
     def close(self):
         if self._pool is not None:
@@ -557,8 +552,7 @@ def initial_psi(cfg: NesConfig, layout: PsiLayout) -> np.ndarray:
 
 def meta_train(cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
                init_from: np.ndarray | None = None, workers: int = 1,
-               state: NesState | None = None, split: str = "metatrain",
-               renormalize: bool = False,
+               state: NesState | None = None, renormalize: bool = False,
                on_generation=None) -> tuple[np.ndarray, list[GenerationStats]]:
     """Run the outer loop for cfg.generations total generations.
 
@@ -568,8 +562,8 @@ def meta_train(cfg: NesConfig, dist: TaskDistributionSpec, layout: PsiLayout,
     """
     if state is None:
         state = NesState(psi=initial_psi(cfg, layout))
-    with CandidateEvaluator(cfg, dist, layout, init_from, split=split,
-                            renormalize=renormalize, workers=workers) as ev:
+    with CandidateEvaluator(cfg, dist, layout, init_from, renormalize=renormalize,
+                            workers=workers) as ev:
         while state.generation < cfg.generations:
             nes_generation(state, cfg, ev)
             if on_generation is not None:
@@ -599,10 +593,10 @@ def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> np
     return theta
 
 
-def pretrain_eval(dist: TaskDistributionSpec, params: np.ndarray, seed: int,
-                  n: int = 512) -> tuple[float, float]:
-    """(loss, accuracy) of a pretrain-split model on a held-out batch."""
-    spec = dist.pretrain_network()
+def pretrain_eval(dist: TaskDistributionSpec, params: np.ndarray,
+                  seed: int) -> tuple[float, float]:
+    """(loss, accuracy) of a pretrain-split model on a held-out batch of 512."""
+    spec, n = dist.pretrain_network(), 512
     x, y = np.empty((n, dist.input_dim)), np.empty(n, dtype=np.int64)
     _draw_blobs(dist, dist.class_means(), dist.split_classes("pretrain"),
                 derived_rng(dist.generator_seed, seed, _TAG_PRETRAIN_EVAL), x, y)

@@ -33,23 +33,13 @@ class OptimizerKind(str, Enum):
     WEIGHT_DECAY = "weight_decay"
 
 
-# kinds whose (beta1, beta2) are exposed to meta-learning
-KINDS_WITH_BETAS = (
-    OptimizerKind.ADAM,
-    OptimizerKind.ADAMAX,
-    OptimizerKind.LION,
-    OptimizerKind.LAMB,
-)
-
-# persistent per-parameter state slots, the Memory Overhead column
-STATE_SLOTS = {
-    OptimizerKind.SGD: 0,
-    OptimizerKind.ADAM: 2,
-    OptimizerKind.ADAMAX: 2,
-    OptimizerKind.LION: 1,
-    OptimizerKind.LAMB: 2,
-    OptimizerKind.WEIGHT_DECAY: 0,
-}
+# the persistent per-parameter state of every kind that keeps any; these are
+# exactly the kinds whose (beta1, beta2) are exposed to meta-learning
+_SLOTS = {OptimizerKind.ADAM: ("m", "v"), OptimizerKind.ADAMAX: ("m", "u"),
+          OptimizerKind.LION: ("m",), OptimizerKind.LAMB: ("m", "v")}
+KINDS_WITH_BETAS = tuple(_SLOTS)
+# state slots per kind, the Memory Overhead column
+STATE_SLOTS = {kind: len(_SLOTS.get(kind, ())) for kind in OptimizerKind}
 
 
 def default_betas(kinds) -> np.ndarray:
@@ -58,14 +48,12 @@ def default_betas(kinds) -> np.ndarray:
 
 
 def _debias(beta, k: int):
-    """1 - beta**k for a scalar beta or a per-row beta array [..., 1].
+    """1 - beta**k for a per-row beta array [..., 1] (or a scalar).
 
     Powers are taken in Python floats, row by row: numpy's vectorized power
     may round differently from libm's pow, and every row must get the
     bits a single-row run gets.
     """
-    if np.ndim(beta) == 0:
-        return 1.0 - beta ** k
     return np.array([1.0 - b ** k for b in np.ravel(beta).tolist()]).reshape(np.shape(beta))
 
 
@@ -123,10 +111,6 @@ def segment_norms(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     for i, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
         sq[..., i, :] = (rows[..., None, a:b] @ rows[..., a:b, None])[..., 0, 0]
     return np.sqrt(sq)
-
-
-_SLOTS = {OptimizerKind.ADAM: ("m", "v"), OptimizerKind.LAMB: ("m", "v"),
-          OptimizerKind.ADAMAX: ("m", "u"), OptimizerKind.LION: ("m",)}
 
 
 class DirectionBank:
@@ -192,11 +176,14 @@ class DirectionBank:
         weights [C, n] of the current step.
 
         Returns (directions [C, P, n], norms [C, L, P], finite [C]), where
-        ``finite`` is False for a row with any direction that is not finite.
+        ``finite`` is False for a row with any segment norm that is not
+        finite: a direction with a NaN or inf entry, or a finite one so
+        large that its norm overflows.
         """
         self.step_count += 1
         dirs = np.empty((len(grad), self.n_providers, grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for p, (kind, betas, state) in enumerate(zip(self.kinds, self._betas, self._state)):
                 dirs[:, p] = self._direction(kind, betas, state, grad, weights)
-        return dirs, segment_norms(dirs, self.offsets), np.isfinite(dirs).all(axis=(1, 2))
+            norms = segment_norms(dirs, self.offsets)
+        return dirs, norms, np.isfinite(norms).all(axis=(1, 2))

@@ -132,6 +132,29 @@ class TestConfig:
         assert err.startswith("error: ") and assignment.split("=")[0] in err
         assert not (tmp_path / "m").exists()
 
+    @pytest.mark.parametrize("assignment", [
+        "seed=0.5", "seed=-1", "workers=0", "pretrain.steps=1.5", 'layout.renormalize="yes"',
+        "ablate.gamma_sets=[0.5]"])
+    def test_values_of_a_wrong_type_or_below_the_minimum(self, tmp_path, capsys, assignment):
+        # pretrain took each of these (seed 0.5 trained as seed 0, 1.5 steps
+        # as 1, "yes" as true), and ablate ended in a traceback on two
+        cfg = write_config(tmp_path)
+        capsys.readouterr()
+        for command in ("pretrain", "ablate"):
+            assert run_cli(command, "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                           "--set", assignment) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and assignment.split("=")[0] in err
+            assert not (tmp_path / "o").exists()
+
+    def test_set_values_are_typed_by_the_defaults_not_the_file(self, tmp_path):
+        # the file's int sigma0 and empty k_list do not narrow what --set takes
+        cfg = write_config(tmp_path, {"nes": {"sigma0": 1}, "evaluate": {"k_list": []}})
+        run = cli.load_config(cfg, ["nes.sigma0=0.5", "evaluate.k_list=[2]",
+                                    "ablate.gamma_sets=[[0.5, 1]]", "ablate.gamma_sets=null"])
+        assert run.nes.sigma0 == 0.5 and run.raw["evaluate"]["k_list"] == [2]
+        assert run.raw["ablate"]["gamma_sets"] is None
+
     def test_float_fields_take_integers(self):
         run = cli.load_config(None, ["distribution.blob_std=1", "nes.sigma0=1"])
         assert run.dist.blob_std == 1 and run.nes.sigma0 == 1

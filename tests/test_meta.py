@@ -322,8 +322,9 @@ class TestMetaTrain:
         seen = []
 
         def record_block(args):
-            seen.append(len(args[1]))
-            return args[0], np.zeros((len(args[1]), len(args[2])))
+            block, task_seeds, _ = args
+            seen.append(len(block))
+            return np.zeros((len(block), len(task_seeds)))
 
         monkeypatch.setattr(meta_mod, "_eval_block_job", record_block)
         monkeypatch.setattr(meta_mod, "ProcessPoolExecutor", _InlinePool)

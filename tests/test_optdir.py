@@ -262,6 +262,18 @@ class TestDirectionBank:
         np.testing.assert_array_equal(dirs[[0, 2]], clean_dirs[[0, 2]])
         np.testing.assert_array_equal(norms[[0, 2]], clean_norms[[0, 2]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_direction_whose_norm_overflows_is_not_finite(self):
+        # every entry of row 1's direction is finite, but the sum of their
+        # squares overflows, so its segment norms are inf
+        spec, params = small_params()
+        bank = make_bank([OptimizerKind.SGD], spec.offsets(), rows=2)
+        grad = np.ones((2, params.size))
+        grad[1] = 1e200
+        dirs, norms, finite = bank.step(grad, np.tile(params, (2, 1)))
+        assert np.isfinite(dirs).all() and np.isinf(norms[1]).all()
+        np.testing.assert_array_equal(finite, [True, False])
+
     def test_step_counter_shared(self):
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], spec.offsets())
