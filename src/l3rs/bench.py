@@ -8,6 +8,7 @@ optimizer run compare two separately written implementations.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -100,28 +101,46 @@ def evaluate_suite(handles, dist: TaskDistributionSpec, n_tasks: int,
                    k_list, eval_seed: int, split: str = "metatest",
                    init_from: np.ndarray | None = None) -> EvalReport:
     """Paired evaluation: the same task seeds are used for every optimizer
-    and every K, so per-task differences are well-defined. Each (optimizer,
-    K) cell is one inner loop over a block of all n_tasks tasks, and every
-    task's result equals its own handle.run."""
+    and every K, so per-task differences are well-defined. The n_tasks
+    tasks are drawn once, as one block at the largest K, and each
+    (optimizer, K) cell is one inner loop over that block's first K train
+    batches; every task's result equals its own handle.run."""
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
+    if min(k_list, default=0) < 0:
+        raise ValueError(f"every K must be >= 0, got {min(k_list)}")
     if isinstance(handles, OptimizerHandle):
         handles = [handles]
     seeds = evaluation_task_seeds(eval_seed, n_tasks)
+    block = make_task_block(dist, seeds, max(k_list, default=0), split=split,
+                            init_from=init_from)
     report = EvalReport()
     for K in k_list:
-        block = make_task_block(dist, seeds, K, split=split, init_from=init_from)
+        prefix = dataclasses.replace(block, train_batches=block.train_batches[:K])
         for handle in handles:
-            results = inner_loop_batch(handle.factory, block)
+            results = inner_loop_batch(handle.factory, prefix)
             accs = [r.eval_accuracy for r in results]
             losses = [r.meta_loss for r in results]
             report.cells.append(EvalCell(
                 optimizer=handle.label, K=int(K), n_tasks=n_tasks,
-                mean_acc=float(np.mean(accs)), std_acc=float(np.std(accs)),
-                mean_loss=float(np.mean(losses)), std_loss=float(np.std(losses)),
+                mean_acc=float(np.mean(accs)), std_acc=spread(accs),
+                mean_loss=float(np.mean(losses)), std_loss=spread(losses),
                 task_seeds=list(seeds), task_acc=accs, task_loss=losses))
-        del block  # so that the next cell's block is built without this one
     return report
+
+
+def spread(values) -> float:
+    """np.std of ``values``, bit for bit wherever that is finite. Where it
+    overflows on finite values, the std of the values divided by their
+    largest magnitude, times that magnitude: finite, as it is at most the
+    magnitude."""
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = np.std(v)
+    if np.isfinite(std) or not np.isfinite(v).all():
+        return float(std)
+    scale = np.abs(v).max()
+    return float(np.std(v / scale) * scale)
 
 
 def steps_to_target(curve, target: float) -> float | None:

@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,6 @@ from .controller import (
 )
 from .files import write_csv, write_json
 from .meta import NesConfig, NesState, TaskDistributionSpec
-from .optdir import OptimizerKind
 
 CHECKPOINT_EVERY = 50
 
@@ -86,7 +86,7 @@ REGIMES = {
 # the type of a key whose default is null, which stays allowed
 _NULLABLE = {"ablate.gamma_sets": [[0.0]]}
 _TYPE_NAMES = {bool: ("a boolean", "booleans"), int: ("an integer", "integers"),
-               float: ("a number", "numbers"), str: ("a string", "strings")}
+               float: ("a finite number", "finite numbers"), str: ("a string", "strings")}
 
 
 @dataclass
@@ -106,6 +106,23 @@ class RunConfig:
                          base_kinds=lay["base_optimizers"], gammas=lay["gammas"],
                          variant=lay["variant"])
 
+    def ablation_cells(self) -> list[bench.AblationCell]:
+        """Every gamma set × base set × variant of the ablate section."""
+        ab = self.raw["ablate"]
+        try:
+            base_sets = [PsiLayout(1, base).base_kinds for base in ab["base_sets"]]
+        except ValueError as exc:
+            raise ConfigError(f"ablate.base_sets: {exc}") from exc
+        try:
+            variants = [Variant(v) for v in ab["variants"]]
+        except ValueError as exc:
+            raise ConfigError(f"ablate.variants: {exc}") from exc
+        gamma_sets = ab["gamma_sets"]
+        if gamma_sets is None:
+            gamma_sets = [self.raw["layout"]["gammas"]]
+        return [cell for gammas in gamma_sets
+                for cell in bench.cross_cells(base_sets, variants, gammas=tuple(gammas))]
+
     def config_hash(self) -> str:
         # out_dir and workers shape execution, not results; checkpoints made
         # with different worker counts must stay interchangeable
@@ -116,12 +133,12 @@ class RunConfig:
 
 def _fits(value, default) -> bool:
     """Whether ``value`` has the type of ``default``: an int (not a bool) for
-    an int, an int or a float for a float, the same type for a bool or a
-    string, and a list whose entries fit the first entry for a list."""
+    an int, an int or a finite float for a float, the same type for a bool
+    or a string, and a list whose entries fit the first entry for a list."""
     if isinstance(default, (list, tuple)):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     if isinstance(default, float):
-        return type(value) in (int, float)
+        return type(value) is int or (type(value) is float and math.isfinite(value))
     return type(value) is type(default)
 
 
@@ -209,6 +226,7 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
         run.layout_for(dist)  # validates the layout section
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
+    run.ablation_cells()  # validates the ablate section
     return run
 
 
@@ -248,10 +266,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_meta_train(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
-    _write_config_snapshot(run)
     layout = run.layout_for(run.dist)
-    checkpoint = _main_checkpoint(run, args.checkpoint)
-
     state = None
     if args.resume:
         psi, doc = load_psi(args.resume)
@@ -261,6 +276,8 @@ def cmd_meta_train(args) -> int:
             raise ConfigError("resume checkpoint was produced by a different configuration")
         history = _resume_history(doc, args.resume)
         state = NesState(psi=psi.flat.copy(), generation=len(history), history=history)
+    checkpoint = _main_checkpoint(run, args.checkpoint)
+    _write_config_snapshot(run)
 
     def save(tag, st, **extra):
         save_psi(run.out_dir / f"psi_{tag}.json", unflatten(st.psi, layout),
@@ -322,11 +339,6 @@ def _slug(label: str) -> str:
 def cmd_evaluate(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
     reference = _read_reference(args.paired) if args.paired else None
-    _write_config_snapshot(run)
-    ev = run.raw["evaluate"]
-    regime = args.regime or ev["regime"]
-    dist, split, init_from = _regime_setting(run, regime, args.checkpoint)
-
     if args.psi:
         psi, _ = load_psi(args.psi)
         expected = run.layout_for(run.dist)
@@ -344,6 +356,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --psi FILE or --baseline KIND")
     if args.label:
         handle = dataclasses.replace(handle, label=args.label)
+    ev = run.raw["evaluate"]
+    regime = args.regime or ev["regime"]
+    dist, split, init_from = _regime_setting(run, regime, args.checkpoint)
+    _write_config_snapshot(run)
 
     report = bench.evaluate_suite(handle, dist, ev["n_tasks"], ev["k_list"],
                                   eval_seed=run.seed, split=split,
@@ -403,11 +419,11 @@ def _write_paired(report: bench.EvalReport, ref: dict, path) -> None:
 
 def cmd_inspect(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
-    _write_config_snapshot(run)
-    psi, _ = load_psi(args.psi)
-    init_from = _main_checkpoint(run, args.checkpoint)
     if args.k is not None and args.k < 0:
         raise ConfigError(f"--k must be >= 0, got {args.k}")
+    psi, _ = load_psi(args.psi)
+    init_from = _main_checkpoint(run, args.checkpoint)
+    _write_config_snapshot(run)
     task = meta.make_task(run.dist, args.task_seed, split="metatest",
                           init_from=init_from, k_override=args.k)
     handle = bench.controller_handle(psi.flat, psi.layout,
@@ -435,19 +451,8 @@ def cmd_ablate(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
     _write_config_snapshot(run)
     ab = run.raw["ablate"]
-    gamma_sets = ab["gamma_sets"]
-    if gamma_sets is None:
-        gamma_sets = [run.raw["layout"]["gammas"]]
-    cells = [
-        cell
-        for gammas in gamma_sets
-        for cell in bench.cross_cells(
-            [[OptimizerKind(k) for k in base] for base in ab["base_sets"]],
-            [Variant(v) for v in ab["variants"]],
-            gammas=tuple(gammas))
-    ]
     cfg = bench.AblationConfig(
-        dist=run.dist, nes=run.nes, cells=cells,
+        dist=run.dist, nes=run.nes, cells=run.ablation_cells(),
         pretrain_steps=run.pretrain_steps, pretrain_seed=run.seed,
         eval_n_tasks=ab["eval_n_tasks"], eval_k=ab["eval_k"],
         eval_seed=run.seed, workers=run.workers)

@@ -136,15 +136,20 @@ class Task:
     """A block of R fine-tuning problems of one horizon K, one per row:
     flat theta0 [R, n], K train batches (x [R, B, d], y [R, B]) and one eval
     batch (x [R, E, d], y [R, E]), with each row's seed and class ids. A
-    single task is the block of one row (make_task)."""
+    single task is the block of one row (make_task). The horizon K is the
+    number of train batches, so replacing train_batches by its first K'
+    entries gives the same tasks at horizon K' (make_task_block)."""
 
     spec: NetworkSpec
     theta0: np.ndarray
     train_batches: list[Batch]
     eval_batch: Batch
-    K: int
     seed: tuple[int, ...]
     class_ids: tuple[tuple[int, ...], ...]
+
+    @property
+    def K(self) -> int:
+        return len(self.train_batches)
 
     @property
     def n_rows(self) -> int:
@@ -182,7 +187,8 @@ def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "met
     re-initialized whenever pretrain_classes differs from the task's class
     count (the usual fine-tuning head swap). Without a checkpoint the whole
     model is freshly initialized. The train batches for a given seed are a
-    common prefix across horizons.
+    common prefix across horizons: the block at horizon K' <= K is this
+    block with its first K' train batches, bit for bit.
     """
     if K < 0 or len(seeds) < 1:
         raise ValueError(f"a task block needs K >= 0 and a seed, got K={K} and {len(seeds)} seeds")
@@ -219,7 +225,7 @@ def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "met
                     eval_x[r], eval_y[r])
     return Task(spec=spec, theta0=theta0,
                 train_batches=[Batch(x=x[k], y=y[k]) for k in range(K)],
-                eval_batch=Batch(x=eval_x, y=eval_y), K=K,
+                eval_batch=Batch(x=eval_x, y=eval_y),
                 seed=tuple(int(s) for s in seeds), class_ids=tuple(class_ids))
 
 

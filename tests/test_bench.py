@@ -20,14 +20,16 @@ from l3rs.bench import (
     write_ablation_csv,
     write_eval_csv,
 )
-from l3rs import meta
+from l3rs import bench, meta
 from l3rs.controller import PsiLayout, Variant, flatten, init_meta_params
 from l3rs.meta import (
     NesConfig,
     TaskDistributionSpec,
     controller_stepper_factory,
+    inner_loop_batch,
     inner_loop_eval,
     make_task,
+    make_task_block,
     pretrain_checkpoint,
 )
 from l3rs.nnlite import NetworkSpec
@@ -166,6 +168,67 @@ class TestEvaluateSuite:
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
         with pytest.raises(ValueError, match="n_tasks"):
             evaluate_suite(handle, DIST, n_tasks=n_tasks, k_list=[2], eval_seed=0)
+
+    def test_tasks_are_drawn_once_per_suite(self, monkeypatch):
+        calls = []
+        original = bench.make_task_block
+        monkeypatch.setattr(bench, "make_task_block",
+                            lambda *a, **kw: calls.append(a[2]) or original(*a, **kw))
+        handles = [baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1)),
+                   baseline_handle(BaselineSpec(BaselineKind.ADAM_CONST, lr0=1e-2))]
+        evaluate_suite(handles, DIST, n_tasks=3, k_list=[2, 5, 3], eval_seed=2)
+        assert calls == [5]
+        evaluate_suite(handles, DIST, n_tasks=3, k_list=[4], eval_seed=2)
+        assert calls == [5, 4]
+
+    def test_cells_equal_blocks_drawn_at_each_k(self):
+        # every K runs on a prefix of one block; the reference draws the
+        # block again at each K
+        layout = layout_for(DIST)
+        handles = [controller_handle(flatten(init_meta_params(layout, seed=1)), layout),
+                   baseline_handle(BaselineSpec(BaselineKind.ADAM_COSINE, lr0=1e-2))]
+        checkpoint = pretrain_checkpoint(DIST, 3, 0)
+        k_list = [7, 0, 3, 7]
+        report = evaluate_suite(handles, DIST, n_tasks=3, k_list=k_list, eval_seed=5,
+                                init_from=checkpoint)
+        seeds = bench.evaluation_task_seeds(5, 3)
+        cells = iter(report.cells)
+        for K in k_list:
+            block = make_task_block(DIST, seeds, K, split="metatest", init_from=checkpoint)
+            for handle in handles:
+                results = inner_loop_batch(handle.factory, block)
+                cell = next(cells)
+                assert (cell.optimizer, cell.K, cell.task_seeds) == (handle.label, K, seeds)
+                assert cell.task_acc == [r.eval_accuracy for r in results]
+                assert cell.task_loss == [r.meta_loss for r in results]
+        assert next(cells, None) is None
+
+    def test_empty_k_list_gives_an_empty_report(self):
+        handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
+        assert evaluate_suite(handle, DIST, n_tasks=2, k_list=[], eval_seed=0).cells == []
+
+    def test_negative_k_rejected(self):
+        handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
+        with pytest.raises(ValueError, match=">= 0"):
+            evaluate_suite(handle, DIST, n_tasks=2, k_list=[3, -1], eval_seed=0)
+
+    def test_spread_that_overflows_stays_finite(self):
+        # SGD at lr 1e4 blows one task's loss up to about 5e235 without a
+        # non-finite value, and np.std of the losses overflows in its square
+        handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e4))
+        report = evaluate_suite(handle, TaskDistributionSpec(hidden=(32, 32)), n_tasks=4,
+                                k_list=[7], eval_seed=3)
+        losses = np.array(report.cells[0].task_loss)
+        assert np.isfinite(losses).all() and losses.max() > 1e200
+        scale = losses.max()
+        assert report.cells[0].std_loss == float(np.std(losses / scale) * scale)
+        assert report.cells[0].std_acc == float(np.std(report.cells[0].task_acc))
+
+    def test_spread_of_finite_values_whose_std_overflows(self):
+        values = [1e308, -1e308, 1e308]
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.std(values))
+        assert bench.spread(values) == float(np.std([1.0, -1.0, 1.0]) * 1e308)
 
     def test_csv_written(self, tmp_path):
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))

@@ -134,10 +134,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("assignment", [
         "seed=0.5", "seed=-1", "workers=0", "pretrain.steps=1.5", 'layout.renormalize="yes"',
-        "ablate.gamma_sets=[0.5]"])
+        "ablate.gamma_sets=[0.5]", "nes.sigma0=NaN", "distribution.blob_std=Infinity",
+        'ablate.base_sets=[["bogus"]]', 'ablate.variants=["bogus"]'])
     def test_values_of_a_wrong_type_or_below_the_minimum(self, tmp_path, capsys, assignment):
         # pretrain took each of these (seed 0.5 trained as seed 0, 1.5 steps
-        # as 1, "yes" as true), and ablate ended in a traceback on two
+        # as 1, "yes" as true, sigma0 NaN), and ablate ended in a traceback
+        # on several, after writing config.json
         cfg = write_config(tmp_path)
         capsys.readouterr()
         for command in ("pretrain", "ablate"):
@@ -276,6 +278,18 @@ class TestMetaTrain:
         assert run_cli("meta-train", "--config", other, "--out-dir", str(out),
                        "--resume", str(out / "psi_gen00002.json")) == 1
 
+    def test_refused_resume_leaves_the_config_snapshot(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
+        cfg = write_config(tmp_path, {"nes": {"generations": 4}})
+        out = tmp_path / "run"
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out)) == 0
+        snapshot = (out / "config.json").read_bytes()
+        capsys.readouterr()
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out), "--set", "seed=4",
+                       "--resume", str(out / "psi_gen00002.json")) == 1
+        assert "different configuration" in capsys.readouterr().err
+        assert (out / "config.json").read_bytes() == snapshot
+
     def test_worker_override_does_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -307,6 +321,15 @@ class TestEvaluate:
         cfg = write_config(tmp_path)
         assert run_cli("evaluate", "--config", cfg, "--out-dir",
                        str(tmp_path / "e")) == 1
+        assert not (tmp_path / "e").exists()
+
+    def test_psi_of_another_layout_writes_nothing(self, tmp_path, capsys):
+        cfg, psi_path = train_tiny_psi(tmp_path)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(tmp_path / "e"),
+                       "--psi", str(psi_path), "--set", "layout.variant=global") == 1
+        assert "layout does not match" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
     def test_identical_csv_on_rerun(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -443,6 +466,7 @@ class TestInspect:
                        "--psi", str(psi_path), "--task-seed", "11", "--k", "-1") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--k" in err
+        assert not (tmp_path / "i").exists()
 
     def test_trajectory_and_feature_curves(self, tmp_path):
         cfg, psi_path = train_tiny_psi(tmp_path)
