@@ -55,7 +55,7 @@ class OptimizerHandle:
 def baseline_handle(spec: BaselineSpec) -> OptimizerHandle:
     def factory(task: Task, record: bool = False):
         del record
-        return BaselineStepper(spec, task.spec.offsets(), task.K, task.n_rows)
+        return BaselineStepper(spec, task.spec.offsets(), task.horizons, task.n_rows)
 
     return OptimizerHandle(label=spec.label, factory=factory)
 

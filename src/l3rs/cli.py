@@ -285,8 +285,8 @@ def cmd_meta_train(args) -> int:
                         **extra})
 
     def on_generation(st):
-        # an intermediate checkpoint carries the history so far, so a resume
-        # needs nothing else; psi_final.json does not
+        # an intermediate checkpoint carries the history so far, one row per
+        # line, so a resume needs nothing else; psi_final.json does not
         if st.generation % CHECKPOINT_EVERY == 0 and st.generation < run.nes.generations:
             save(f"gen{st.generation:05d}", st,
                  history=[dataclasses.astuple(h) for h in st.history])

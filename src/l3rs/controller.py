@@ -10,17 +10,19 @@ an exponential head for lambda, so mu is always a distribution and lambda is
 always positive.
 
 ControllerContext is the inner loop's stepper. It takes row-batched psi
-only: C candidates on one task, or one psi repeated over the tasks of a
-block. One step advances all C rows at once on flat vectors: parameters
-and gradients are [C, n], the bank's directions [C, P, n], all split into
-components at the segment offsets; every per-component norm comes from
-optdir.segment_norms, the EMAs are [C, L, 2, G], and the update is one
-flat expression over [C, P, n]. The controller MLPs are stacked (a leading
-n_mlps axis: 1, or L for per_layer_mlp) behind the candidate axis, so the
-frames [C, L, F] of every variant take one batched matmul per MLP layer.
-Every per-candidate array keeps all C rows for the whole run: a candidate
-whose directions, segment norms, logits or lambdas stop being finite is
-only reported in the step's finite mask, and the others are not disturbed.
+only: C candidates, each run on every row of a task block, task-major, one
+row per (task, candidate) pair with that task's horizon. One step advances
+all R live rows at once on flat vectors: parameters and gradients are
+[R, n], the bank's directions [R, P, n], all split into components at the
+segment offsets; every per-component norm comes from optdir.segment_norms,
+the EMAs are [R, L, 2, G], and the update is one flat expression over
+[R, P, n]. The controller MLPs are stacked (a leading n_mlps axis: 1, or L
+for per_layer_mlp) behind the candidate axis, and the frames [T, C, L, F]
+of every variant take one batched matmul per MLP layer, broadcast over the
+T task rows. Every per-row array keeps the live rows, a prefix, until their
+horizon: a row whose directions, segment norms, logits or lambdas stop
+being finite is only reported in the step's finite mask, and the others are
+not disturbed.
 
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
@@ -64,15 +66,19 @@ def logit(p):
     return np.log(p / (1.0 - p))
 
 
-def time_features(k: int, K: int) -> np.ndarray:
-    """11 relative then 4 absolute progress features, each in (-1, 1)."""
-    if K <= 0:
+def time_features(k: int, K) -> np.ndarray:
+    """11 relative then 4 absolute progress features, each in (-1, 1), of
+    step k at horizon K: [15], or [..., 15] for per-row horizons K [...],
+    each row with the bits of its own scalar K."""
+    K = np.asarray(K)[..., None]
+    shortest = K.min()
+    if shortest <= 0:
         raise ValueError("K must be positive")
-    if not 1 <= k <= K:
-        raise ValueError(f"step {k} outside 1..{K}")
+    if not 1 <= k <= shortest:
+        raise ValueError(f"step {k} outside 1..{shortest}")
     rel = np.tanh(10.0 * (k / K - TIME_ALPHAS))
     absf = np.tanh(np.log(K * TIME_BETAS))
-    return np.concatenate([rel, absf])
+    return np.concatenate([rel, absf], axis=-1)
 
 
 class EmaTracker:
@@ -92,6 +98,10 @@ class EmaTracker:
         self.k = 0
         self._comp = np.zeros((rows, n_components, 2, len(self.gammas)))
         self._loss = np.zeros((rows, len(self.gammas)))
+
+    def keep(self, rows: int) -> None:
+        """Keep the first ``rows`` rows only: the others finished their run."""
+        self._comp, self._loss = self._comp[:rows], self._loss[:rows]
 
     def update(self, loss, comp_stats: np.ndarray) -> None:
         """loss is [C]; comp_stats is [C, L, 2]: (log||w||, log||g||) per
@@ -258,8 +268,10 @@ def init_meta_params(layout: PsiLayout, seed: int) -> MetaParams:
 def build_features(ema_comp: np.ndarray, ema_loss: np.ndarray, tf: np.ndarray,
                    embeddings: np.ndarray | None, dir_log_norms: np.ndarray) -> np.ndarray:
     """Frames [..., L, F] in the fixed order (EMA | time | embedding | dir
-    norms) from ema_comp [..., L, 2, G], ema_loss [..., G], the shared time
-    features tf, embeddings [..., L, E] and dir_log_norms [..., L, P].
+    norms) from ema_comp [..., L, 2, G], ema_loss [..., G], the time
+    features tf [15] shared by every row or [..., 15] per row, embeddings
+    [L, E] or [..., L, E] (broadcast over the leading axes) and
+    dir_log_norms [..., L, P].
 
     The EMA block is log||w|| EMAs, then log||g|| EMAs, then loss EMAs, each
     over the configured gammas in order.
@@ -269,17 +281,18 @@ def build_features(ema_comp: np.ndarray, ema_loss: np.ndarray, tf: np.ndarray,
         ema_comp[..., 0, :],
         ema_comp[..., 1, :],
         np.broadcast_to(ema_loss[..., None, :], (*rows, ema_loss.shape[-1])),
-        np.broadcast_to(tf, (*rows, len(tf))),
+        np.broadcast_to(tf[..., None, :], (*rows, tf.shape[-1])),
     ]
     if embeddings is not None:
-        parts.append(embeddings)
+        parts.append(np.broadcast_to(embeddings, (*rows, embeddings.shape[-1])))
     parts.append(dir_log_norms)
     return np.concatenate(parts, axis=-1)
 
 
 def controller_forward_batch(mlp: Mlp, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(mu [..., R, P], lambda [..., R], finite [...]) for feature frames
-    [..., R, F] through stacked MLPs whose arrays lead with the same axes.
+    [..., R, F] through stacked MLPs whose leading axes broadcast against
+    the frames'.
     With n_mlps stacked MLPs, consecutive blocks of R / n_mlps frames go
     through MLP 0, 1, ... in one batched pass. mu is a max-shifted softmax
     over the first P logits; lambda = exp of the last logit. ``finite`` is
@@ -335,9 +348,15 @@ class TrajectoryRow:
 
 
 class ControllerContext:
-    """The inner loop's stepper for C rows: the direction bank, the EMA
-    tracker and a read-only view of the row-batched meta-parameters
-    [C, flat_size], for the flat parameters of ``spec`` and K steps.
+    """The inner loop's stepper: the direction bank, the EMA tracker and a
+    read-only view of the meta-parameters of C candidates [C, flat_size],
+    for the flat parameters of ``spec``. K is the horizon of C rows, one
+    per candidate, or the horizons [R] of R = T * C rows, task-major: row
+    (t, c) runs candidate c, and the candidates' MLPs broadcast over the T
+    task rows. Each step takes the rows still training, a prefix that only
+    shrinks, and every per-row array (bank state, betas, EMAs, horizons)
+    keeps only that prefix; the step count is shared, as every row starts
+    at step 1.
 
     ``policy`` replaces the MLP head when set: it receives the component
     index and that component's direction log-norms and returns (mu, lambda).
@@ -351,7 +370,7 @@ class ControllerContext:
     it scores the divergence penalty without touching the other rows.
     """
 
-    def __init__(self, psi: MetaParams, spec: NetworkSpec, K: int,
+    def __init__(self, psi: MetaParams, spec: NetworkSpec, K,
                  renormalize: bool = False, policy=None, record: bool = False):
         layout = psi.layout
         offsets = spec.offsets()
@@ -364,25 +383,39 @@ class ControllerContext:
             raise ValueError("the controller takes row-batched psi [C, flat_size]")
         self.psi = psi
         self.layout = layout
-        self.K = K
+        cands = len(psi.flat)
+        self.K = np.broadcast_to(K, np.shape(K) or (cands,))
+        self.n_rows = rows = len(self.K)
+        if rows % cands:
+            raise ValueError(f"{rows} rows are not task rows of {cands} candidates")
         self.renormalize = renormalize
         self.policy = policy
-        self.n_rows = rows = len(psi.flat)
         defaults = optdir.default_betas(layout.base_kinds)
         squashed = sigmoid(self.psi.hyper_raw)
         # a beta that rounds to exactly 0 or 1 (a raw value above about 36.7
-        # or below about -745) leaves its whole row invalid
-        self._betas_valid = ((0.0 < squashed) & (squashed < 1.0)).all(axis=-1)
-        betas = np.tile(defaults, (rows, 1, 1))
-        betas[:, layout.learned_betas] = squashed.reshape(rows, -1, 2)
-        betas = np.where(self._betas_valid[:, None, None], betas, defaults)
-        self.bank = DirectionBank(list(layout.base_kinds), betas, offsets)
+        # or below about -745) leaves its whole candidate invalid
+        valid = ((0.0 < squashed) & (squashed < 1.0)).all(axis=-1)
+        betas = np.tile(defaults, (cands, 1, 1))
+        betas[:, layout.learned_betas] = squashed.reshape(cands, -1, 2)
+        betas = np.where(valid[:, None, None], betas, defaults)
+        self._betas_valid = np.tile(valid, rows // cands)
+        self.bank = DirectionBank(list(layout.base_kinds), np.tile(betas, (rows // cands, 1, 1)),
+                                  offsets)
         tracked = 1 if layout.variant == Variant.GLOBAL else n_comp
         self.tracker = EmaTracker(tracked, layout.gammas, rows=rows)
         self.n_model_components = n_comp
         self._names = spec.components()
         self.trajectories: list[list[TrajectoryRow]] | None = (
             [[] for _ in range(rows)] if record else None)
+
+    def _keep(self, rows: int) -> None:
+        """Keep the state of the first ``rows`` rows only: the rows past
+        them reached their horizon and are no longer stepped."""
+        if rows == len(self.K):
+            return
+        self.K, self._betas_valid = self.K[:rows], self._betas_valid[:rows]
+        self.bank.keep(rows)
+        self.tracker.keep(rows)
 
     def _stats(self, wg_norms: np.ndarray) -> np.ndarray:
         """[C, L, 2] log (||w||, ||g||), or [C, 1, 2] whole-model norms for
@@ -395,9 +428,9 @@ class ControllerContext:
         return np.log(np.maximum(wg_norms, optdir.NORM_FLOOR))
 
     def decide(self, norms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu [C, L, P], lambda [C, L], finite [C]) from the direction norms
-        [C, L, P], after the tracker has been updated with this step's
-        statistics."""
+        """(mu [R, L, P], lambda [R, L], finite [R]) from the direction norms
+        [R, L, P] of the live rows, after the tracker has been updated with
+        this step's statistics."""
         layout = self.layout
         n_comp = self.n_model_components
         log_norms = np.log(np.maximum(norms, optdir.NORM_FLOOR))
@@ -409,23 +442,30 @@ class ControllerContext:
                     mu[c, i], lam[c, i] = self.policy(i, log_norms[c, i])
             return mu, lam, np.ones(len(norms), dtype=bool)
 
-        ema_comp, ema_loss = self.tracker.read()
-        tf = time_features(k, self.K)
+        def grid(a):  # [R, ...] as [T, C, ...]: the candidates' MLPs broadcast over T
+            cands = len(self.psi.flat)
+            return a.reshape(len(a) // cands, cands, *a.shape[1:])
+
+        ema_comp, ema_loss = (grid(a) for a in self.tracker.read())
+        tf = grid(time_features(k, self.K))
         if layout.variant == Variant.GLOBAL:
             whole = 0.5 * np.log(np.maximum(np.sum(norms ** 2, axis=-2),
                                             optdir.NORM_FLOOR ** 2))
-            frames = build_features(ema_comp, ema_loss, tf, None, whole[:, None, :])
+            frames = build_features(ema_comp, ema_loss, tf, None, grid(whole[:, None, :]))
             mu, lam, finite = controller_forward_batch(self.psi.mlp, frames)
-            return np.repeat(mu, n_comp, axis=-2), np.repeat(lam, n_comp, axis=-1), finite
-        frames = build_features(ema_comp, ema_loss, tf, self.psi.embeddings, log_norms)
-        return controller_forward_batch(self.psi.mlp, frames)
+            return (np.repeat(mu.reshape(len(norms), 1, -1), n_comp, axis=-2),
+                    np.repeat(lam.reshape(len(norms), 1), n_comp, axis=-1), finite.reshape(-1))
+        frames = build_features(ema_comp, ema_loss, tf, self.psi.embeddings, grid(log_norms))
+        mu, lam, finite = controller_forward_batch(self.psi.mlp, frames)
+        return mu.reshape(norms.shape), lam.reshape(norms.shape[:2]), finite.reshape(-1)
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One update of the flat parameters params [C, n] from the flat
-        gradients grads [C, n] and the train losses [C].
+        """One update of the flat parameters params [R, n] from the flat
+        gradients grads [R, n] and the train losses [R] of the first R rows,
+        those still training; the state of any row past them is dropped.
 
-        Returns (new params [C, n], finite [C]); a row whose directions,
+        Returns (new params [R, n], finite [R]); a row whose directions,
         segment norms (of weights, gradients or directions), logits or
         lambda are not finite, or whose betas round to 0 or 1, is False in
         ``finite``, and its new params are meaningless.
@@ -434,10 +474,10 @@ class ControllerContext:
         then the EMA recursion on pre-update statistics, then the controller
         and the composed update.
         """
-        wg = np.stack([params, grads], axis=-2)
+        self._keep(len(params))
         offsets = self.bank.offsets
         with np.errstate(over="ignore"):  # a norm that overflows kills its row below
-            wg_norms = segment_norms(wg, offsets)
+            wg_norms = segment_norms(np.stack([params, grads], axis=-2), offsets)
         dirs, norms, finite = self.bank.step(grads, params)
         # a row that is not finite may carry inf into its EMAs and its
         # update; the NaN that inf makes there stays in that dead row
@@ -462,7 +502,8 @@ class CheckpointError(ValueError):
 def _write_checkpoint(path, header: dict, key: str, values: np.ndarray,
                       extra: dict | None = None) -> None:
     """One JSON document: format version, header, the float vector under
-    ``key`` as decimal text with 17 significant digits, then ``extra``.
+    ``key`` as decimal text with 17 significant digits, then ``extra``,
+    whose ``history`` rows, if any, come last, one per line.
 
     float64 -> %.17g -> float64 is the identity, so loads are value-exact.
     """
@@ -470,7 +511,7 @@ def _write_checkpoint(path, header: dict, key: str, values: np.ndarray,
            key: [format(v, ".17g") for v in values]}
     if extra:
         doc.update(extra)
-    write_json(path, doc, sort_keys=False)
+    write_json(path, doc, sort_keys=False, rows_key="history")
 
 
 def _read_checkpoint(path, header_key: str, parse, key: str):

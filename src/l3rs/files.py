@@ -38,6 +38,15 @@ def write_csv(path, header, rows) -> None:
     write_text(path, buf.getvalue())
 
 
-def write_json(path, obj, sort_keys: bool = True) -> None:
-    """``obj`` indented by one space, with a trailing newline."""
-    write_text(path, json.dumps(obj, indent=1, sort_keys=sort_keys) + "\n")
+def write_json(path, obj, sort_keys: bool = True, rows_key: str | None = None) -> None:
+    """``obj`` indented by one space, with a trailing newline. A list of
+    rows under ``rows_key`` comes last, one row per line, and the other keys
+    keep the layout they have without it."""
+    if rows_key is None or rows_key not in obj:
+        text = json.dumps(obj, indent=1, sort_keys=sort_keys)
+    else:
+        head = json.dumps({k: v for k, v in obj.items() if k != rows_key}, indent=1,
+                          sort_keys=sort_keys)
+        rows = ",\n".join("  " + json.dumps(row) for row in obj[rows_key])
+        text = f"{head[:-2]},\n {json.dumps(rows_key)}: [\n{rows}\n ]\n}}"
+    write_text(path, text + "\n")

@@ -2,11 +2,11 @@
 evolution-strategies outer loop that meta-trains controller parameters.
 
 A task is (initial weights, K training batches, one evaluation batch), and
-a Task is always a block of them, one per row, all of one horizon
-(make_task_block; make_task is its one-row block). Tasks are synthetic
-Gaussian-blob classification problems: class means drawn uniformly in
-[-1, 1]^d with isotropic noise, carved into disjoint pretrain / meta-train
-/ meta-test class splits so meta-testing sees unseen classes.
+a Task is always a block of them, one per row, each with its own horizon,
+longest first (make_task_block; make_task is its one-row block). Tasks are
+synthetic Gaussian-blob classification problems: class means drawn
+uniformly in [-1, 1]^d with isotropic noise, carved into disjoint pretrain
+/ meta-train / meta-test class splits so meta-testing sees unseen classes.
 
 Everything is reconstructible from integer seeds: a task regenerates bit for
 bit from (distribution, task seed), and one meta-training generation is a
@@ -16,13 +16,15 @@ resumable and independent of worker count.
 There is one inner loop, inner_loop_batch, and it runs a whole block of
 rows at once: parameters, gradients and optimizer state are [R, n] arrays,
 and each row gets exactly the bits of its own single run. A row is a
-(candidate, task) pair: the C candidates of a generation share a one-row
-task by broadcasting, and an evaluation cell runs one optimizer on a task
-of R rows. Rows are never dropped: divergence is one per-row mask that the
-loop owns, and a row that stops being finite is masked dead, scores
-DIVERGENCE_PENALTY and leaves the others untouched. Single runs
-(inspection, probes) are the same loop with one row; pretraining alone
-trains one unbatched network.
+(task, candidate) pair, task-major: a generation runs its C candidates on
+all of its meta-batch tasks in one loop, each task's rows sharing its
+draws by broadcasting, and an evaluation cell runs one optimizer on a task
+of R rows. A row stops at its own horizon: the rows still training are a
+prefix, and a row leaving it keeps its parameters until the one scoring at
+the end. Divergence is one per-row mask that the loop owns, and a row that
+stops being finite is masked dead, scores DIVERGENCE_PENALTY and leaves
+the others untouched. Single runs (inspection, probes) are the same loop
+with one row; pretraining alone trains one unbatched network.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 
 from .controller import (
     ControllerContext,
-    MetaParams,
     PsiLayout,
     TrajectoryRow,
     _read_checkpoint,
@@ -133,12 +134,17 @@ class TaskDistributionSpec:
 
 @dataclass
 class Task:
-    """A block of R fine-tuning problems of one horizon K, one per row:
-    flat theta0 [R, n], K train batches (x [R, B, d], y [R, B]) and one eval
-    batch (x [R, E, d], y [R, E]), with each row's seed and class ids. A
-    single task is the block of one row (make_task). The horizon K is the
-    number of train batches, so replacing train_batches by its first K'
-    entries gives the same tasks at horizon K' (make_task_block)."""
+    """A block of R fine-tuning problems, one per row: flat theta0 [R, n],
+    the train batches and one eval batch (x [R, E, d], y [R, E]), with each
+    row's seed and class ids. A single task is the block of one row
+    (make_task).
+
+    Row r has its own horizon K_r, and rows are ordered by horizon, longest
+    first: train batch k (0-based) holds the rows whose horizon exceeds k,
+    a prefix (x [n_k, B, d], y [n_k, B]). The block's horizon K is the
+    longest, the number of train batches, so replacing train_batches by
+    its first K' entries gives the same tasks at horizons min(K_r, K')
+    (make_task_block)."""
 
     spec: NetworkSpec
     theta0: np.ndarray
@@ -147,6 +153,12 @@ class Task:
     seed: tuple[int, ...]
     class_ids: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        sizes = [len(b.y) for b in self.train_batches]
+        if sizes != sorted(sizes, reverse=True) or any(not 0 < n <= self.n_rows for n in sizes):
+            raise ValueError(f"train batches of {sizes} rows are not prefixes, longest first, "
+                             f"of {self.n_rows} rows")
+
     @property
     def K(self) -> int:
         return len(self.train_batches)
@@ -154,6 +166,12 @@ class Task:
     @property
     def n_rows(self) -> int:
         return len(self.theta0)
+
+    @property
+    def horizons(self) -> np.ndarray:
+        """Per-row horizons [R]: the number of train batches that hold the row."""
+        sizes = np.array([len(batch.y) for batch in self.train_batches], dtype=np.int64)
+        return (np.arange(self.n_rows)[:, None] < sizes).sum(axis=1)
 
 
 def _draw_blobs(dist: TaskDistributionSpec, means: np.ndarray, class_ids: np.ndarray,
@@ -164,23 +182,28 @@ def _draw_blobs(dist: TaskDistributionSpec, means: np.ndarray, class_ids: np.nda
     np.add(means[class_ids[y]], dist.blob_std * rng.standard_normal(x.shape), out=x)
 
 
+def task_horizon(dist: TaskDistributionSpec, seed: int) -> int:
+    """The horizon the task of ``seed`` draws from [k_min, k_max]."""
+    return int(derived_rng(dist.generator_seed, seed, _TAG_K).integers(dist.k_min, dist.k_max + 1))
+
+
 def make_task(dist: TaskDistributionSpec, seed: int, split: str = "metatrain",
               init_from: np.ndarray | None = None, k_override: int | None = None) -> Task:
     """The one-row block of the task identified by ``seed``, bit-identical
     on every call: make_task_block(dist, [seed], K), where K is
-    ``k_override`` or else the horizon the seed draws from [k_min, k_max]."""
-    K = k_override
-    if K is None:
-        K = derived_rng(dist.generator_seed, seed, _TAG_K).integers(dist.k_min, dist.k_max + 1)
-    return make_task_block(dist, [seed], int(K), split=split, init_from=init_from)
+    ``k_override`` or else task_horizon(dist, seed)."""
+    K = task_horizon(dist, seed) if k_override is None else k_override
+    return make_task_block(dist, [seed], K, split=split, init_from=init_from)
 
 
-def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "metatrain",
+def make_task_block(dist: TaskDistributionSpec, seeds, K, split: str = "metatrain",
                     init_from: np.ndarray | None = None) -> Task:
-    """The tasks of ``seeds``, all with horizon K, one per row: each row's
-    class ids, theta0, train batches and eval batch are drawn from streams
-    derived from (generator seed, task seed) alone, straight into the block
-    arrays, so a row holds the same bits in every block and as make_task.
+    """The tasks of ``seeds``, one per row, all with horizon K, or with
+    horizons K[r], longest first: each row's class ids, theta0, train
+    batches and eval batch are drawn from streams derived from (generator
+    seed, task seed) alone, straight into the block arrays, so a row holds
+    the same bits in every block and as make_task. A row draws only its own
+    K[r] train batches.
 
     ``init_from`` is a pretrained checkpoint, flat parameters laid out by
     dist.pretrain_network(), whose body is copied; the head is
@@ -190,9 +213,12 @@ def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "met
     common prefix across horizons: the block at horizon K' <= K is this
     block with its first K' train batches, bit for bit.
     """
-    if K < 0 or len(seeds) < 1:
-        raise ValueError(f"a task block needs K >= 0 and a seed, got K={K} and {len(seeds)} seeds")
-    spec, rows, d, c = dist.task_network(), len(seeds), dist.input_dim, dist.classes_per_task
+    rows = len(seeds)
+    horizons = [int(k) for k in np.broadcast_to(K, (rows,))]
+    if rows < 1 or min(horizons) < 0 or horizons != sorted(horizons, reverse=True):
+        raise ValueError(f"a task block needs a seed and horizons K >= 0, longest first, "
+                         f"got K={K} for {rows} seeds")
+    spec, d, c = dist.task_network(), dist.input_dim, dist.classes_per_task
     off = spec.offsets()
     n_pretrained = dist.pretrain_network().offsets()[-1]
     if init_from is not None and np.shape(init_from) != (n_pretrained,):
@@ -200,8 +226,12 @@ def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "met
                          f"[{n_pretrained}] (the pretrain network)")
     means, pool = dist.class_means(), dist.split_classes(split)
     theta0 = np.empty((rows, off[-1]))
-    x = np.empty((K, rows, dist.train_batch_size, d))
-    y = np.empty((K, rows, dist.train_batch_size), dtype=np.int64)
+    # train batch k holds the sizes[k] rows whose horizon exceeds k, carved
+    # out of one array of every row's own draws
+    sizes = [sum(h > k for h in horizons) for k in range(horizons[0])]
+    x = np.empty((sum(sizes), dist.train_batch_size, d))
+    y = np.empty((sum(sizes), dist.train_batch_size), dtype=np.int64)
+    starts = np.cumsum([0] + sizes).tolist()
     eval_x = np.empty((rows, dist.eval_batch_size, d))
     eval_y = np.empty((rows, dist.eval_batch_size), dtype=np.int64)
     class_ids = []
@@ -218,13 +248,13 @@ def make_task_block(dist: TaskDistributionSpec, seeds, K: int, split: str = "met
             fan_in = spec.layer_dims()[-1][0]
             head = init_rng.normal(0.0, 1.0 / np.sqrt(fan_in), (fan_in, c))
             theta0[r] = np.concatenate([init_from[:off[-3]], head.ravel(), np.zeros(c)])
-        for k in range(K):
+        for k in range(horizons[r]):
             _draw_blobs(dist, means, ids, derived_rng(dist.generator_seed, seed, _TAG_BATCH, k),
-                        x[k, r], y[k, r])
+                        x[starts[k] + r], y[starts[k] + r])
         _draw_blobs(dist, means, ids, derived_rng(dist.generator_seed, seed, _TAG_EVAL),
                     eval_x[r], eval_y[r])
     return Task(spec=spec, theta0=theta0,
-                train_batches=[Batch(x=x[k], y=y[k]) for k in range(K)],
+                train_batches=[Batch(x=x[a:b], y=y[a:b]) for a, b in zip(starts, starts[1:])],
                 eval_batch=Batch(x=eval_x, y=eval_y),
                 seed=tuple(int(s) for s in seeds), class_ids=tuple(class_ids))
 
@@ -245,19 +275,15 @@ def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
 
     The returned callable takes (task, record=False) and yields a fresh
     ControllerContext with zeroed optimizer and tracker state, as a new
-    fine-tuning run requires. A single psi on a task of R rows is repeated
-    to R rows (as a read-only view), one per task; C candidates share a
-    one-row task.
+    fine-tuning run requires, for the R * C rows (task row, candidate) of a
+    task of R rows, task-major, each at its task row's horizon.
     """
     flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
-    views: dict[int, MetaParams] = {}  # by row count; each is unflattened once
+    psi = unflatten(flat, layout)
 
     def make(task: Task, record: bool = False) -> ControllerContext:
-        rows = max(len(flat), task.n_rows)
-        if rows not in views:
-            views[rows] = unflatten(np.broadcast_to(flat, (rows, flat.shape[-1])), layout)
-        return ControllerContext(views[rows], task.spec, task.K, renormalize=renormalize,
-                                 policy=policy, record=record)
+        return ControllerContext(psi, task.spec, np.repeat(task.horizons, len(flat)),
+                                 renormalize=renormalize, policy=policy, record=record)
 
     return make
 
@@ -294,42 +320,46 @@ def cosine_lr(k: int, K: int, lr0: float) -> float:
 class BaselineStepper:
     """Plain SGD/Adam on the flat parameter rows [n_rows, n] of the inner
     loop (one per task of a block), for parameters split at ``offsets`` and
-    a horizon of K steps. Every operation is elementwise, so each row gets
-    the bits of its own one-row run. head_only freezes everything except
-    the final kernel+bias pair, leaving the rest bit-identical for the
-    whole run.
+    a horizon of K steps, or of K[r] steps for row r. Every operation is
+    elementwise, so each row gets the bits of its own one-row run. head_only
+    freezes everything except the final kernel+bias pair, leaving the rest
+    bit-identical for the whole run.
 
     Written apart from the direction bank, so equivalence tests between the
     controller path and a plain optimizer run compare two separately
     written implementations; pretraining runs on it too."""
 
-    def __init__(self, spec: BaselineSpec, offsets: np.ndarray, K: int, n_rows: int = 1):
+    def __init__(self, spec: BaselineSpec, offsets: np.ndarray, K, n_rows: int = 1):
         self.spec = spec
-        self.K = K
+        self.K = np.broadcast_to(K, (n_rows,))
         self.n_rows = n_rows
         self.start = offsets[-3] if spec.head_only else 0
         if spec.kind != BaselineKind.SGD_CONST:
             self.m = np.zeros((n_rows, offsets[-1] - self.start))
             self.v = np.zeros_like(self.m)
 
-    def _lr(self, k: int) -> float:
+    def _lr(self, k: int, rows: int):
+        """The step's learning rate: lr0, or a cosine column [rows, 1] with
+        the bits of cosine_lr at each row's horizon."""
         if self.spec.kind == BaselineKind.ADAM_COSINE:
-            return cosine_lr(k, self.K, self.spec.lr0)
+            return np.array([[cosine_lr(k, K, self.spec.lr0)] for K in self.K[:rows].tolist()])
         return self.spec.lr0
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(new params, finite mask)."""
+        """(new params, finite mask) for the live rows, the first
+        len(params); the state of the rows past them is dropped."""
         del losses
-        lr = self._lr(k)
+        rows = len(params)
+        lr = self._lr(k, rows)
         new = params.copy()
         g = grads[:, self.start:]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spec.kind == BaselineKind.SGD_CONST:
                 new[:, self.start:] = params[:, self.start:] - lr * g
             else:
-                self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
-                self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
+                self.m = ADAM_BETA1 * self.m[:rows] + (1 - ADAM_BETA1) * g
+                self.v = ADAM_BETA2 * self.v[:rows] + (1 - ADAM_BETA2) * g * g
                 m_hat = self.m / (1 - ADAM_BETA1 ** k)
                 v_hat = self.v / (1 - ADAM_BETA2 ** k)
                 new[:, self.start:] = (params[:, self.start:]
@@ -339,45 +369,69 @@ class BaselineStepper:
 
 def inner_loop_batch(make_stepper, task: Task,
                      record_trajectory: bool = False) -> list[InnerRunResult]:
-    """The inner loop: run all R rows of the stepper for exactly K steps, one
-    train batch per step, then score the eval batch. Returns one result per
-    row. The rows are C candidates on a one-row task, whose theta0 and
-    batches they share by broadcasting, or one optimizer on a task of R
-    rows, whose row r of theta0 and of every batch is row r's own.
+    """The inner loop: run every row of the stepper for its task row's
+    horizon, one train batch per step, then score the eval batch. Returns
+    one result per row.
 
-    ``make_stepper(task, record)`` yields a stepper with ``n_rows`` and
-    ``step(params [R, n], grads [R, n], losses [R], k)``, which returns
-    (new params [R, n], finite [R]). Every row stays in the block for the
-    whole run; the loop owns the one ``alive`` mask and ANDs every finite
-    mask into it.
+    ``make_stepper(task, record)`` yields a stepper with ``n_rows``, a
+    multiple C of the task's R rows, and ``step(params [r, n], grads
+    [r, n], losses [r], k)``, which returns (new params [r, n], finite [r]).
+    Rows are task-major: row (t, c) is candidate c on task row t, and the C
+    rows of a task row share its theta0 and batches by broadcasting.
+
+    Task rows are ordered by horizon, longest first, so the rows still
+    training at step k are a prefix of r rows. A row that reaches its
+    horizon leaves the prefix and its parameters freeze; the stepper sees
+    only the prefix and keeps only its state. The loop owns the one
+    ``alive`` mask and ANDs every finite mask into it.
 
     A row whose loss, gradient, direction, logits or lambda stops being
     finite, or whose final meta-loss is not finite, is dead: it scores the
     penalty meta-loss with accuracy 0, so outer-loop fitness stays defined.
     The loop hands dead rows to the stepper as NaN, so no stepper reports
     them finite again, and every stage is row-wise, so the other rows keep
-    their bits.
+    their bits. Every row is scored once, at the end.
     """
     stepper = make_stepper(task, record_trajectory)
-    params = np.array(np.broadcast_to(task.theta0, (stepper.n_rows, task.theta0.shape[-1])))
-    alive = np.ones(stepper.n_rows, dtype=bool)
-    train_losses: list[list[float]] = [[] for _ in range(stepper.n_rows)]
-    for k in range(1, task.K + 1):
-        losses, grads, finite = loss_and_grad(task.spec, params, task.train_batches[k - 1])
-        alive &= finite
-        for row in np.flatnonzero(alive).tolist():
-            train_losses[row].append(losses[row].item())
-        if not alive.all():
-            params[~alive] = grads[~alive] = losses[~alive] = np.nan
-        params, finite = stepper.step(params, grads, losses, k)
-        alive &= finite
-        if not alive.any():
+    cands, n = stepper.n_rows // task.n_rows, task.theta0.shape[-1]
+    params = np.repeat(task.theta0, cands, axis=0)  # [R * C, n], the final parameters
+    alive = np.ones(len(params), dtype=bool)
+    train_losses: list[list[float]] = [[] for _ in range(len(params))]
+    live = params  # the prefix of rows still training
+    for k, batch in enumerate(task.train_batches, start=1):
+        rows = len(batch.y) * cands
+        if rows < len(live):  # the rows past ``rows`` reached their horizon
+            params[rows:len(live)] = live[rows:]
+            live = live[:rows]
+        grid = live
+        if cands > 1:  # [T, C, n] against [T, 1, B, d]: a task's C rows share its batch
+            grid, batch = live.reshape(-1, cands, n), Batch(x=batch.x[:, None], y=batch.y[:, None])
+        losses, grads, finite = loss_and_grad(task.spec, grid, batch)
+        losses, grads = losses.reshape(rows), grads.reshape(rows, n)
+        live_alive = alive[:rows]  # a view: updating it updates alive
+        live_alive &= finite.reshape(rows)
+        training = np.flatnonzero(live_alive)
+        for row, loss in zip(training.tolist(), losses[training].tolist()):
+            train_losses[row].append(loss)
+        if len(training) < rows:
+            dead = ~live_alive
+            live[dead] = grads[dead] = losses[dead] = np.nan
+        live, finite = stepper.step(live, grads, losses, k)
+        live_alive &= finite
+        if not live_alive.any():
             break
-    logits = forward(task.spec, params, task.eval_batch.x)
-    meta_losses = mean_cross_entropy(logits, task.eval_batch.y)
-    accs = accuracy(logits, task.eval_batch.y)
+    params[:len(live)] = live
+    # scored one task row at a time: an eval batch is larger than a train
+    # batch (256 against 32 examples by default), and its activations for
+    # every row at once would be the run's largest array
+    meta_losses, accs = np.empty(len(params)), np.empty(len(params))
+    for t in range(task.n_rows):
+        own = slice(t * cands, (t + 1) * cands)
+        logits = forward(task.spec, params[own], task.eval_batch.x[t])
+        meta_losses[own] = mean_cross_entropy(logits, task.eval_batch.y[t])
+        accs[own] = accuracy(logits, task.eval_batch.y[t])
     alive &= np.isfinite(meta_losses)
-    trajectories = getattr(stepper, "trajectories", None) or [None] * stepper.n_rows
+    trajectories = getattr(stepper, "trajectories", None) or [None] * len(params)
     return [InnerRunResult(meta_loss=meta_loss if ok else DIVERGENCE_PENALTY,
                            eval_accuracy=acc if ok else 0.0, train_losses=losses,
                            diverged=not ok, trajectory=trajectory)
@@ -499,16 +553,21 @@ def generation_task_seeds(cfg: NesConfig, generation: int) -> list[int]:
 # candidate evaluation, sequential or in a process pool
 
 def _eval_block_job(args):
-    """Losses [block, meta_batch] of a contiguous block of candidates, each
-    meta-train task built once and run once for the whole block, in the
-    evaluator's environment ``env``, which the job carries."""
+    """Losses [block, meta_batch] of a contiguous block of candidates, in
+    the evaluator's environment ``env``, which the job carries: one inner
+    loop over every (task, candidate) row, the meta-train tasks drawn once,
+    as one block ordered longest horizon first, and each shared by its
+    candidates' rows."""
     block, task_seeds, env = args
+    horizons = [task_horizon(env["dist"], seed) for seed in task_seeds]
+    order = sorted(range(len(task_seeds)), key=lambda j: -horizons[j])
+    task = make_task_block(env["dist"], [task_seeds[j] for j in order],
+                           [horizons[j] for j in order], init_from=env["init_from"])
     factory = controller_stepper_factory(block, env["layout"],
                                          renormalize=env["renormalize"])
+    results = inner_loop_batch(factory, task)
     losses = np.empty((len(block), len(task_seeds)))
-    for j, seed in enumerate(task_seeds):
-        task = make_task(env["dist"], seed, init_from=env["init_from"])
-        losses[:, j] = [r.meta_loss for r in inner_loop_batch(factory, task)]
+    losses[:, order] = np.reshape([r.meta_loss for r in results], (len(order), len(block))).T
     return losses
 
 

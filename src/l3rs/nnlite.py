@@ -11,8 +11,10 @@ passes take a flat array [..., n_params] with any leading axes, typically
 [R, n_params] for R networks trained side by side, and run every network
 through each layer in one batched matmul. The rows share one batch
 (inputs [n, d], labels [n]) or each get their own (inputs [R, n, d],
-labels [R, n]); either way row r gets the bits of its own single-network
-call.
+labels [R, n]), and the batch's leading axes broadcast against the
+parameters' (inputs [T, 1, n, d] for parameters [T, C, n_params] give the
+C networks of row t batch t); either way every network gets the bits of
+its own single-network call.
 """
 
 from __future__ import annotations
@@ -79,14 +81,14 @@ class NetworkSpec:
 @dataclass
 class Batch:
     """Classification batch: x is [n, input_dim] float64, y is [n] int labels,
-    or, with a leading row axis, one such batch per row: x [R, n, input_dim]
-    and y [R, n]."""
+    or, with leading row axes, one such batch per row: x [..., n, input_dim]
+    and y [..., n]."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        if self.x.ndim not in (2, 3) or self.x.shape[:-1] != self.y.shape:
+        if self.x.ndim < 2 or self.x.shape[:-1] != self.y.shape:
             raise ValueError("batch shapes disagree")
         if self.x.shape[-2] < 1:
             raise ValueError("batch must contain at least one example")
@@ -122,11 +124,8 @@ def _forward_cached(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray):
     ReLU are applied in place: an [R, n, width] activation is the largest
     array of a batched pass, and a ReLU output is positive exactly where
     its input is, so backprop needs no separate pre-activations."""
-    if x.ndim not in (2, 3) or x.shape[-1] != spec.input_dim:
-        raise ValueError(
-            f"input has shape {x.shape}, expected [n, {spec.input_dim}] "
-            f"or [R, n, {spec.input_dim}]"
-        )
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
+        raise ValueError(f"input has shape {x.shape}, expected [..., n, {spec.input_dim}]")
     layers = layer_views(spec, flat)
     acts = [x]
     h = x
@@ -143,7 +142,8 @@ def _forward_cached(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray):
 def forward(spec: NetworkSpec, flat: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Logits [..., n, output_dim] for flat parameters [..., n_params] (one
     network per leading index) and inputs x [n, input_dim] shared by every
-    network, or x [R, n, input_dim] with one row per network."""
+    network, or x [..., n, input_dim] whose leading axes broadcast against
+    the parameters'."""
     _, acts = _forward_cached(spec, flat, x)
     return acts[-1]
 
@@ -181,8 +181,8 @@ def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
     """Mean softmax cross-entropy [...], its exact gradient [..., n_params]
     laid out like ``flat``, and the finite mask [...]: True where the loss
     and every gradient entry are finite. Callers treat a False entry as
-    inner-loop divergence of that network. A batch with a leading row axis
-    gives network r the r-th row.
+    inner-loop divergence of that network. A batch with leading row axes
+    broadcasts against the parameters' leading axes.
     """
     layers, acts = _forward_cached(spec, flat, batch.x)
     label = _label_index(acts[-1], batch.y)

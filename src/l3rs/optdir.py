@@ -10,8 +10,8 @@ an offsets array. A DirectionBank runs several providers off one backward
 pass on C rows at once (one per candidate of a population, each with its own
 hyperparameters) and returns all directions as one [C, P, n] array together
 with their [C, L, P] segment norms from segment_norms(). A row whose
-directions stop being finite is reported in a per-row mask; rows are never
-dropped.
+directions stop being finite is reported in a per-row mask; rows are only
+dropped from the end, once they finish their run (keep).
 """
 
 from __future__ import annotations
@@ -138,6 +138,11 @@ class DirectionBank:
         shape = (len(betas), int(self.offsets[-1]))
         self._state = [{name: np.zeros(shape) for name in _SLOTS.get(kind, ())}
                        for kind in kinds]
+
+    def keep(self, rows: int) -> None:
+        """Keep the first ``rows`` rows only: the others finished their run."""
+        self._betas = [(beta1[:rows], beta2[:rows]) for beta1, beta2 in self._betas]
+        self._state = [{name: s[:rows] for name, s in state.items()} for state in self._state]
 
     @property
     def n_providers(self) -> int:

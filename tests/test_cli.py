@@ -241,6 +241,37 @@ class TestMetaTrain:
         assert ((full / "psi_final.json").read_bytes()
                 == (resumed / "psi_final.json").read_bytes())
 
+    def test_checkpoint_history_is_one_row_per_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
+        cfg = write_config(tmp_path, {"nes": {"generations": 5}})
+        full = tmp_path / "full"
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(full)) == 0
+        for gen in (2, 4):
+            text = (full / f"psi_gen{gen:05d}.json").read_text()
+            doc = json.loads(text)
+            head, rows = text.split(' "history": [\n')
+            assert head == json.dumps({k: v for k, v in doc.items() if k != "history"},
+                                      indent=1)[:-2] + ",\n"
+            lines = ["  " + json.dumps(row) for row in doc["history"]]
+            assert rows == ",\n".join(lines) + "\n ]\n}\n"
+            # each generation adds its row's line: the row, its indent, a
+            # comma and a newline (the last row has no comma)
+            per_gen = [len(json.dumps(row)) + 4 for row in doc["history"]]
+            assert len(rows) == sum(per_gen) - 1 + len(" ]\n}\n")
+            assert max(per_gen) < 100
+
+        # a checkpoint in the layout of one number per line still resumes
+        # to the bytes of the uninterrupted run
+        old = tmp_path / "old" / "psi_gen00002.json"
+        old.parent.mkdir()
+        doc = json.loads((full / "psi_gen00002.json").read_text())
+        old.write_text(json.dumps(doc, indent=1) + "\n")
+        resumed = tmp_path / "resumed"
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(resumed),
+                       "--resume", str(old)) == 0
+        for name in ("history.csv", "psi_final.json"):
+            assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+
     def test_resume_after_sigkill_matches_uninterrupted(self, tmp_path):
         """A real meta-train process killed after its generation-50 checkpoint
         lands resumes from that file alone, in the same out_dir."""

@@ -300,18 +300,20 @@ class TestMetaTrain:
     def test_worker_count_does_not_change_result(self):
         # workers 1, 2, 3 and 6 give one block of all four candidates, blocks
         # of 2+2, uneven blocks of 1+1+2, and 1+1+1+1 (the pool is capped at
-        # the population): psi and history bytes must not move
+        # the population), with a meta-batch below, at and above the worker
+        # count: psi and history bytes must not move
         dist = dataclasses.replace(DIST, k_min=1, k_max=3)
-        cfg = NesConfig(population=4, meta_batch=2, generations=2, seed=3)
         layout = layout_for(dist)
         ckpt = pretrain_checkpoint(dist, steps=3, seed=0)
-        psi1, hist1 = meta_train(cfg, dist, layout, init_from=ckpt, workers=1)
-        for workers in (1, 2, 3, 6):
-            psi2, hist2 = meta_train(cfg, dist, layout, init_from=ckpt, workers=workers)
-            assert np.array_equal(psi1, psi2)
-            assert [h.mean_fitness for h in hist1] == [h.mean_fitness for h in hist2]
-            assert psi1.tobytes() == psi2.tobytes()
-            assert repr(hist1).encode() == repr(hist2).encode()
+        for meta_batch in (1, 2, 5):
+            cfg = NesConfig(population=4, meta_batch=meta_batch, generations=2, seed=3)
+            psi1, hist1 = meta_train(cfg, dist, layout, init_from=ckpt, workers=1)
+            for workers in (1, 2, 3, 6):
+                psi2, hist2 = meta_train(cfg, dist, layout, init_from=ckpt, workers=workers)
+                assert np.array_equal(psi1, psi2)
+                assert [h.mean_fitness for h in hist1] == [h.mean_fitness for h in hist2]
+                assert psi1.tobytes() == psi2.tobytes()
+                assert repr(hist1).encode() == repr(hist2).encode()
 
     @pytest.mark.parametrize("population,workers,sizes", [
         (4, 1, [4]), (4, 2, [2, 2]), (4, 3, [1, 1, 2]), (4, 6, [1, 1, 1, 1]),

@@ -1,23 +1,27 @@
 """Row-batched inner loop: every row of a block must get exactly the bits of
 its own single run, whatever else is in the block, including rows that
-diverge at different steps. A row is a candidate on a shared task, or one
-task of a block of tasks under a single optimizer."""
+diverge at different steps and rows that stop at their own horizon. A row
+is a (task, candidate) pair: C candidates on every task of a block, or one
+optimizer on each task of a block."""
 
 import numpy as np
 import pytest
 
+from l3rs import meta
 from l3rs.bench import BaselineKind, BaselineSpec, baseline_handle, controller_handle
-from l3rs.controller import PsiLayout, Variant, init_meta_params
+from l3rs.controller import ControllerContext, PsiLayout, Variant, init_meta_params
 from l3rs.meta import (
     DIVERGENCE_PENALTY,
     CandidateEvaluator,
     NesConfig,
+    Task,
     TaskDistributionSpec,
     controller_stepper_factory,
     generation_task_seeds,
     inner_loop_batch,
     make_task,
     make_task_block,
+    task_horizon,
 )
 from l3rs.optdir import OptimizerKind
 
@@ -157,18 +161,117 @@ def block_handle(name):
     return controller_handle(psi, layout, renormalize=mode == "renormalize")
 
 
-@pytest.mark.parametrize("K", [0, 10])
+@pytest.mark.parametrize("K", [0, 10, (10, 7, 7, 0)])
 def test_task_block_rows_are_the_tasks(K):
     block = make_task_block(DIST, BLOCK_SEEDS, K, split="metatest")
-    assert block.n_rows == len(BLOCK_SEEDS) and len(block.train_batches) == K
-    for r, seed in enumerate(BLOCK_SEEDS):
-        task = make_task(DIST, seed, split="metatest", k_override=K)
+    horizons = np.broadcast_to(K, len(BLOCK_SEEDS)).tolist()
+    assert block.n_rows == len(BLOCK_SEEDS) and block.horizons.tolist() == horizons
+    assert block.K == len(block.train_batches) == max(horizons)
+    for r, (seed, k_r) in enumerate(zip(BLOCK_SEEDS, horizons)):
+        task = make_task(DIST, seed, split="metatest", k_override=k_r)
         assert (block.seed[r], block.class_ids[r]) == (task.seed[0], task.class_ids[0])
         assert block.theta0[r].tobytes() == task.theta0[0].tobytes()
-        for stacked, own in zip([*block.train_batches, block.eval_batch],
+        for stacked, own in zip([*block.train_batches[:k_r], block.eval_batch],
                                 [*task.train_batches, task.eval_batch]):
             assert stacked.x[r].tobytes() == own.x[0].tobytes()
             assert np.array_equal(stacked.y[r], own.y[0])
+        assert all(len(b.y) <= r for b in block.train_batches[k_r:])
+
+
+def test_task_rows_must_be_ordered_longest_first():
+    with pytest.raises(ValueError, match="longest first"):
+        make_task_block(DIST, BLOCK_SEEDS[:2], [3, 5])
+    block = make_task_block(DIST, BLOCK_SEEDS[:2], [5, 3])
+    with pytest.raises(ValueError, match="prefixes"):
+        Task(block.spec, block.theta0, block.train_batches[::-1], block.eval_batch,
+             block.seed, block.class_ids)
+
+
+# (task seed, horizon) of a grid block: distinct, tied and zero horizons,
+# longest first as a block requires
+GRID_TASKS = ((21, 12), (22, 9), (23, 9), (24, 4), (25, 0))
+
+
+def grid_block():
+    seeds, horizons = zip(*GRID_TASKS)
+    return make_task_block(DIST, seeds, horizons)
+
+
+def single_task(seed, K):
+    return make_task(DIST, seed, k_override=K)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_grid_rows_equal_single_runs(variant, renormalize):
+    # every (task, candidate) row of one inner loop, task-major, equals the
+    # candidate's own run on the task at its own horizon, trajectories
+    # included; one candidate's betas round to 1, and the far candidates
+    # diverge mid-run
+    layout = layout_for(variant)
+    cands = population(layout)
+    cands[1, -1] = 40.0
+    factory = controller_stepper_factory(cands, layout, renormalize)
+    results = inner_loop_batch(factory, grid_block(), record_trajectory=True)
+    assert len(results) == len(GRID_TASKS) * len(cands)
+    for t, (seed, K) in enumerate(GRID_TASKS):
+        task = single_task(seed, K)
+        for c, cand in enumerate(cands):
+            res = results[t * len(cands) + c]
+            single = controller_handle(cand, layout, renormalize=renormalize).run(
+                task, record_trajectory=True)
+            assert outcome(res) == outcome(single)
+            assert res.diverged is single.diverged
+            assert res.trajectory == single.trajectory
+            assert len(res.train_losses) <= K
+    row = len(cands) + 1  # candidate 1 on the first task: betas round to 1
+    assert results[row].diverged and results[row].trajectory == []
+    assert any(r.diverged and r.train_losses for r in results)
+    assert not results[0].diverged and len(results[0].train_losses) == GRID_TASKS[0][1]
+
+
+@pytest.mark.parametrize("kind", list(BaselineKind))
+def test_baseline_rows_stop_at_their_own_horizon(kind):
+    # adam_cosine's learning rate follows each row's own horizon
+    handle = baseline_handle(BaselineSpec(kind, lr0=1e-2))
+    results = inner_loop_batch(handle.factory, grid_block())
+    for (seed, K), res in zip(GRID_TASKS, results):
+        single = handle.run(single_task(seed, K))
+        assert outcome(res) == outcome(single)
+        assert len(res.train_losses) == K
+
+
+def test_generation_job_runs_each_row_to_its_own_horizon(monkeypatch):
+    # one inner loop and one ControllerContext per job: the rows of all
+    # loss_and_grad calls add up to C * sum(K), so no row steps past its
+    # horizon, and the losses come back in the generation's task order,
+    # whose horizons are neither sorted nor distinct
+    layout = layout_for(Variant.FULL)
+    cands = population(layout, scales=(0.0, 0.05, 0.1))
+    seeds = [32, 30, 36, 31, 34]
+    horizons = [task_horizon(DIST, s) for s in seeds]
+    assert horizons != sorted(horizons, reverse=True) and len(set(horizons)) < len(seeds)
+    rows, contexts = [], []
+    loss_and_grad, init = meta.loss_and_grad, ControllerContext.__init__
+
+    def counted_loss_and_grad(spec, flat, batch):
+        rows.append(int(np.prod(flat.shape[:-1])))
+        return loss_and_grad(spec, flat, batch)
+
+    def counted_init(self, *args, **kwargs):
+        contexts.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(meta, "loss_and_grad", counted_loss_and_grad)
+    monkeypatch.setattr(ControllerContext, "__init__", counted_init)
+    env = dict(dist=DIST, layout=layout, init_from=None, renormalize=False)
+    losses = meta._eval_block_job((cands, seeds, env))
+    monkeypatch.undo()
+    assert sum(rows) == len(cands) * sum(horizons)
+    assert len(rows) == max(horizons) and len(contexts) == 1
+    for cand, row in zip(cands, losses):
+        handle = controller_handle(cand, layout)
+        assert row.tolist() == [handle.run(make_task(DIST, s)).meta_loss for s in seeds]
 
 
 @pytest.mark.parametrize("name", BLOCK_HANDLES)

@@ -49,9 +49,10 @@ def test_every_entry_installs_runs_and_uninstalls():
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original
     calls = {name: s["calls"] for name, s in tr.summary().items()}
-    # one loss_and_grad per step for the whole block of four candidates
-    # (and per step of the C = 1 handle run and of pretraining)
-    block_steps = sum(meta.make_task(DIST, s).K for s in generation_task_seeds(cfg, 0))
+    # one loss_and_grad per step of the generation's longest task for the
+    # whole (task, candidate) grid (and per step of the C = 1 handle run and
+    # of pretraining)
+    block_steps = max(meta.make_task(DIST, s).K for s in generation_task_seeds(cfg, 0))
     assert calls["nnlite.loss_and_grad"] == block_steps + meta.make_task(DIST, 1).K + PRETRAIN_STEPS
     assert calls["meta.CandidateEvaluator.__call__"] == 1
     assert calls["meta.pretrain_checkpoint"] == calls["meta.nes_update"] == 1
