@@ -8,7 +8,6 @@ optimizer run compare two separately written implementations.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -28,13 +27,12 @@ from .meta import (  # noqa: F401
     TaskDistributionSpec,
     TrajectoryRow,
     controller_stepper_factory,
-    cosine_lr,
     inner_loop_batch,
     inner_loop_eval,
     make_task,
     make_task_block,
 )
-from .nnlite import NetworkSpec
+from .nnlite import Batch, NetworkSpec
 from .optdir import STATE_SLOTS, OptimizerKind
 
 _TAG_EVAL_TASKS = 21
@@ -97,30 +95,99 @@ def evaluation_task_seeds(eval_seed: int, n_tasks: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 1 << 63, n_tasks)]
 
 
+class StackedStepper:
+    """One stepper per optimizer, on rows (task row, optimizer),
+    optimizer-minor: sub-stepper h steps rows h, h + H, ..., given to it as
+    its own C-contiguous [r, n] copy, so it keeps its own prefix state and
+    computes the bits of its own run. Its new rows are written back into
+    ``params``, the loop's own array, so no second [R, n] array is held."""
+
+    def __init__(self, steppers):
+        self.steppers = steppers
+        self.n_rows = sum(s.n_rows for s in steppers)
+
+    def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray]:
+        stride = len(self.steppers)
+        finite = np.empty(len(params), dtype=bool)
+        for h, stepper in enumerate(self.steppers):
+            own = slice(h, None, stride)
+            params[own], finite[own] = stepper.step(
+                np.ascontiguousarray(params[own]), np.ascontiguousarray(grads[own]),
+                np.ascontiguousarray(losses[own]), k)
+        return params, finite
+
+
+def _stacked_factory(handles):
+    """Stepper factory running every handle on each task row, as the
+    candidates of one inner loop; a handle must step one row per task row."""
+    def make(task: Task, record: bool = False):
+        steppers = []
+        for handle in handles:
+            stepper = handle.factory(task, record)
+            if stepper.n_rows != task.n_rows:
+                raise ValueError(f"optimizer {handle.label!r} steps {stepper.n_rows} rows on "
+                                 f"{task.n_rows} tasks; an evaluation suite needs one per task")
+            steppers.append(stepper)
+        return steppers[0] if len(steppers) == 1 else StackedStepper(steppers)
+
+    return make
+
+
+def _level_task(block: Task, levels: list[int]) -> Task:
+    """The T rows of ``block``, all at horizon block.K, at each horizon of
+    ``levels`` (distinct, longest first, none past block.K), level-major:
+    row (j, t) is block row t at horizon levels[j]. Every level reads the
+    block's own draws: theta0 and the eval batch are [J, T] broadcast views
+    of the block's, and so is a train batch of J_k > 1 levels, while a
+    train batch of one level is the block's itself."""
+    def broadcast(batch: Batch, j: int) -> Batch:
+        if j == 1:
+            return batch
+        return Batch(x=np.broadcast_to(batch.x, (j, *batch.x.shape)),
+                     y=np.broadcast_to(batch.y, (j, *batch.y.shape)))
+
+    n_levels = len(levels)
+    return Task(spec=block.spec,
+                theta0=np.broadcast_to(block.theta0, (n_levels, *block.theta0.shape)),
+                train_batches=[broadcast(batch, sum(K > k for K in levels))
+                               for k, batch in enumerate(block.train_batches[:levels[0]])],
+                eval_batch=broadcast(block.eval_batch, n_levels),
+                seed=block.seed * n_levels, class_ids=block.class_ids * n_levels)
+
+
 def evaluate_suite(handles, dist: TaskDistributionSpec, n_tasks: int,
                    k_list, eval_seed: int, split: str = "metatest",
                    init_from: np.ndarray | None = None) -> EvalReport:
     """Paired evaluation: the same task seeds are used for every optimizer
     and every K, so per-task differences are well-defined. The n_tasks
-    tasks are drawn once, as one block at the largest K, and each
-    (optimizer, K) cell is one inner loop over that block's first K train
-    batches; every task's result equals its own handle.run."""
+    tasks are drawn once, as one block at the largest K, and the whole
+    suite is one inner loop whose rows are (K level, task, optimizer): the
+    distinct K of k_list, longest first, each level reading the block's
+    draws, and the optimizers as the candidates of one shared
+    forward/backward pass per step. Every row equals its task's own
+    handle.run at that K, bit for bit. Cells come in k_list order, then
+    handle order, duplicates included."""
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if min(k_list, default=0) < 0:
         raise ValueError(f"every K must be >= 0, got {min(k_list)}")
     if isinstance(handles, OptimizerHandle):
         handles = [handles]
-    seeds = evaluation_task_seeds(eval_seed, n_tasks)
-    block = make_task_block(dist, seeds, max(k_list, default=0), split=split,
-                            init_from=init_from)
     report = EvalReport()
+    if not handles or not k_list:
+        return report
+    seeds = evaluation_task_seeds(eval_seed, n_tasks)
+    levels = sorted({int(K) for K in k_list}, reverse=True)
+    block = make_task_block(dist, seeds, levels[0], split=split, init_from=init_from)
+    results = inner_loop_batch(_stacked_factory(handles), _level_task(block, levels))
+    width = n_tasks * len(handles)  # the rows of one level
     for K in k_list:
-        prefix = dataclasses.replace(block, train_batches=block.train_batches[:K])
-        for handle in handles:
-            results = inner_loop_batch(handle.factory, prefix)
-            accs = [r.eval_accuracy for r in results]
-            losses = [r.meta_loss for r in results]
+        first = levels.index(int(K)) * width
+        for h, handle in enumerate(handles):
+            own = results[first + h:first + width:len(handles)]
+            accs = [r.eval_accuracy for r in own]
+            losses = [r.meta_loss for r in own]
             report.cells.append(EvalCell(
                 optimizer=handle.label, K=int(K), n_tasks=n_tasks,
                 mean_acc=float(np.mean(accs)), std_acc=spread(accs),

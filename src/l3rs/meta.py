@@ -18,12 +18,13 @@ rows at once: parameters, gradients and optimizer state are [R, n] arrays,
 and each row gets exactly the bits of its own single run. A row is a
 (task, candidate) pair, task-major: a generation runs its C candidates on
 all of its meta-batch tasks in one loop, each task's rows sharing its
-draws by broadcasting, and an evaluation cell runs one optimizer on a task
-of R rows. A row stops at its own horizon: the rows still training are a
-prefix, and a row leaving it keeps its parameters until the one scoring at
-the end. Divergence is one per-row mask that the loop owns, and a row that
-stops being finite is masked dead, scores DIVERGENCE_PENALTY and leaves
-the others untouched. Single runs (inspection, probes) are the same loop
+draws by broadcasting, and an evaluation suite runs its optimizers the same
+way, as the candidates of one loop over (K level, task) rows, every level
+reading the one block drawn at the largest K. A row stops at its own
+horizon: the rows still training are a prefix, and a row leaving it keeps
+its parameters until the one scoring at the end. Divergence is one
+per-row mask that the loop owns, and a row that stops being finite is
+masked dead, scores DIVERGENCE_PENALTY and leaves the others untouched. Single runs (inspection, probes) are the same loop
 with one row; pretraining alone trains one unbatched network.
 """
 
@@ -132,6 +133,11 @@ class TaskDistributionSpec:
         return NetworkSpec(self.input_dim, self.hidden, self.pretrain_classes)
 
 
+def _batch_rows(batch: Batch) -> int:
+    """The rows a batch holds: the product of its leading axes."""
+    return math.prod(batch.y.shape[:-1])
+
+
 @dataclass
 class Task:
     """A block of R fine-tuning problems, one per row: flat theta0 [R, n],
@@ -144,7 +150,12 @@ class Task:
     a prefix (x [n_k, B, d], y [n_k, B]). The block's horizon K is the
     longest, the number of train batches, so replacing train_batches by
     its first K' entries gives the same tasks at horizons min(K_r, K')
-    (make_task_block)."""
+    (make_task_block).
+
+    The rows may also be levels of one block of T rows, level-major: a
+    theta0 [J, T, n] or a batch with leading axes [J, T] holds J levels of
+    the same T rows, as a broadcast view of one draw (x [J, T, B, d],
+    y [J, T, B]), and counts J * T rows (_batch_rows)."""
 
     spec: NetworkSpec
     theta0: np.ndarray
@@ -154,7 +165,7 @@ class Task:
     class_ids: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        sizes = [len(b.y) for b in self.train_batches]
+        sizes = [_batch_rows(b) for b in self.train_batches]
         if sizes != sorted(sizes, reverse=True) or any(not 0 < n <= self.n_rows for n in sizes):
             raise ValueError(f"train batches of {sizes} rows are not prefixes, longest first, "
                              f"of {self.n_rows} rows")
@@ -165,12 +176,12 @@ class Task:
 
     @property
     def n_rows(self) -> int:
-        return len(self.theta0)
+        return math.prod(self.theta0.shape[:-1])
 
     @property
     def horizons(self) -> np.ndarray:
         """Per-row horizons [R]: the number of train batches that hold the row."""
-        sizes = np.array([len(batch.y) for batch in self.train_batches], dtype=np.int64)
+        sizes = np.array([_batch_rows(batch) for batch in self.train_batches], dtype=np.int64)
         return (np.arange(self.n_rows)[:, None] < sizes).sum(axis=1)
 
 
@@ -352,18 +363,23 @@ class BaselineStepper:
         del losses
         rows = len(params)
         lr = self._lr(k, rows)
-        new = params.copy()
         g = grads[:, self.start:]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spec.kind == BaselineKind.SGD_CONST:
-                new[:, self.start:] = params[:, self.start:] - lr * g
+                update = lr * g
             else:
                 self.m = ADAM_BETA1 * self.m[:rows] + (1 - ADAM_BETA1) * g
                 self.v = ADAM_BETA2 * self.v[:rows] + (1 - ADAM_BETA2) * g * g
-                m_hat = self.m / (1 - ADAM_BETA1 ** k)
-                v_hat = self.v / (1 - ADAM_BETA2 ** k)
-                new[:, self.start:] = (params[:, self.start:]
-                                       - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+                # the bits of lr * m_hat / (sqrt(v_hat) + eps), in place, and
+                # its temporaries freed before the new parameters exist
+                denom = self.v / (1 - ADAM_BETA2 ** k)
+                np.sqrt(denom, out=denom)
+                denom += ADAM_EPS
+                update = lr * (self.m / (1 - ADAM_BETA1 ** k))
+                update /= denom
+                del denom
+            new = params.copy()
+            new[:, self.start:] -= update
         return new, np.isfinite(new[:, self.start:]).all(axis=-1)
 
 
@@ -394,18 +410,21 @@ def inner_loop_batch(make_stepper, task: Task,
     """
     stepper = make_stepper(task, record_trajectory)
     cands, n = stepper.n_rows // task.n_rows, task.theta0.shape[-1]
-    params = np.repeat(task.theta0, cands, axis=0)  # [R * C, n], the final parameters
-    alive = np.ones(len(params), dtype=bool)
-    train_losses: list[list[float]] = [[] for _ in range(len(params))]
-    live = params  # the prefix of rows still training
+    live = np.repeat(task.theta0.reshape(-1, n), cands, axis=0)  # the rows still training
+    left: list[np.ndarray] = []  # the rows past them, each group as it reached its horizon
+    alive = np.ones(len(live), dtype=bool)
+    train_losses: list[list[float]] = [[] for _ in range(len(live))]
     for k, batch in enumerate(task.train_batches, start=1):
-        rows = len(batch.y) * cands
+        lead = batch.y.shape[:-1]  # [n_k] task rows, or [J_k, T] levels of them
+        rows = math.prod(lead) * cands
         if rows < len(live):  # the rows past ``rows`` reached their horizon
-            params[rows:len(live)] = live[rows:]
+            left.append(live[rows:].copy())
             live = live[:rows]
-        grid = live
-        if cands > 1:  # [T, C, n] against [T, 1, B, d]: a task's C rows share its batch
-            grid, batch = live.reshape(-1, cands, n), Batch(x=batch.x[:, None], y=batch.y[:, None])
+        if cands > 1:  # [..., C, n] against [..., 1, B, d]: a task row's C rows share its batch
+            grid = live.reshape(*lead, cands, n)
+            batch = Batch(x=batch.x[..., None, :, :], y=batch.y[..., None, :])
+        else:
+            grid = live.reshape(*lead, n)
         losses, grads, finite = loss_and_grad(task.spec, grid, batch)
         losses, grads = losses.reshape(rows), grads.reshape(rows, n)
         live_alive = alive[:rows]  # a view: updating it updates alive
@@ -417,19 +436,21 @@ def inner_loop_batch(make_stepper, task: Task,
             dead = ~live_alive
             live[dead] = grads[dead] = losses[dead] = np.nan
         live, finite = stepper.step(live, grads, losses, k)
+        del grads  # freed before the next step's pass allocates its own
         live_alive &= finite
         if not live_alive.any():
             break
-    params[:len(live)] = live
+    params = np.concatenate([live, *left[::-1]])  # [R * C, n], the final parameters
     # scored one task row at a time: an eval batch is larger than a train
     # batch (256 against 32 examples by default), and its activations for
     # every row at once would be the run's largest array
     meta_losses, accs = np.empty(len(params)), np.empty(len(params))
-    for t in range(task.n_rows):
+    eval_x, eval_y = task.eval_batch.x, task.eval_batch.y
+    for t, row in enumerate(np.ndindex(eval_y.shape[:-1])):
         own = slice(t * cands, (t + 1) * cands)
-        logits = forward(task.spec, params[own], task.eval_batch.x[t])
-        meta_losses[own] = mean_cross_entropy(logits, task.eval_batch.y[t])
-        accs[own] = accuracy(logits, task.eval_batch.y[t])
+        logits = forward(task.spec, params[own], eval_x[row])
+        meta_losses[own] = mean_cross_entropy(logits, eval_y[row])
+        accs[own] = accuracy(logits, eval_y[row])
     alive &= np.isfinite(meta_losses)
     trajectories = getattr(stepper, "trajectories", None) or [None] * len(params)
     return [InnerRunResult(meta_loss=meta_loss if ok else DIVERGENCE_PENALTY,

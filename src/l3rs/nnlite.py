@@ -194,12 +194,18 @@ def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
     delta /= batch.x.shape[-2]
 
     grads: list[np.ndarray] = [None] * (2 * len(layers))  # type: ignore[list-item]
+    # the activations and deltas are a pass's largest arrays: each is
+    # dropped as soon as the pass is done with it
+    acts.pop()  # the logits
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in range(len(layers) - 1, -1, -1):
-            grads[2 * layer] = acts[layer].swapaxes(-1, -2) @ delta
+            inputs = acts.pop()
+            grads[2 * layer] = inputs.swapaxes(-1, -2) @ delta
             grads[2 * layer + 1] = delta.sum(axis=-2)
             if layer > 0:
-                delta = (delta @ layers[layer][0].swapaxes(-1, -2)) * (acts[layer] > 0)
+                inputs = inputs > 0  # keep the ReLU mask only: frees the activation
+                delta = (delta @ layers[layer][0].swapaxes(-1, -2)) * inputs
+    del inputs, delta
     lead = flat.shape[:-1]
     grad = np.concatenate([g.reshape(*lead, -1) for g in grads], axis=-1)
     return loss, grad, np.isfinite(loss) & np.isfinite(grad).all(axis=-1)

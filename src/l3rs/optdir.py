@@ -71,9 +71,16 @@ def dir_adam(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int) -> np.nda
     """
     state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
     state["v"] = beta2 * state["v"] + (1.0 - beta2) * grad * grad
-    m_hat = state["m"] / _debias(beta1, k)
-    v_hat = state["v"] / _debias(beta2, k)
-    return -m_hat / (np.sqrt(v_hat) + eps)
+    # the bits of -m_hat / (sqrt(v_hat) + eps), in place: two temporaries
+    # [..., n] alive at once instead of four (asarray: a 0-d result is a
+    # numpy scalar, which has no memory to write into)
+    m_hat = np.asarray(state["m"] / _debias(beta1, k))
+    v_hat = np.asarray(state["v"] / _debias(beta2, k))
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps
+    np.negative(m_hat, out=m_hat)
+    m_hat /= v_hat
+    return m_hat
 
 
 def dir_adamax(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int) -> np.ndarray:

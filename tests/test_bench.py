@@ -10,7 +10,6 @@ from l3rs.bench import (
     BaselineSpec,
     baseline_handle,
     controller_handle,
-    cosine_lr,
     cross_cells,
     evaluate_suite,
     run_ablation_battery,
@@ -26,6 +25,7 @@ from l3rs.meta import (
     NesConfig,
     TaskDistributionSpec,
     controller_stepper_factory,
+    cosine_lr,
     inner_loop_batch,
     inner_loop_eval,
     make_task,
@@ -138,19 +138,71 @@ class TestEvaluateSuite:
             assert (r1.cell(h1.label, K).task_seeds == r1.cell(h2.label, K).task_seeds)
 
     @pytest.mark.parametrize("n_tasks", [1, 5])
-    def test_one_inner_loop_per_cell(self, monkeypatch, n_tasks):
-        # one loss_and_grad call per step of each (optimizer, K) cell,
-        # whatever the number of tasks in the cell
+    def test_one_inner_loop_per_suite(self, monkeypatch, n_tasks):
+        # one loss_and_grad call per step of the longest K, whatever the
+        # number of optimizers, horizons and tasks in the suite
         calls = []
         original = meta.loss_and_grad
         monkeypatch.setattr(meta, "loss_and_grad",
                             lambda *a: calls.append(1) or original(*a))
         layout = layout_for(DIST)
         handles = [controller_handle(flatten(init_meta_params(layout, seed=0)), layout),
-                   baseline_handle(BaselineSpec(BaselineKind.ADAM_COSINE, lr0=1e-2))]
+                   baseline_handle(BaselineSpec(BaselineKind.ADAM_COSINE, lr0=1e-2)),
+                   baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1))]
         k_list = [0, 2, 5]
-        evaluate_suite(handles, DIST, n_tasks=n_tasks, k_list=k_list, eval_seed=4)
-        assert len(calls) == len(handles) * sum(k_list)
+        for n_handles in range(1, len(handles) + 1):
+            calls.clear()
+            report = evaluate_suite(handles[:n_handles], DIST, n_tasks=n_tasks,
+                                    k_list=k_list, eval_seed=4)
+            assert len(report.cells) == n_handles * len(k_list)
+            assert len(calls) == max(k_list)
+
+    def test_handles_never_interact(self):
+        # a diverging optimizer leaves every other optimizer's bits alone,
+        # and its own cells are its suite run alone
+        handles = [baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1)),
+                   baseline_handle(BaselineSpec(BaselineKind.ADAM_CONST, lr0=1e-2))]
+        wild = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e6))
+        k_list = [30, 8, 1]
+        calm = evaluate_suite(handles, DIST, n_tasks=3, k_list=k_list, eval_seed=6)
+        mixed = evaluate_suite([handles[0], wild, handles[1]], DIST, n_tasks=3,
+                               k_list=k_list, eval_seed=6)
+        alone = evaluate_suite(wild, DIST, n_tasks=3, k_list=k_list, eval_seed=6)
+        others = [c for c in mixed.cells if c.optimizer != wild.label]
+        assert [dataclasses.astuple(c) for c in others] == [
+            dataclasses.astuple(c) for c in calm.cells]
+        wild_cells = [c for c in mixed.cells if c.optimizer == wild.label]
+        assert [dataclasses.astuple(c) for c in wild_cells] == [
+            dataclasses.astuple(c) for c in alone.cells]
+        assert meta.DIVERGENCE_PENALTY in alone.cell(wild.label, 30).task_loss
+
+    def test_empty_handle_list_gives_an_empty_report(self):
+        assert evaluate_suite([], DIST, n_tasks=2, k_list=[3, 1], eval_seed=0).cells == []
+
+    def test_psi_block_of_several_candidates_rejected(self):
+        # a [C, flat_size] psi would put C results per task in one cell
+        layout = layout_for(DIST)
+        psi = np.stack([flatten(init_meta_params(layout, seed=s)) for s in (0, 1)])
+        handle = controller_handle(psi, layout, label="two-psi")
+        with pytest.raises(ValueError, match="'two-psi'"):
+            evaluate_suite(handle, DIST, n_tasks=3, k_list=[2], eval_seed=0)
+
+    def test_levels_share_the_block_draws(self, monkeypatch):
+        # every K level reads the one block drawn at the largest K
+        blocks, tasks = [], []
+        draw, run = bench.make_task_block, bench.inner_loop_batch
+        monkeypatch.setattr(bench, "make_task_block",
+                            lambda *a, **kw: blocks.append(draw(*a, **kw)) or blocks[-1])
+        monkeypatch.setattr(bench, "inner_loop_batch",
+                            lambda f, task: tasks.append(task) or run(f, task))
+        handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1))
+        evaluate_suite(handle, DIST, n_tasks=3, k_list=[2, 5, 3], eval_seed=2)
+        (block,), (task,) = blocks, tasks
+        assert task.n_rows == 9 and task.horizons.tolist() == [5] * 3 + [3] * 3 + [2] * 3
+        assert np.shares_memory(task.theta0, block.theta0)
+        for mine, drawn in zip([*task.train_batches, task.eval_batch],
+                               [*block.train_batches, block.eval_batch]):
+            assert np.shares_memory(mine.x, drawn.x) and np.shares_memory(mine.y, drawn.y)
 
     def test_tasks_never_interact(self):
         # the first m tasks of an n-task report are the m-task report
