@@ -44,7 +44,7 @@ class OptimizerHandle:
     optimizer on one task, or on every row of a block task."""
 
     label: str
-    factory: object  # callable(task, record=False) -> stepper with one row per task row
+    factory: object  # callable(task, record=False) -> stepper of the task rows
 
     def run(self, task: Task, record_trajectory: bool = False) -> InnerRunResult:
         return inner_loop_eval(self.factory, task, record_trajectory=record_trajectory)
@@ -53,7 +53,7 @@ class OptimizerHandle:
 def baseline_handle(spec: BaselineSpec) -> OptimizerHandle:
     def factory(task: Task, record: bool = False):
         del record
-        return BaselineStepper(spec, task.spec.offsets(), task.horizons, task.n_rows)
+        return BaselineStepper(spec, task.spec.offsets(), task.horizons)
 
     return OptimizerHandle(label=spec.label, factory=factory)
 
@@ -96,40 +96,38 @@ def evaluation_task_seeds(eval_seed: int, n_tasks: int) -> list[int]:
 
 
 class StackedStepper:
-    """One stepper per optimizer, on rows (task row, optimizer),
-    optimizer-minor: sub-stepper h steps rows h, h + H, ..., given to it as
-    its own C-contiguous [r, n] copy, so it keeps its own prefix state and
-    computes the bits of its own run. Its new rows are written back into
-    ``params``, the loop's own array, so no second [R, n] array is held."""
+    """One stepper per optimizer, each with one candidate: stepper h steps
+    the slice [..., h:h+1, :] of the grid [*rows, H, n], given to it as its
+    own C-contiguous copy, so it keeps its own prefix state and computes the
+    bits of its own run. Its new rows are written back into
+    ``params``, the loop's own array, so no second grid is held."""
 
     def __init__(self, steppers):
         self.steppers = steppers
-        self.n_rows = sum(s.n_rows for s in steppers)
+        self.n_candidates = len(steppers)
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        stride = len(self.steppers)
-        finite = np.empty(len(params), dtype=bool)
+        finite = np.empty(losses.shape, dtype=bool)
         for h, stepper in enumerate(self.steppers):
-            own = slice(h, None, stride)
-            params[own], finite[own] = stepper.step(
-                np.ascontiguousarray(params[own]), np.ascontiguousarray(grads[own]),
-                np.ascontiguousarray(losses[own]), k)
+            own = slice(h, h + 1)
+            params[..., own, :], finite[..., own] = stepper.step(
+                np.ascontiguousarray(params[..., own, :]),
+                np.ascontiguousarray(grads[..., own, :]),
+                np.ascontiguousarray(losses[..., own]), k)
         return params, finite
 
 
 def _stacked_factory(handles):
     """Stepper factory running every handle on each task row, as the
-    candidates of one inner loop; a handle must step one row per task row."""
+    candidates of one inner loop; a handle must step one candidate."""
     def make(task: Task, record: bool = False):
-        steppers = []
-        for handle in handles:
-            stepper = handle.factory(task, record)
-            if stepper.n_rows != task.n_rows:
-                raise ValueError(f"optimizer {handle.label!r} steps {stepper.n_rows} rows on "
-                                 f"{task.n_rows} tasks; an evaluation suite needs one per task")
-            steppers.append(stepper)
-        return steppers[0] if len(steppers) == 1 else StackedStepper(steppers)
+        steppers = [handle.factory(task, record) for handle in handles]
+        for handle, stepper in zip(handles, steppers):
+            if stepper.n_candidates != 1:
+                raise ValueError(f"optimizer {handle.label!r} steps {stepper.n_candidates} "
+                                 f"candidates; an evaluation suite needs one")
+        return StackedStepper(steppers)
 
     return make
 
@@ -137,13 +135,10 @@ def _stacked_factory(handles):
 def _level_task(block: Task, levels: list[int]) -> Task:
     """The T rows of ``block``, all at horizon block.K, at each horizon of
     ``levels`` (distinct, longest first, none past block.K), level-major:
-    row (j, t) is block row t at horizon levels[j]. Every level reads the
-    block's own draws: theta0 and the eval batch are [J, T] broadcast views
-    of the block's, and so is a train batch of J_k > 1 levels, while a
-    train batch of one level is the block's itself."""
+    task row (j, t) is block row t at horizon levels[j]. Every level reads
+    the block's own draws: theta0, the eval batch and every train batch
+    are [J, T] or [J_k, T] broadcast views of the block's."""
     def broadcast(batch: Batch, j: int) -> Batch:
-        if j == 1:
-            return batch
         return Batch(x=np.broadcast_to(batch.x, (j, *batch.x.shape)),
                      y=np.broadcast_to(batch.y, (j, *batch.y.shape)))
 
@@ -162,9 +157,9 @@ def evaluate_suite(handles, dist: TaskDistributionSpec, n_tasks: int,
     """Paired evaluation: the same task seeds are used for every optimizer
     and every K, so per-task differences are well-defined. The n_tasks
     tasks are drawn once, as one block at the largest K, and the whole
-    suite is one inner loop whose rows are (K level, task, optimizer): the
+    suite is one inner loop over [J, T] task rows (K level, task): the
     distinct K of k_list, longest first, each level reading the block's
-    draws, and the optimizers as the candidates of one shared
+    draws, with the optimizers as the candidates of one shared
     forward/backward pass per step. Every row equals its task's own
     handle.run at that K, bit for bit. Cells come in k_list order, then
     handle order, duplicates included."""
@@ -181,13 +176,13 @@ def evaluate_suite(handles, dist: TaskDistributionSpec, n_tasks: int,
     levels = sorted({int(K) for K in k_list}, reverse=True)
     block = make_task_block(dist, seeds, levels[0], split=split, init_from=init_from)
     results = inner_loop_batch(_stacked_factory(handles), _level_task(block, levels))
-    width = n_tasks * len(handles)  # the rows of one level
+    grid = (len(levels), n_tasks, len(handles))
+    all_accs = np.reshape([r.eval_accuracy for r in results], grid)
+    all_losses = np.reshape([r.meta_loss for r in results], grid)
     for K in k_list:
-        first = levels.index(int(K)) * width
+        j = levels.index(int(K))
         for h, handle in enumerate(handles):
-            own = results[first + h:first + width:len(handles)]
-            accs = [r.eval_accuracy for r in own]
-            losses = [r.meta_loss for r in own]
+            accs, losses = all_accs[j, :, h].tolist(), all_losses[j, :, h].tolist()
             report.cells.append(EvalCell(
                 optimizer=handle.label, K=int(K), n_tasks=n_tasks,
                 mean_acc=float(np.mean(accs)), std_acc=spread(accs),

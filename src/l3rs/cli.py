@@ -235,6 +235,15 @@ def _write_config_snapshot(run: RunConfig) -> None:
     write_json(run.out_dir / "config.json", run.raw)
 
 
+def _configured_psi(run: RunConfig, path: str):
+    """The psi checkpoint at ``path``; refused unless its layout is the
+    configuration's."""
+    psi, _ = load_psi(path)
+    if psi.layout != run.layout_for(run.dist):
+        raise ConfigError("psi checkpoint layout does not match the configuration")
+    return psi
+
+
 def _main_checkpoint(run: RunConfig, path: str | None):
     """The pretrained initialization: loaded from a file, or recomputed
     deterministically from the config."""
@@ -340,10 +349,7 @@ def cmd_evaluate(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
     reference = _read_reference(args.paired) if args.paired else None
     if args.psi:
-        psi, _ = load_psi(args.psi)
-        expected = run.layout_for(run.dist)
-        if psi.layout != expected:
-            raise ConfigError("psi checkpoint layout does not match the configuration")
+        psi = _configured_psi(run, args.psi)
         handle = bench.controller_handle(psi.flat, psi.layout, renormalize=run.renormalize)
     elif args.baseline:
         try:
@@ -421,7 +427,7 @@ def cmd_inspect(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
     if args.k is not None and args.k < 0:
         raise ConfigError(f"--k must be >= 0, got {args.k}")
-    psi, _ = load_psi(args.psi)
+    psi = _configured_psi(run, args.psi)
     init_from = _main_checkpoint(run, args.checkpoint)
     _write_config_snapshot(run)
     task = meta.make_task(run.dist, args.task_seed, split="metatest",

@@ -10,19 +10,21 @@ an exponential head for lambda, so mu is always a distribution and lambda is
 always positive.
 
 ControllerContext is the inner loop's stepper. It takes row-batched psi
-only: C candidates, each run on every row of a task block, task-major, one
-row per (task, candidate) pair with that task's horizon. One step advances
-all R live rows at once on flat vectors: parameters and gradients are
-[R, n], the bank's directions [R, P, n], all split into components at the
-segment offsets; every per-component norm comes from optdir.segment_norms,
-the EMAs are [R, L, 2, G], and the update is one flat expression over
-[R, P, n]. The controller MLPs are stacked (a leading n_mlps axis: 1, or L
-for per_layer_mlp) behind the candidate axis, and the frames [T, C, L, F]
-of every variant take one batched matmul per MLP layer, broadcast over the
-T task rows. Every per-row array keeps the live rows, a prefix, until their
-horizon: a row whose directions, segment norms, logits or lambdas stop
-being finite is only reported in the step's finite mask, and the others are
-not disturbed.
+only: C candidates, each run on every task row of a block, [T] or [J, T],
+at that row's horizon. One step advances the whole live grid at once on
+flat vectors: parameters and gradients are [*rows, C, n], the bank's
+directions [*rows, C, P, n], all split into components at the segment
+offsets; every per-component norm comes from optdir.segment_norms, the
+EMAs are [*rows, C, L, 2, G], and the update is one flat expression over
+the directions. The controller MLPs are stacked (a leading n_mlps axis: 1,
+or L for per_layer_mlp) behind the candidate axis, and the frames
+[*rows, C, L, F] of every variant take one batched matmul per MLP layer;
+the MLPs and betas broadcast over the task rows, and the time features,
+one set per task row, over the candidates. Every per-row array keeps the
+live task rows, a prefix of the first axis, until their horizon: a row
+whose directions, segment norms, logits or lambdas stop being finite is
+only reported in the step's finite mask, and the others are not
+disturbed.
 
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
@@ -85,27 +87,29 @@ class EmaTracker:
     """Bias-corrected EMAs of log weight norms, log gradient norms and loss.
 
     Per component: log||w||_2 and log||g||_2 for every smoothing factor in
-    gammas; the loss EMAs are global. Every statistic leads with an axis of
-    ``rows`` independent rows (one per candidate). Statistics must be the
-    pre-update values for the step being recorded, and update() runs
-    exactly once per inner step.
+    gammas; the loss EMAs are global. Every statistic leads with the row
+    axes ``rows``, a row count or a shape such as (task rows..., candidates).
+    Statistics must be the pre-update values for the step being recorded,
+    and update() runs exactly once per inner step.
     """
 
-    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS, rows: int = 1):
+    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS, rows=1):
         self.gammas = np.asarray(tuple(gammas), dtype=float)
         if len(self.gammas) > 0 and (self.gammas.min() < 0 or self.gammas.max() >= 1):
             raise ValueError("gammas must lie in [0, 1)")
         self.k = 0
-        self._comp = np.zeros((rows, n_components, 2, len(self.gammas)))
-        self._loss = np.zeros((rows, len(self.gammas)))
+        rows = np.broadcast_shapes(rows)  # a count n is the shape (n,)
+        self._comp = np.zeros((*rows, n_components, 2, len(self.gammas)))
+        self._loss = np.zeros((*rows, len(self.gammas)))
 
     def keep(self, rows: int) -> None:
-        """Keep the first ``rows`` rows only: the others finished their run."""
+        """Keep the first ``rows`` entries of the first axis only: the rows
+        past them finished their run."""
         self._comp, self._loss = self._comp[:rows], self._loss[:rows]
 
     def update(self, loss, comp_stats: np.ndarray) -> None:
-        """loss is [C]; comp_stats is [C, L, 2]: (log||w||, log||g||) per
-        component."""
+        """loss is [*rows]; comp_stats is [*rows, L, 2]: (log||w||, log||g||)
+        per component."""
         if comp_stats.shape != self._comp.shape[:-1]:
             raise ValueError("component statistics have the wrong shape")
         self.k += 1
@@ -114,8 +118,8 @@ class EmaTracker:
         self._loss = g * self._loss + (1.0 - g) * np.asarray(loss)[..., None]
 
     def read(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corrected EMAs: ([C, L, 2, n_gammas], [C, n_gammas]). Errors
-        before any update."""
+        """Corrected EMAs: ([*rows, L, 2, n_gammas], [*rows, n_gammas]).
+        Errors before any update."""
         if self.k == 0:
             raise ValueError("no samples recorded yet")
         corr = 1.0 - self.gammas ** self.k  # gamma == 0 gives divisor 1 for k >= 1
@@ -350,23 +354,25 @@ class TrajectoryRow:
 class ControllerContext:
     """The inner loop's stepper: the direction bank, the EMA tracker and a
     read-only view of the meta-parameters of C candidates [C, flat_size],
-    for the flat parameters of ``spec``. K is the horizon of C rows, one
-    per candidate, or the horizons [R] of R = T * C rows, task-major: row
-    (t, c) runs candidate c, and the candidates' MLPs broadcast over the T
-    task rows. Each step takes the rows still training, a prefix that only
-    shrinks, and every per-row array (bank state, betas, EMAs, horizons)
-    keeps only that prefix; the step count is shared, as every row starts
-    at step 1.
+    for the flat parameters of ``spec``. K holds the horizons of the task
+    rows, [T] or [J, T], or is one K with no task axes; every step takes
+    the parameter grid [*rows, C, n], each task row running every candidate,
+    and every per-candidate value (the MLPs, betas and their validity)
+    broadcasts over the task axes. Each step takes the task rows still
+    training, a prefix of the first axis that only shrinks, and every
+    per-row array (bank state, EMAs, horizons) keeps only that prefix; the
+    step count is shared, as every row starts at step 1.
 
     ``policy`` replaces the MLP head when set: it receives the component
     index and that component's direction log-norms and returns (mu, lambda).
     Used by equivalence tests to force known optimizers through the update
     path. With ``record``, every step appends per-component TrajectoryRows
-    to ``trajectories[row]`` for the rows it reports finite (dead rows come
-    in as NaN and never are).
+    to ``trajectories[row]``, rows of the grid [*rows, C] in row-major
+    order, for the rows it reports finite (dead rows come in as NaN and
+    never are).
 
     A candidate whose betas round to 0 or 1 has no valid hyperparameters:
-    its bank row runs on the defaults and it is never reported finite, so
+    its bank rows run on the defaults and it is never reported finite, so
     it scores the divergence penalty without touching the other rows.
     """
 
@@ -383,98 +389,88 @@ class ControllerContext:
             raise ValueError("the controller takes row-batched psi [C, flat_size]")
         self.psi = psi
         self.layout = layout
-        cands = len(psi.flat)
-        self.K = np.broadcast_to(K, np.shape(K) or (cands,))
-        self.n_rows = rows = len(self.K)
-        if rows % cands:
-            raise ValueError(f"{rows} rows are not task rows of {cands} candidates")
+        self.n_candidates = cands = len(psi.flat)
+        self.K = np.asarray(K)
         self.renormalize = renormalize
         self.policy = policy
         defaults = optdir.default_betas(layout.base_kinds)
         squashed = sigmoid(self.psi.hyper_raw)
         # a beta that rounds to exactly 0 or 1 (a raw value above about 36.7
         # or below about -745) leaves its whole candidate invalid
-        valid = ((0.0 < squashed) & (squashed < 1.0)).all(axis=-1)
+        self._betas_valid = ((0.0 < squashed) & (squashed < 1.0)).all(axis=-1)
         betas = np.tile(defaults, (cands, 1, 1))
         betas[:, layout.learned_betas] = squashed.reshape(cands, -1, 2)
-        betas = np.where(valid[:, None, None], betas, defaults)
-        self._betas_valid = np.tile(valid, rows // cands)
-        self.bank = DirectionBank(list(layout.base_kinds), np.tile(betas, (rows // cands, 1, 1)),
-                                  offsets)
+        betas = np.where(self._betas_valid[:, None, None], betas, defaults)
+        self.bank = DirectionBank(list(layout.base_kinds), betas, offsets, rows=self.K.shape)
         tracked = 1 if layout.variant == Variant.GLOBAL else n_comp
-        self.tracker = EmaTracker(tracked, layout.gammas, rows=rows)
+        self.tracker = EmaTracker(tracked, layout.gammas, rows=(*self.K.shape, cands))
         self.n_model_components = n_comp
         self._names = spec.components()
         self.trajectories: list[list[TrajectoryRow]] | None = (
-            [[] for _ in range(rows)] if record else None)
+            [[] for _ in range(self.K.size * cands)] if record else None)
 
     def _keep(self, rows: int) -> None:
-        """Keep the state of the first ``rows`` rows only: the rows past
-        them reached their horizon and are no longer stepped."""
-        if rows == len(self.K):
-            return
-        self.K, self._betas_valid = self.K[:rows], self._betas_valid[:rows]
+        """Keep the state of the first ``rows`` task rows only: the rows
+        past them reached their horizon and are no longer stepped."""
+        self.K = self.K[:rows]
         self.bank.keep(rows)
         self.tracker.keep(rows)
 
     def _stats(self, wg_norms: np.ndarray) -> np.ndarray:
-        """[C, L, 2] log (||w||, ||g||), or [C, 1, 2] whole-model norms for
-        global, from the segment norms wg_norms [C, L, 2]."""
+        """[..., L, 2] log (||w||, ||g||), or [..., 1, 2] whole-model norms
+        for global, from the segment norms wg_norms [..., L, 2]."""
         if self.layout.variant == Variant.GLOBAL:
             # sum along contiguous rows: the same pairwise order as np.sum of
             # a 1-D array, which a sum over the L axis of [L, 2] is not for L >= 8
             sq = np.ascontiguousarray(wg_norms.swapaxes(-1, -2)) ** 2
-            wg_norms = np.sqrt(np.sum(sq, axis=-1))[:, None, :]
+            wg_norms = np.sqrt(np.sum(sq, axis=-1))[..., None, :]
         return np.log(np.maximum(wg_norms, optdir.NORM_FLOOR))
 
     def decide(self, norms: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(mu [R, L, P], lambda [R, L], finite [R]) from the direction norms
-        [R, L, P] of the live rows, after the tracker has been updated with
-        this step's statistics."""
+        """(mu [*rows, C, L, P], lambda [*rows, C, L], finite [*rows, C])
+        from the direction norms [*rows, C, L, P] of the live rows, after
+        the tracker has been updated with this step's statistics."""
         layout = self.layout
         n_comp = self.n_model_components
         log_norms = np.log(np.maximum(norms, optdir.NORM_FLOOR))
         if self.policy is not None:
             mu = np.zeros(norms.shape)
-            lam = np.zeros(norms.shape[:2])
-            for c in range(len(norms)):
+            lam = np.zeros(norms.shape[:-1])
+            for row in np.ndindex(norms.shape[:-2]):
                 for i in range(n_comp):
-                    mu[c, i], lam[c, i] = self.policy(i, log_norms[c, i])
-            return mu, lam, np.ones(len(norms), dtype=bool)
+                    mu[row][i], lam[row][i] = self.policy(i, log_norms[row][i])
+            return mu, lam, np.ones(norms.shape[:-2], dtype=bool)
 
-        def grid(a):  # [R, ...] as [T, C, ...]: the candidates' MLPs broadcast over T
-            cands = len(self.psi.flat)
-            return a.reshape(len(a) // cands, cands, *a.shape[1:])
-
-        ema_comp, ema_loss = (grid(a) for a in self.tracker.read())
-        tf = grid(time_features(k, self.K))
+        ema_comp, ema_loss = self.tracker.read()
+        # one set of time features per task row, broadcast over the candidates
+        tf = time_features(k, self.K)[..., None, :]
         if layout.variant == Variant.GLOBAL:
             whole = 0.5 * np.log(np.maximum(np.sum(norms ** 2, axis=-2),
                                             optdir.NORM_FLOOR ** 2))
-            frames = build_features(ema_comp, ema_loss, tf, None, grid(whole[:, None, :]))
+            frames = build_features(ema_comp, ema_loss, tf, None, whole[..., None, :])
             mu, lam, finite = controller_forward_batch(self.psi.mlp, frames)
-            return (np.repeat(mu.reshape(len(norms), 1, -1), n_comp, axis=-2),
-                    np.repeat(lam.reshape(len(norms), 1), n_comp, axis=-1), finite.reshape(-1))
-        frames = build_features(ema_comp, ema_loss, tf, self.psi.embeddings, grid(log_norms))
-        mu, lam, finite = controller_forward_batch(self.psi.mlp, frames)
-        return mu.reshape(norms.shape), lam.reshape(norms.shape[:2]), finite.reshape(-1)
+            return np.repeat(mu, n_comp, axis=-2), np.repeat(lam, n_comp, axis=-1), finite
+        frames = build_features(ema_comp, ema_loss, tf, self.psi.embeddings, log_norms)
+        return controller_forward_batch(self.psi.mlp, frames)
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One update of the flat parameters params [R, n] from the flat
-        gradients grads [R, n] and the train losses [R] of the first R rows,
-        those still training; the state of any row past them is dropped.
+        """One update of the flat parameter grid params [*rows, C, n] from
+        the flat gradients grads [*rows, C, n] and the train losses
+        [*rows, C] of the task rows still training, a prefix of the first
+        axis; the state of any row past them is dropped.
 
-        Returns (new params [R, n], finite [R]); a row whose directions,
-        segment norms (of weights, gradients or directions), logits or
-        lambda are not finite, or whose betas round to 0 or 1, is False in
-        ``finite``, and its new params are meaningless.
+        Returns (new params [*rows, C, n], finite [*rows, C]); a row whose
+        directions, segment norms (of weights, gradients or directions),
+        logits or lambda are not finite, or whose betas round to 0 or 1, is
+        False in ``finite``, and its new params are meaningless.
 
         Order of effects: directions from pre-update weights and gradients,
         then the EMA recursion on pre-update statistics, then the controller
         and the composed update.
         """
-        self._keep(len(params))
+        if params.shape[:-2] != self.K.shape:
+            self._keep(len(params))
         offsets = self.bank.offsets
         with np.errstate(over="ignore"):  # a norm that overflows kills its row below
             wg_norms = segment_norms(np.stack([params, grads], axis=-2), offsets)
@@ -485,10 +481,11 @@ class ControllerContext:
             self.tracker.update(losses, self._stats(wg_norms))
             mu, lam, ok = self.decide(norms, k)
             new = params + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
-        finite = finite & ok & self._betas_valid & np.isfinite(wg_norms).all(axis=(1, 2))
+        finite = finite & ok & self._betas_valid & np.isfinite(wg_norms).all(axis=(-2, -1))
         if self.trajectories is not None:
+            mu, lam = mu.reshape(-1, *mu.shape[-2:]), lam.reshape(-1, lam.shape[-1])
             for row in np.flatnonzero(finite).tolist():
-                loss = losses[row].item()
+                loss = losses.flat[row].item()
                 self.trajectories[row].extend(
                     TrajectoryRow(step=k, component=name, mu=tuple(m), lam=l, train_loss=loss)
                     for name, m, l in zip(self._names, mu[row].tolist(), lam[row].tolist()))

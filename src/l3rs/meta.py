@@ -13,19 +13,21 @@ bit from (distribution, task seed), and one meta-training generation is a
 pure function of (config seed, generation), which is what makes runs
 resumable and independent of worker count.
 
-There is one inner loop, inner_loop_batch, and it runs a whole block of
-rows at once: parameters, gradients and optimizer state are [R, n] arrays,
-and each row gets exactly the bits of its own single run. A row is a
-(task, candidate) pair, task-major: a generation runs its C candidates on
-all of its meta-batch tasks in one loop, each task's rows sharing its
-draws by broadcasting, and an evaluation suite runs its optimizers the same
-way, as the candidates of one loop over (K level, task) rows, every level
-reading the one block drawn at the largest K. A row stops at its own
-horizon: the rows still training are a prefix, and a row leaving it keeps
-its parameters until the one scoring at the end. Divergence is one
-per-row mask that the loop owns, and a row that stops being finite is
-masked dead, scores DIVERGENCE_PENALTY and leaves the others untouched. Single runs (inspection, probes) are the same loop
-with one row; pretraining alone trains one unbatched network.
+There is one inner loop, inner_loop_batch, and it runs a whole block at
+once: parameters, gradients and optimizer state are one grid [*rows, C, n]
+of the task rows, then the candidates, and each (task row, candidate) row
+gets exactly the bits of its own single run. A generation runs its C
+candidates on its meta-batch tasks, [T] task rows, each task's candidates
+sharing its draws by broadcasting; an evaluation suite runs its optimizers
+the same way, as the candidates of one loop over [J, T] task rows (K
+level, task), every level reading the one block drawn at the largest K.
+A row stops at its own horizon: the task rows still training are a prefix
+of the first axis, and a row leaving it keeps its parameters until the one
+scoring at the end. Divergence is one mask over the grid that the loop
+owns, and a row that stops being finite is masked dead, scores
+DIVERGENCE_PENALTY and leaves the others untouched. Single runs
+(inspection, probes) are the same loop on a [1, 1, n] grid; pretraining
+alone trains one unbatched network [n].
 """
 
 from __future__ import annotations
@@ -133,29 +135,21 @@ class TaskDistributionSpec:
         return NetworkSpec(self.input_dim, self.hidden, self.pretrain_classes)
 
 
-def _batch_rows(batch: Batch) -> int:
-    """The rows a batch holds: the product of its leading axes."""
-    return math.prod(batch.y.shape[:-1])
-
-
 @dataclass
 class Task:
-    """A block of R fine-tuning problems, one per row: flat theta0 [R, n],
-    the train batches and one eval batch (x [R, E, d], y [R, E]), with each
-    row's seed and class ids. A single task is the block of one row
-    (make_task).
+    """A block of fine-tuning problems, one per task row: flat theta0
+    [*rows, n], the train batches and one eval batch (x [*rows, E, d],
+    y [*rows, E]), with each row's seed and class ids. The task rows are [R]
+    for a block of R tasks (make_task_block; a single task is the block of
+    one row, make_task), or [J, T] for J levels of one block of T tasks,
+    level-major, each a broadcast view of the block's one draw.
 
-    Row r has its own horizon K_r, and rows are ordered by horizon, longest
-    first: train batch k (0-based) holds the rows whose horizon exceeds k,
-    a prefix (x [n_k, B, d], y [n_k, B]). The block's horizon K is the
-    longest, the number of train batches, so replacing train_batches by
-    its first K' entries gives the same tasks at horizons min(K_r, K')
-    (make_task_block).
-
-    The rows may also be levels of one block of T rows, level-major: a
-    theta0 [J, T, n] or a batch with leading axes [J, T] holds J levels of
-    the same T rows, as a broadcast view of one draw (x [J, T, B, d],
-    y [J, T, B]), and counts J * T rows (_batch_rows)."""
+    Each task row has its own horizon, and the rows are ordered by horizon,
+    longest first, along the first axis: train batch k (0-based) holds the
+    prefix of the first axis whose horizon exceeds k (x [n_k, ..., B, d],
+    y [n_k, ..., B]). The block's horizon K is the longest, the number of
+    train batches, so replacing train_batches by its first K' entries gives
+    the same tasks at horizons min(K_r, K') (make_task_block)."""
 
     spec: NetworkSpec
     theta0: np.ndarray
@@ -165,10 +159,10 @@ class Task:
     class_ids: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        sizes = [_batch_rows(b) for b in self.train_batches]
-        if sizes != sorted(sizes, reverse=True) or any(not 0 < n <= self.n_rows for n in sizes):
+        sizes = [len(b.y) for b in self.train_batches]
+        if sizes != sorted(sizes, reverse=True) or any(not 0 < n <= len(self.theta0) for n in sizes):
             raise ValueError(f"train batches of {sizes} rows are not prefixes, longest first, "
-                             f"of {self.n_rows} rows")
+                             f"of {len(self.theta0)} rows")
 
     @property
     def K(self) -> int:
@@ -180,9 +174,12 @@ class Task:
 
     @property
     def horizons(self) -> np.ndarray:
-        """Per-row horizons [R]: the number of train batches that hold the row."""
-        sizes = np.array([_batch_rows(batch) for batch in self.train_batches], dtype=np.int64)
-        return (np.arange(self.n_rows)[:, None] < sizes).sum(axis=1)
+        """Per-row horizons, in the task rows' shape theta0.shape[:-1]: the
+        number of train batches that hold the row."""
+        rows = self.theta0.shape[:-1]
+        sizes = np.array([len(batch.y) for batch in self.train_batches], dtype=np.int64)
+        first = (np.arange(rows[0])[:, None] < sizes).sum(axis=1)
+        return np.broadcast_to(first.reshape(-1, *(1,) * (len(rows) - 1)), rows)
 
 
 def _draw_blobs(dist: TaskDistributionSpec, means: np.ndarray, class_ids: np.ndarray,
@@ -286,14 +283,14 @@ def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
 
     The returned callable takes (task, record=False) and yields a fresh
     ControllerContext with zeroed optimizer and tracker state, as a new
-    fine-tuning run requires, for the R * C rows (task row, candidate) of a
-    task of R rows, task-major, each at its task row's horizon.
+    fine-tuning run requires, for the C candidates on every task row, each
+    at its task row's horizon.
     """
     flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
     psi = unflatten(flat, layout)
 
     def make(task: Task, record: bool = False) -> ControllerContext:
-        return ControllerContext(psi, task.spec, np.repeat(task.horizons, len(flat)),
+        return ControllerContext(psi, task.spec, task.horizons,
                                  renormalize=renormalize, policy=policy, record=record)
 
     return make
@@ -329,41 +326,48 @@ def cosine_lr(k: int, K: int, lr0: float) -> float:
 
 
 class BaselineStepper:
-    """Plain SGD/Adam on the flat parameter rows [n_rows, n] of the inner
-    loop (one per task of a block), for parameters split at ``offsets`` and
-    a horizon of K steps, or of K[r] steps for row r. Every operation is
-    elementwise, so each row gets the bits of its own one-row run. head_only
-    freezes everything except the final kernel+bias pair, leaving the rest
-    bit-identical for the whole run.
+    """Plain SGD/Adam as the one candidate of the inner loop, on its flat
+    parameter grid [*rows, 1, n], for parameters split at ``offsets`` and
+    the horizons K of the task rows [*rows] (one K: no task axes, parameters
+    [1, n]). Every operation is elementwise, so each row gets the bits of
+    its own one-row run; adam_cosine's learning rate is one column per task
+    row, at that row's horizon. head_only freezes everything except the
+    final kernel+bias pair, leaving the rest bit-identical for the whole
+    run.
 
     Written apart from the direction bank, so equivalence tests between the
     controller path and a plain optimizer run compare two separately
     written implementations; pretraining runs on it too."""
 
-    def __init__(self, spec: BaselineSpec, offsets: np.ndarray, K, n_rows: int = 1):
+    n_candidates = 1
+
+    def __init__(self, spec: BaselineSpec, offsets: np.ndarray, K):
         self.spec = spec
-        self.K = np.broadcast_to(K, (n_rows,))
-        self.n_rows = n_rows
+        self.K = np.asarray(K)
         self.start = offsets[-3] if spec.head_only else 0
         if spec.kind != BaselineKind.SGD_CONST:
-            self.m = np.zeros((n_rows, offsets[-1] - self.start))
+            self.m = np.zeros((*self.K.shape, 1, offsets[-1] - self.start))
             self.v = np.zeros_like(self.m)
 
-    def _lr(self, k: int, rows: int):
-        """The step's learning rate: lr0, or a cosine column [rows, 1] with
-        the bits of cosine_lr at each row's horizon."""
+    def _lr(self, k: int):
+        """The step's learning rate: lr0, or a cosine column [*rows, 1, 1]
+        with the bits of cosine_lr at each task row's horizon."""
         if self.spec.kind == BaselineKind.ADAM_COSINE:
-            return np.array([[cosine_lr(k, K, self.spec.lr0)] for K in self.K[:rows].tolist()])
+            lrs = [cosine_lr(k, K, self.spec.lr0) for K in self.K.ravel().tolist()]
+            return np.reshape(lrs, (*self.K.shape, 1, 1))
         return self.spec.lr0
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(new params, finite mask) for the live rows, the first
-        len(params); the state of the rows past them is dropped."""
+        """(new params [*rows, 1, n], finite [*rows, 1]) for the task rows
+        still training, a prefix of the first axis; the state of the rows
+        past them is dropped."""
         del losses
         rows = len(params)
-        lr = self._lr(k, rows)
-        g = grads[:, self.start:]
+        if params.shape[:-2] != self.K.shape:
+            self.K = self.K[:rows]
+        lr = self._lr(k)
+        g = grads[..., self.start:]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spec.kind == BaselineKind.SGD_CONST:
                 update = lr * g
@@ -379,27 +383,28 @@ class BaselineStepper:
                 update /= denom
                 del denom
             new = params.copy()
-            new[:, self.start:] -= update
-        return new, np.isfinite(new[:, self.start:]).all(axis=-1)
+            new[..., self.start:] -= update
+        return new, np.isfinite(new[..., self.start:]).all(axis=-1)
 
 
 def inner_loop_batch(make_stepper, task: Task,
                      record_trajectory: bool = False) -> list[InnerRunResult]:
-    """The inner loop: run every row of the stepper for its task row's
-    horizon, one train batch per step, then score the eval batch. Returns
-    one result per row.
+    """The inner loop: run every candidate of the stepper on every task row
+    for that row's horizon, one train batch per step, then score the eval
+    batch. Returns one result per (task row, candidate), candidate-minor.
 
-    ``make_stepper(task, record)`` yields a stepper with ``n_rows``, a
-    multiple C of the task's R rows, and ``step(params [r, n], grads
-    [r, n], losses [r], k)``, which returns (new params [r, n], finite [r]).
-    Rows are task-major: row (t, c) is candidate c on task row t, and the C
-    rows of a task row share its theta0 and batches by broadcasting.
+    ``make_stepper(task, record)`` yields a stepper with ``n_candidates``,
+    C, and ``step(params [*rows, C, n], grads [*rows, C, n], losses
+    [*rows, C], k)``, which returns (new params [*rows, C, n], finite
+    [*rows, C]). The parameters are one grid: the task rows [*rows], then
+    the candidates, whose parameters share their task row's theta0 and
+    batches by broadcasting.
 
-    Task rows are ordered by horizon, longest first, so the rows still
-    training at step k are a prefix of r rows. A row that reaches its
-    horizon leaves the prefix and its parameters freeze; the stepper sees
-    only the prefix and keeps only its state. The loop owns the one
-    ``alive`` mask and ANDs every finite mask into it.
+    Task rows are ordered by horizon, longest first, along the first axis,
+    so the rows still training at step k are a prefix of it. A row that
+    reaches its horizon leaves the prefix and its parameters freeze; the
+    stepper sees only the prefix and keeps only its state. The loop owns the
+    one ``alive`` mask and ANDs every finite mask into it.
 
     A row whose loss, gradient, direction, logits or lambda stops being
     finite, or whose final meta-loss is not finite, is dead: it scores the
@@ -409,30 +414,25 @@ def inner_loop_batch(make_stepper, task: Task,
     their bits. Every row is scored once, at the end.
     """
     stepper = make_stepper(task, record_trajectory)
-    cands, n = stepper.n_rows // task.n_rows, task.theta0.shape[-1]
-    live = np.repeat(task.theta0.reshape(-1, n), cands, axis=0)  # the rows still training
+    # the rows still training, [*rows, C, n]
+    live = np.repeat(task.theta0[..., None, :], stepper.n_candidates, axis=-2)
     left: list[np.ndarray] = []  # the rows past them, each group as it reached its horizon
-    alive = np.ones(len(live), dtype=bool)
-    train_losses: list[list[float]] = [[] for _ in range(len(live))]
+    alive = np.ones(live.shape[:-1], dtype=bool)
+    train_losses: list[list[float]] = [[] for _ in range(alive.size)]
     for k, batch in enumerate(task.train_batches, start=1):
-        lead = batch.y.shape[:-1]  # [n_k] task rows, or [J_k, T] levels of them
-        rows = math.prod(lead) * cands
+        rows = len(batch.y)
         if rows < len(live):  # the rows past ``rows`` reached their horizon
             left.append(live[rows:].copy())
             live = live[:rows]
-        if cands > 1:  # [..., C, n] against [..., 1, B, d]: a task row's C rows share its batch
-            grid = live.reshape(*lead, cands, n)
-            batch = Batch(x=batch.x[..., None, :, :], y=batch.y[..., None, :])
-        else:
-            grid = live.reshape(*lead, n)
-        losses, grads, finite = loss_and_grad(task.spec, grid, batch)
-        losses, grads = losses.reshape(rows), grads.reshape(rows, n)
+        # [..., C, n] against [..., 1, B, d]: a task row's candidates share its batch
+        losses, grads, finite = loss_and_grad(
+            task.spec, live, Batch(x=batch.x[..., None, :, :], y=batch.y[..., None, :]))
         live_alive = alive[:rows]  # a view: updating it updates alive
-        live_alive &= finite.reshape(rows)
+        live_alive &= finite
         training = np.flatnonzero(live_alive)
-        for row, loss in zip(training.tolist(), losses[training].tolist()):
+        for row, loss in zip(training.tolist(), losses.ravel()[training].tolist()):
             train_losses[row].append(loss)
-        if len(training) < rows:
+        if len(training) < live_alive.size:
             dead = ~live_alive
             live[dead] = grads[dead] = losses[dead] = np.nan
         live, finite = stepper.step(live, grads, losses, k)
@@ -440,28 +440,28 @@ def inner_loop_batch(make_stepper, task: Task,
         live_alive &= finite
         if not live_alive.any():
             break
-    params = np.concatenate([live, *left[::-1]])  # [R * C, n], the final parameters
+    params = np.concatenate([live, *left[::-1]])  # [*rows, C, n], the final parameters
     # scored one task row at a time: an eval batch is larger than a train
     # batch (256 against 32 examples by default), and its activations for
     # every row at once would be the run's largest array
-    meta_losses, accs = np.empty(len(params)), np.empty(len(params))
+    meta_losses, accs = np.empty(alive.shape), np.empty(alive.shape)
     eval_x, eval_y = task.eval_batch.x, task.eval_batch.y
-    for t, row in enumerate(np.ndindex(eval_y.shape[:-1])):
-        own = slice(t * cands, (t + 1) * cands)
-        logits = forward(task.spec, params[own], eval_x[row])
-        meta_losses[own] = mean_cross_entropy(logits, eval_y[row])
-        accs[own] = accuracy(logits, eval_y[row])
+    for row in np.ndindex(eval_y.shape[:-1]):
+        logits = forward(task.spec, params[row], eval_x[row])
+        meta_losses[row] = mean_cross_entropy(logits, eval_y[row])
+        accs[row] = accuracy(logits, eval_y[row])
     alive &= np.isfinite(meta_losses)
-    trajectories = getattr(stepper, "trajectories", None) or [None] * len(params)
+    trajectories = getattr(stepper, "trajectories", None) or [None] * alive.size
     return [InnerRunResult(meta_loss=meta_loss if ok else DIVERGENCE_PENALTY,
                            eval_accuracy=acc if ok else 0.0, train_losses=losses,
                            diverged=not ok, trajectory=trajectory)
             for ok, meta_loss, acc, losses, trajectory in zip(
-                alive.tolist(), meta_losses.tolist(), accs.tolist(), train_losses, trajectories)]
+                alive.ravel().tolist(), meta_losses.ravel().tolist(), accs.ravel().tolist(),
+                train_losses, trajectories)]
 
 
 def inner_loop_eval(make_stepper, task: Task, record_trajectory: bool = False) -> InnerRunResult:
-    """inner_loop_batch for a stepper with a single row (one optimizer)."""
+    """inner_loop_batch of one candidate on a one-row task."""
     (result,) = inner_loop_batch(make_stepper, task, record_trajectory)
     return result
 

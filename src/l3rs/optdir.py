@@ -7,11 +7,12 @@ step, i.e. what a unit-learning-rate optimizer would ADD to the weights.
 Parameters, gradients and directions are flat vectors; the parameter
 components (one tensor each) are the segments between consecutive entries of
 an offsets array. A DirectionBank runs several providers off one backward
-pass on C rows at once (one per candidate of a population, each with its own
-hyperparameters) and returns all directions as one [C, P, n] array together
-with their [C, L, P] segment norms from segment_norms(). A row whose
-directions stop being finite is reported in a per-row mask; rows are only
-dropped from the end, once they finish their run (keep).
+pass on a whole parameter grid [*rows, C, n] at once: C candidates of a
+population, each with its own hyperparameters, on every task row. It returns
+all directions as one [*rows, C, P, n] array together with their
+[*rows, C, L, P] segment norms from segment_norms(). A row whose directions
+stop being finite is reported in a per-row mask; task rows are only dropped
+from the end of the first axis, once they finish their run (keep).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def default_betas(kinds) -> np.ndarray:
 
 
 def _debias(beta, k: int):
-    """1 - beta**k for a per-row beta array [..., 1] (or a scalar).
+    """1 - beta**k for a per-candidate beta array [..., 1] (or a scalar).
 
     Powers are taken in Python floats, row by row: numpy's vectorized power
     may round differently from libm's pow, and every row must get the
@@ -121,34 +122,37 @@ def segment_norms(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 class DirectionBank:
-    """P providers sharing one gradient stream over C rows (one per
-    candidate) of a flat parameter vector split into L segments at
+    """P providers sharing one gradient stream over the parameter grid
+    [*rows, C, n]: C candidates on each of the task rows ``rows`` (a shape,
+    () for none), of a flat parameter vector split into L segments at
     ``offsets``.
 
-    ``betas[c, p]`` holds (beta1, beta2) of provider p for row c, [C, P, 2].
-    States are [C, n] arrays. A bank belongs to exactly one inner-loop
-    evaluation and is never shared.
+    ``betas[c, p]`` holds (beta1, beta2) of provider p for candidate c,
+    [C, P, 2], the same on every task row. States are [*rows, C, n] arrays.
+    A bank belongs to exactly one inner-loop evaluation and is never shared.
     """
 
-    def __init__(self, kinds: list[OptimizerKind], betas: np.ndarray, offsets: np.ndarray):
+    def __init__(self, kinds: list[OptimizerKind], betas: np.ndarray, offsets: np.ndarray,
+                 rows: tuple[int, ...] = ()):
         if len(kinds) != len(set(kinds)):
             raise ValueError("each optimizer kind may appear at most once")
         betas = np.asarray(betas, dtype=float)
         if betas.ndim != 3 or betas.shape[1:] != (len(kinds), 2):
             raise ValueError(f"betas have shape {betas.shape}, expected [C, {len(kinds)}, 2]")
         self.kinds = list(kinds)
-        # per provider: (beta1, beta2), each a [C, 1] column
+        # per provider: (beta1, beta2), each a [C, 1] column that broadcasts
+        # over the task rows
         self._betas = [(betas[:, p, 0:1], betas[:, p, 1:2]) for p in range(len(kinds))]
         self.step_count = 0
         self.offsets = np.asarray(offsets)
         self.sizes = np.diff(self.offsets)
-        shape = (len(betas), int(self.offsets[-1]))
+        shape = (*rows, len(betas), int(self.offsets[-1]))
         self._state = [{name: np.zeros(shape) for name in _SLOTS.get(kind, ())}
                        for kind in kinds]
 
     def keep(self, rows: int) -> None:
-        """Keep the first ``rows`` rows only: the others finished their run."""
-        self._betas = [(beta1[:rows], beta2[:rows]) for beta1, beta2 in self._betas]
+        """Keep the first ``rows`` task rows only: the others finished their
+        run."""
         self._state = [{name: s[:rows] for name, s in state.items()} for state in self._state]
 
     @property
@@ -185,17 +189,17 @@ class DirectionBank:
     def step(self, grad: np.ndarray,
              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every provider once on the flat pre-update gradients and
-        weights [C, n] of the current step.
+        weights [*rows, C, n] of the current step.
 
-        Returns (directions [C, P, n], norms [C, L, P], finite [C]), where
-        ``finite`` is False for a row with any segment norm that is not
-        finite: a direction with a NaN or inf entry, or a finite one so
-        large that its norm overflows.
+        Returns (directions [*rows, C, P, n], norms [*rows, C, L, P], finite
+        [*rows, C]), where ``finite`` is False for a row with any segment
+        norm that is not finite: a direction with a NaN or inf entry, or a
+        finite one so large that its norm overflows.
         """
         self.step_count += 1
-        dirs = np.empty((len(grad), self.n_providers, grad.shape[-1]))
+        dirs = np.empty((*grad.shape[:-1], self.n_providers, grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for p, (kind, betas, state) in enumerate(zip(self.kinds, self._betas, self._state)):
-                dirs[:, p] = self._direction(kind, betas, state, grad, weights)
+                dirs[..., p, :] = self._direction(kind, betas, state, grad, weights)
             norms = segment_norms(dirs, self.offsets)
-        return dirs, norms, np.isfinite(norms).all(axis=(1, 2))
+        return dirs, norms, np.isfinite(norms).all(axis=(-2, -1))

@@ -155,15 +155,15 @@ def test_criterion_2_update_invariants():
 
 
 def _final_theta(task, stepper):
-    params = task.theta0
+    params = task.theta0[:, None]  # [1, 1, n]: one task row, one candidate
     for k in range(1, task.K + 1):
         losses, grads, _ = loss_and_grad(task.spec, params, task.train_batches[k - 1])
         params, _ = stepper.step(params, grads, losses, k)
-    return params[0]
+    return params[0, 0]
 
 
 def _final_theta_baseline(task, spec):
-    return _final_theta(task, BaselineStepper(spec, task.spec.offsets(), task.K))
+    return _final_theta(task, BaselineStepper(spec, task.spec.offsets(), task.horizons))
 
 
 def _final_theta_controller(task, layout, policy):

@@ -112,7 +112,7 @@ class TestRunBaseline:
 
 
 class _NullStepper:
-    n_rows = 1
+    n_candidates = 1
 
     def step(self, params, grads, losses, k):
         return params, np.ones(len(params), dtype=bool)
@@ -198,7 +198,7 @@ class TestEvaluateSuite:
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1))
         evaluate_suite(handle, DIST, n_tasks=3, k_list=[2, 5, 3], eval_seed=2)
         (block,), (task,) = blocks, tasks
-        assert task.n_rows == 9 and task.horizons.tolist() == [5] * 3 + [3] * 3 + [2] * 3
+        assert task.n_rows == 9 and task.horizons.ravel().tolist() == [5] * 3 + [3] * 3 + [2] * 3
         assert np.shares_memory(task.theta0, block.theta0)
         for mine, drawn in zip([*task.train_batches, task.eval_batch],
                                [*block.train_batches, block.eval_batch]):

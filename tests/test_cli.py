@@ -499,6 +499,19 @@ class TestInspect:
         assert err.startswith("error: ") and "--k" in err
         assert not (tmp_path / "i").exists()
 
+    def test_psi_of_another_layout_writes_nothing(self, tmp_path, capsys):
+        # a psi trained on a deeper network has more components than the
+        # configuration's network
+        deep = write_config(tmp_path, {"distribution": {"hidden": [8, 8]}}, name="deep.json")
+        assert run_cli("meta-train", "--config", deep, "--out-dir", str(tmp_path / "t")) == 0
+        capsys.readouterr()
+        assert run_cli("inspect", "--config", write_config(tmp_path), "--out-dir",
+                       str(tmp_path / "i"), "--psi", str(tmp_path / "t" / "psi_final.json"),
+                       "--task-seed", "11") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "layout does not match" in err
+        assert not (tmp_path / "i").exists()
+
     def test_trajectory_and_feature_curves(self, tmp_path):
         cfg, psi_path = train_tiny_psi(tmp_path)
         out = tmp_path / "inspect"

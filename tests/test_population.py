@@ -7,7 +7,7 @@ optimizer on each task of a block."""
 import numpy as np
 import pytest
 
-from l3rs import meta
+from l3rs import bench, meta
 from l3rs.bench import BaselineKind, BaselineSpec, baseline_handle, controller_handle
 from l3rs.controller import ControllerContext, PsiLayout, Variant, init_meta_params
 from l3rs.meta import (
@@ -289,3 +289,43 @@ def test_task_block_rows_equal_single_runs(name):
         single = handle.run(task)
         assert outcome(res) == outcome(single)
         assert res.diverged is single.diverged
+
+
+class RecordingStepper:
+    """A stepper of ``n_candidates`` candidates that leaves the parameters
+    as they are and records the shape of every grid it is given."""
+
+    def __init__(self, n_candidates):
+        self.n_candidates = n_candidates
+        self.shapes = []
+
+    def step(self, params, grads, losses, k):
+        assert grads.shape == params.shape and losses.shape == params.shape[:-1]
+        self.shapes.append(params.shape)
+        return params, np.ones(losses.shape, dtype=bool)
+
+
+def test_steppers_step_the_task_row_grid():
+    # every stepper sees [*task rows, C, n], the rows that stop being a
+    # prefix of the first axis: [n_k, C, n] on a block, [J_k, T, C, n] on
+    # the K levels of an evaluation suite
+    n = DIST.task_network().offsets()[-1]
+    block = make_task_block(DIST, [41, 42, 43, 44], (5, 3, 3, 0))
+    recorder = RecordingStepper(3)
+    assert len(inner_loop_batch(lambda task, record=False: recorder, block)) == 4 * 3
+    assert recorder.shapes == [(3, 3, n)] * 3 + [(1, 3, n)] * 2
+
+    levels = bench._level_task(make_task_block(DIST, [45, 46], 5), [5, 2, 0])
+    recorder = RecordingStepper(2)
+    inner_loop_batch(lambda task, record=False: recorder, levels)
+    assert recorder.shapes == [(2, 2, 2, n)] * 2 + [(1, 2, 2, n)] * 3
+    # the stack of an evaluation suite gives each handle its own [J_k, T, 1, n]
+    recorders = [RecordingStepper(1), RecordingStepper(1)]
+    handles = [bench.OptimizerHandle(f"h{h}", lambda task, record=False, r=r: r)
+               for h, r in enumerate(recorders)]
+    bench.evaluate_suite(handles, DIST, n_tasks=2, k_list=[5, 2, 0], eval_seed=0)
+    assert [r.shapes for r in recorders] == [[(2, 2, 1, n)] * 2 + [(1, 2, 1, n)] * 3] * 2
+
+    layout = layout_for(Variant.FULL)
+    factory = controller_stepper_factory(population(layout, scales=(0.0, 0.1)), layout)
+    assert factory(block).K.shape == (4,) and factory(levels).K.shape == (3, 2)
