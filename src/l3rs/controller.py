@@ -42,7 +42,7 @@ import numpy as np
 
 from . import optdir
 from .files import write_json
-from .nnlite import NetworkSpec
+from .nnlite import NetworkSpec, row_max
 from .optdir import DirectionBank, OptimizerKind, segment_norms
 
 DEFAULT_GAMMAS = (0.0, 0.9, 0.99)
@@ -312,9 +312,8 @@ def controller_forward_batch(mlp: Mlp, frames: np.ndarray) -> tuple[np.ndarray, 
         h = np.maximum(h @ mlp.w2 + mlp.b2[..., None, :], 0.0)
         logits = (h @ mlp.w3 + mlp.b3[..., None, :]).reshape(*frames.shape[:-1], mlp.b3.shape[-1])
         mix = logits[..., :-1]
-        mix = mix - mix.max(axis=-1, keepdims=True)
-        e = np.exp(mix)
-        mu = e / e.sum(axis=-1, keepdims=True)
+        mu = np.exp(mix - row_max(mix)[..., None])
+        mu /= mu.sum(axis=-1, keepdims=True)
         lam = np.exp(logits[..., -1])
     finite = np.isfinite(logits).all(axis=(-2, -1)) & np.isfinite(lam).all(axis=-1)
     return mu, lam, finite
@@ -474,7 +473,7 @@ class ControllerContext:
         offsets = self.bank.offsets
         with np.errstate(over="ignore"):  # a norm that overflows kills its row below
             wg_norms = segment_norms(np.stack([params, grads], axis=-2), offsets)
-        dirs, norms, finite = self.bank.step(grads, params)
+        dirs, norms, finite = self.bank.step(grads, params, wg_norms[..., 0])
         # a row that is not finite may carry inf into its EMAs and its
         # update; the NaN that inf makes there stays in that dead row
         with np.errstate(invalid="ignore"):

@@ -158,22 +158,33 @@ def _label_index(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y.reshape((1,) * (logits.ndim - 1 - y.ndim) + y.shape + (1,))
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1) as a chain of np.maximum over the columns of a [..., m]:
+    numpy reduces a short last axis one row at a time, and a maximum is
+    exact in any order, so the chain has the reduction's bits."""
+    m = a[..., 0]
+    for i in range(1, a.shape[-1]):
+        m = np.maximum(m, a[..., i])
+    return m
+
+
 def _cross_entropy_parts(logits: np.ndarray, label: np.ndarray):
+    """(mean loss [...], exp [..., n, classes] of the max-shifted logits,
+    their sums [..., n]): the softmax is exp / sums[..., None]."""
     # max-shifted log-sum-exp keeps large logits from overflowing
-    shift = logits.max(axis=-1, keepdims=True)
+    shift = row_max(logits)
     with np.errstate(over="ignore", invalid="ignore"):
-        exp = np.exp(logits - shift)
-        lse = shift[..., 0] + np.log(exp.sum(axis=-1))
+        exp = np.exp(logits - shift[..., None])
+        total = exp.sum(axis=-1)
+        lse = shift + np.log(total)
         loss = np.mean(lse - np.take_along_axis(logits, label, axis=-1)[..., 0], axis=-1)
-        softmax = exp / exp.sum(axis=-1, keepdims=True)
-    return loss, softmax
+    return loss, exp, total
 
 
 def mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean softmax cross-entropy over the examples of logits [..., n,
     classes], for labels y [n] or [..., n]."""
-    loss, _ = _cross_entropy_parts(logits, _label_index(logits, y))
-    return loss
+    return _cross_entropy_parts(logits, _label_index(logits, y))[0]
 
 
 def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
@@ -186,18 +197,16 @@ def loss_and_grad(spec: NetworkSpec, flat: np.ndarray,
     """
     layers, acts = _forward_cached(spec, flat, batch.x)
     label = _label_index(acts[-1], batch.y)
-    loss, softmax = _cross_entropy_parts(acts[-1], label)
-
-    delta = softmax
-    # minus the one-hot labels: subtracting 0.0 keeps every other entry's bits
-    delta -= label == np.arange(delta.shape[-1])
-    delta /= batch.x.shape[-2]
-
+    loss, delta, total = _cross_entropy_parts(acts[-1], label)
     grads: list[np.ndarray] = [None] * (2 * len(layers))  # type: ignore[list-item]
     # the activations and deltas are a pass's largest arrays: each is
     # dropped as soon as the pass is done with it
     acts.pop()  # the logits
     with np.errstate(over="ignore", invalid="ignore"):
+        delta /= total[..., None]  # the softmax, in place
+        # minus the one-hot labels: subtracting 0.0 keeps every other entry's bits
+        delta -= label == np.arange(delta.shape[-1])
+        delta /= batch.x.shape[-2]
         for layer in range(len(layers) - 1, -1, -1):
             inputs = acts.pop()
             grads[2 * layer] = inputs.swapaxes(-1, -2) @ delta

@@ -58,54 +58,66 @@ def _debias(beta, k: int):
     return np.array([1.0 - b ** k for b in np.ravel(beta).tolist()]).reshape(np.shape(beta))
 
 
-def dir_sgd(grad: np.ndarray) -> np.ndarray:
+def dir_sgd(grad: np.ndarray, out=None) -> np.ndarray:
     """Momentumless SGD: d = -g."""
-    return -grad
+    return np.negative(grad, out=out)
 
 
-def dir_adam(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int) -> np.ndarray:
+def _moment(m: np.ndarray, beta, x: np.ndarray) -> None:
+    """m <- beta*m + x, in place: the bits of the expression."""
+    m *= beta
+    m += x
+
+
+def dir_adam(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int, out=None) -> np.ndarray:
     """Bias-corrected Adam direction, state mutated in place.
 
     m <- b1*m + (1-b1)*g, v <- b2*v + (1-b2)*g^2,
     d = -(m / (1-b1^k)) / (sqrt(v / (1-b2^k)) + eps), k >= 1 post-increment.
-    The hyperparameters are scalars or per-row arrays [..., 1].
+    The hyperparameters are scalars or per-row arrays [..., 1]; the
+    direction is written into ``out`` when given.
     """
-    state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
-    state["v"] = beta2 * state["v"] + (1.0 - beta2) * grad * grad
-    # the bits of -m_hat / (sqrt(v_hat) + eps), in place: two temporaries
-    # [..., n] alive at once instead of four (asarray: a 0-d result is a
-    # numpy scalar, which has no memory to write into)
-    m_hat = np.asarray(state["m"] / _debias(beta1, k))
-    v_hat = np.asarray(state["v"] / _debias(beta2, k))
-    np.sqrt(v_hat, out=v_hat)
-    v_hat += eps
-    np.negative(m_hat, out=m_hat)
-    m_hat /= v_hat
-    return m_hat
+    # one temporary [..., n] for every step below (asarray: a 0-d product
+    # is a numpy scalar, which has no memory to write into)
+    t = np.asarray((1.0 - beta1) * grad)
+    _moment(state["m"], beta1, t)
+    np.multiply(1.0 - beta2, grad, out=t)
+    t *= grad
+    _moment(state["v"], beta2, t)
+    # m / -(1-b1^k) has the bits of -(m / (1-b1^k))
+    out = np.divide(state["m"], -_debias(beta1, k), out=out)
+    np.divide(state["v"], _debias(beta2, k), out=t)
+    np.sqrt(t, out=t)
+    t += eps
+    out /= t
+    return out
 
 
-def dir_adamax(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int) -> np.ndarray:
+def dir_adamax(state: dict, grad: np.ndarray, beta1, beta2, eps, k: int, out=None) -> np.ndarray:
     """Adamax: infinity-norm second moment, u <- max(b2*u, |g|)."""
-    state["m"] = beta1 * state["m"] + (1.0 - beta1) * grad
-    state["u"] = np.maximum(beta2 * state["u"], np.abs(grad))
-    m_hat = state["m"] / _debias(beta1, k)
-    return -m_hat / (state["u"] + eps)
+    _moment(state["m"], beta1, (1.0 - beta1) * grad)
+    u = state["u"]
+    u *= beta2
+    np.maximum(u, np.abs(grad), out=u)
+    out = np.divide(state["m"], -_debias(beta1, k), out=out)
+    out /= u + eps
+    return out
 
 
-def dir_lion(state: dict, grad: np.ndarray, beta1, beta2) -> np.ndarray:
+def dir_lion(state: dict, grad: np.ndarray, beta1, beta2, out=None) -> np.ndarray:
     """Lion: sign of the b1-interpolated momentum; momentum updated with b2 AFTER.
 
     sign(0) is 0, so entries of the output lie in {-1, 0, +1}.
     """
     c = beta1 * state["m"] + (1.0 - beta1) * grad
-    d = -np.sign(c)
-    state["m"] = beta2 * state["m"] + (1.0 - beta2) * grad
-    return d
+    out = np.negative(np.sign(c), out=out)
+    _moment(state["m"], beta2, (1.0 - beta2) * grad)
+    return out
 
 
-def dir_weight_decay(weights: np.ndarray) -> np.ndarray:
+def dir_weight_decay(weights: np.ndarray, out=None) -> np.ndarray:
     """Pull toward the origin: d = -w."""
-    return -weights
+    return np.negative(weights, out=out)
 
 
 def segment_norms(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -159,47 +171,52 @@ class DirectionBank:
     def n_providers(self) -> int:
         return len(self.kinds)
 
-    def _direction(self, kind: OptimizerKind, betas, state: dict,
-                   grad: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def _direction(self, kind: OptimizerKind, betas, state: dict, grad: np.ndarray,
+                   weights: np.ndarray, w_norms: np.ndarray, out: np.ndarray) -> None:
         k = self.step_count
         beta1, beta2 = betas
         if kind == OptimizerKind.SGD:
-            return dir_sgd(grad)
-        if kind == OptimizerKind.ADAM:
-            return dir_adam(state, grad, beta1, beta2, EPS, k)
-        if kind == OptimizerKind.ADAMAX:
-            return dir_adamax(state, grad, beta1, beta2, EPS, k)
-        if kind == OptimizerKind.LION:
-            return dir_lion(state, grad, beta1, beta2)
-        if kind == OptimizerKind.LAMB:
+            dir_sgd(grad, out=out)
+        elif kind == OptimizerKind.ADAM:
+            dir_adam(state, grad, beta1, beta2, EPS, k, out=out)
+        elif kind == OptimizerKind.ADAMAX:
+            dir_adamax(state, grad, beta1, beta2, EPS, k, out=out)
+        elif kind == OptimizerKind.LION:
+            dir_lion(state, grad, beta1, beta2, out=out)
+        elif kind == OptimizerKind.LAMB:
             # Adam ratio scaled per segment by the trust ratio ||w|| / ||r||,
             # which degenerates to 1 when either norm is zero. No weight-decay
             # term, no clipping: unit normalization downstream makes the ratio
-            # immaterial to the blended update.
-            r = -dir_adam(state, grad, beta1, beta2, EPS, k)
-            wr_norms = segment_norms(np.stack([weights, r], axis=-2), self.offsets)
-            w_norms, r_norms = wr_norms[..., 0], wr_norms[..., 1]
-            trust = np.divide(w_norms, r_norms, out=np.ones_like(w_norms),
+            # immaterial to the blended update. out holds the Adam direction
+            # -r: it has the norms of r, and times the ratio the bits of
+            # -ratio * r.
+            dir_adam(state, grad, beta1, beta2, EPS, k, out=out)
+            r_norms = segment_norms(out[..., None, :], self.offsets)[..., 0]
+            trust = np.divide(w_norms, r_norms, out=np.ones_like(r_norms),
                               where=(w_norms > 0.0) & (r_norms > 0.0))
-            return -np.repeat(trust, self.sizes, axis=-1) * r
-        if kind == OptimizerKind.WEIGHT_DECAY:
-            return dir_weight_decay(weights)
-        raise ValueError(f"unknown optimizer kind {kind}")
+            out *= np.repeat(trust, self.sizes, axis=-1)
+        elif kind == OptimizerKind.WEIGHT_DECAY:
+            dir_weight_decay(weights, out=out)
+        else:
+            raise ValueError(f"unknown optimizer kind {kind}")
 
-    def step(self, grad: np.ndarray,
-             weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, grad: np.ndarray, weights: np.ndarray,
+             w_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every provider once on the flat pre-update gradients and
-        weights [*rows, C, n] of the current step.
+        weights [*rows, C, n] of the current step, whose segment norms
+        w_norms [*rows, C, L] LAMB reads.
 
         Returns (directions [*rows, C, P, n], norms [*rows, C, L, P], finite
         [*rows, C]), where ``finite`` is False for a row with any segment
         norm that is not finite: a direction with a NaN or inf entry, or a
-        finite one so large that its norm overflows.
+        finite one so large that its norm overflows. Each provider writes
+        its direction straight into its slot, and no direction aliases
+        provider state.
         """
         self.step_count += 1
         dirs = np.empty((*grad.shape[:-1], self.n_providers, grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for p, (kind, betas, state) in enumerate(zip(self.kinds, self._betas, self._state)):
-                dirs[..., p, :] = self._direction(kind, betas, state, grad, weights)
+                self._direction(kind, betas, state, grad, weights, w_norms, dirs[..., p, :])
             norms = segment_norms(dirs, self.offsets)
         return dirs, norms, np.isfinite(norms).all(axis=(-2, -1))

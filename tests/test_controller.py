@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from l3rs.controller import (
     EMBED_DIM,
@@ -395,6 +396,30 @@ class TestControllerForward:
         layout = PsiLayout(n_components=1, base_kinds=SGD_ADAM)
         with pytest.raises(ValueError):
             controller_forward_batch(zero_mlp(layout), np.zeros((1, layout.feature_dim + 1)))
+
+    @given(st.sampled_from([(), (3,), (2, 3)]), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mixing_softmax_keeps_the_reduction_bits(self, lead, n_providers, data):
+        # a zero MLP whose output bias holds each row's logits, ties, both
+        # zeros, both infinities and NaN among them: mu has the bits of a
+        # softmax shifted by logits.max and normalized by one exp.sum
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -3.0, 700.0, -745.0,
+                                            np.inf, -np.inf, np.nan]),
+                           st.floats(-50.0, 50.0))
+        b3 = data.draw(hnp.arrays(np.float64, (*lead, 1, n_providers + 1), elements=values))
+        width = 3
+        mlp = Mlp(np.zeros((1, width, 32)), np.zeros((1, 32)), np.zeros((1, 32, 16)),
+                  np.zeros((1, 16)), np.zeros((1, 16, n_providers + 1)), b3)
+        mu, _, finite = controller_forward_batch(mlp, np.ones((*lead, 1, width)))
+        logits = 0.0 + b3  # what the zero hidden layers add to the bias
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix = logits[..., :-1] - logits[..., :-1].max(axis=-1, keepdims=True)
+            e = np.exp(mix)
+            ref = e / e.sum(axis=-1, keepdims=True)
+            lam = np.exp(logits[..., -1])
+        assert mu.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(
+            finite, np.isfinite(logits).all(axis=(-2, -1)) & np.isfinite(lam).all(axis=-1))
 
 
 class TestComposeUpdate:

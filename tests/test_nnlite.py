@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from l3rs.nnlite import (
     Batch,
     NetworkSpec,
+    _cross_entropy_parts,
+    _label_index,
     accuracy,
     forward,
     init_params,
@@ -257,6 +262,64 @@ class TestPerRowBatches:
         for fn in (mean_cross_entropy, accuracy):
             with pytest.raises(ValueError):
                 fn(logits, np.zeros((2, 8), dtype=int))
+
+
+# few distinct values, so rows tie, plus both zeros, both infinities and NaN
+SPECIAL_LOGITS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 700.0, -745.0,
+                                  np.inf, -np.inf, np.nan])
+LOGITS = st.one_of(SPECIAL_LOGITS, st.floats(-50.0, 50.0))
+
+
+def reference_cross_entropy(logits, label):
+    """The cross-entropy as numpy's own reductions give it: the max of each
+    row from logits.max and two separate sums of its exponentials."""
+    shift = logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exp = np.exp(logits - shift)
+        lse = shift[..., 0] + np.log(exp.sum(axis=-1))
+        loss = np.mean(lse - np.take_along_axis(logits, label, axis=-1)[..., 0], axis=-1)
+        softmax = exp / exp.sum(axis=-1, keepdims=True)
+    return loss, softmax
+
+
+@st.composite
+def logits_and_labels(draw):
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    n, classes = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    logits = draw(hnp.arrays(np.float64, (*lead, n, classes), elements=LOGITS))
+    labels = draw(hnp.arrays(np.int64, (*lead, n), elements=st.integers(0, classes - 1)))
+    return logits, labels
+
+
+class TestCrossEntropyParts:
+    """The loss and softmax keep the bits of numpy's reductions: the row max
+    is a chain of np.maximum and the exponentials are summed once."""
+
+    @given(logits_and_labels())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_the_reduction_reference(self, drawn):
+        logits, labels = drawn
+        label = _label_index(logits, labels)
+        loss, exp, total = _cross_entropy_parts(logits, label)
+        ref_loss, ref_softmax = reference_cross_entropy(logits, label)
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        with np.errstate(invalid="ignore"):
+            softmax = exp / total[..., None]
+        assert softmax.tobytes() == ref_softmax.tobytes()
+
+    def test_loss_and_grad_softmax_keeps_the_bits(self):
+        # the gradient of the logits is (softmax - onehot) / n; rebuild it
+        # from the reference softmax for a pretrain-sized 8-class head
+        spec = NetworkSpec(6, (), 8)
+        rng = np.random.default_rng(4)
+        params = rng.normal(size=(3, spec.offsets()[-1]))
+        batch = Batch(x=rng.normal(size=(5, 6)), y=rng.integers(0, 8, 5))
+        _, grads, _ = loss_and_grad(spec, params, batch)
+        logits = forward(spec, params, batch.x)
+        _, softmax = reference_cross_entropy(logits, _label_index(logits, batch.y))
+        delta = (softmax - (batch.y[:, None] == np.arange(8))) / 5
+        bias = delta.sum(axis=-2)
+        assert grads[:, spec.offsets()[1]:].tobytes() == bias.tobytes()
 
 
 class TestAccuracy:

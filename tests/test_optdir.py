@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from l3rs import optdir
 from l3rs.nnlite import NetworkSpec, init_params
 from l3rs.optdir import (
     DirectionBank,
@@ -30,9 +33,15 @@ def make_bank(kinds, offsets, rows=1):
     return DirectionBank(kinds, np.tile(default_betas(kinds), (rows, 1, 1)), offsets)
 
 
+def bank_step(bank, grad, weights):
+    """bank.step with the weights' segment norms, which ControllerContext.step
+    hands it from its own weight/gradient norms."""
+    return bank.step(grad, weights, segment_norms(weights[..., None, :], bank.offsets)[..., 0])
+
+
 def lamb_first_step(grad, weights, offsets=None):
     offsets = np.array([0, grad.size]) if offsets is None else offsets
-    dirs, _, _ = make_bank([OptimizerKind.LAMB], offsets).step(grad[None], weights[None])
+    dirs, _, _ = bank_step(make_bank([OptimizerKind.LAMB], offsets), grad[None], weights[None])
     return dirs[0, 0]
 
 
@@ -168,6 +177,80 @@ class TestWeightDecay:
         assert np.linalg.norm(dir_weight_decay(w)) == np.linalg.norm(w)
 
 
+DIRECTION_FUNCTIONS = ("dir_sgd", "dir_adam", "dir_adamax", "dir_lion", "dir_weight_decay")
+
+
+def direction_call(name, grad, weights, beta1, beta2):
+    """call(state, **out) of one direction function at step 3."""
+    fn = getattr(optdir, name)
+    if name == "dir_sgd":
+        return lambda state, **out: fn(grad, **out)
+    if name == "dir_weight_decay":
+        return lambda state, **out: fn(weights, **out)
+    if name == "dir_lion":
+        return lambda state, **out: fn(state, grad, beta1, beta2, **out)
+    return lambda state, **out: fn(state, grad, beta1, beta2, 1e-8, 3, **out)
+
+
+class TestOutArgument:
+    """Every direction function writes into ``out`` exactly what its
+    allocating call returns, and advances its state the same way."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3, 7)], ids=["0-d", "n", "TxCxn"])
+    @pytest.mark.parametrize("name", DIRECTION_FUNCTIONS)
+    def test_out_has_the_bits_of_the_allocating_call(self, name, shape):
+        rng = np.random.default_rng(len(shape))
+        grad, weights = rng.normal(size=shape), rng.normal(size=shape)
+        if len(shape) == 3:  # per-candidate betas, as the bank passes them
+            beta1, beta2 = rng.uniform(0.5, 0.95, (3, 1)), rng.uniform(0.9, 0.999, (3, 1))
+        else:
+            beta1, beta2 = 0.9, 0.999
+        state = {"m": rng.normal(size=shape), "v": rng.uniform(size=shape),
+                 "u": rng.uniform(size=shape)}
+        allocating, writing = copy.deepcopy(state), copy.deepcopy(state)
+        call = direction_call(name, grad, weights, beta1, beta2)
+        for _ in range(2):
+            expected = np.asarray(call(allocating))
+            # a provider's slot of a [..., P, n] array, as in the bank
+            out = np.full((*shape[:-1], 2, *shape[-1:]), np.nan)[..., 1, :] if shape else \
+                np.full((), np.nan)
+            assert call(writing, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            for key in state:
+                assert writing[key].tobytes() == allocating[key].tobytes()
+
+    def test_bank_steps_through_every_direction_function(self, monkeypatch):
+        called = []
+        for name in DIRECTION_FUNCTIONS:
+            def spy(*args, _fn=getattr(optdir, name), _name=name, **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(optdir, name, spy)
+        spec, params = small_params()
+        bank_step(make_bank(list(OptimizerKind), spec.offsets()), np.ones((1, params.size)),
+                  params[None])
+        # LAMB scales the direction of its own dir_adam call
+        assert sorted(called) == sorted(DIRECTION_FUNCTIONS + ("dir_adam",))
+
+    def test_returned_directions_do_not_alias_provider_state(self):
+        # overwriting what a step returned leaves the next step's bits alone
+        spec, params = small_params()
+        offsets, kinds = spec.offsets(), list(OptimizerKind)
+        rng = np.random.default_rng(21)
+        betas = rng.uniform(0.05, 0.999, size=(3, len(kinds), 2))
+        grads = rng.normal(size=(3, 2, 3, params.size))
+        weights = rng.normal(size=(3, 2, 3, params.size))
+        bank = DirectionBank(kinds, betas, offsets, rows=(2,))
+        fresh = DirectionBank(kinds, betas, offsets, rows=(2,))
+        for g, w in zip(grads, weights):
+            dirs, norms, _ = bank_step(bank, g, w)
+            fresh_dirs, fresh_norms, _ = bank_step(fresh, g, w)
+            assert dirs.tobytes() == fresh_dirs.tobytes()
+            assert norms.tobytes() == fresh_norms.tobytes()
+            dirs[...] = 1e300
+            norms[...] = np.nan
+
+
 class TestSegmentNorms:
     def test_bit_identical_to_linalg_norm(self):
         rng = np.random.default_rng(12)
@@ -194,7 +277,7 @@ class TestDirectionBank:
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD], spec.offsets())
         grad = np.full(params.size, 0.5)
-        dirs, norms, _ = bank.step(grad[None], params[None])
+        dirs, norms, _ = bank_step(bank, grad[None], params[None])
         assert dirs.shape == (1, 1, params.size)
         assert norms.shape == (1, len(spec.components()), 1)
         np.testing.assert_array_equal(dirs[0, 0], -grad)
@@ -206,7 +289,7 @@ class TestDirectionBank:
 
         def run(kinds):
             bank = make_bank(kinds, spec.offsets())
-            return [bank.step(g[None], params[None])[:2] for g in grad_stream]
+            return [bank_step(bank, g[None], params[None])[:2] for g in grad_stream]
 
         solo = run([OptimizerKind.ADAM])
         mixed = run([OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.LION])
@@ -217,7 +300,7 @@ class TestDirectionBank:
     def test_zero_direction_log_norm_floor(self):
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD], spec.offsets())
-        _, norms, _ = bank.step(np.zeros((1, params.size)), params[None])
+        _, norms, _ = bank_step(bank, np.zeros((1, params.size)), params[None])
         # the floored logarithm the controller takes of it is pinned in
         # test_controller.py::TestVariants::test_zero_direction_log_norm_floor
         assert norms[0, 0, 0] == 0.0
@@ -227,7 +310,7 @@ class TestDirectionBank:
         kinds = [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.ADAMAX,
                  OptimizerKind.LION, OptimizerKind.LAMB, OptimizerKind.WEIGHT_DECAY]
         bank = make_bank(kinds, spec.offsets())
-        dirs, norms, _ = bank.step(np.ones((1, params.size)), params[None])
+        dirs, norms, _ = bank_step(bank, np.ones((1, params.size)), params[None])
         assert dirs.shape == (1, len(kinds), params.size)
         assert norms.shape == (1, len(spec.components()), len(kinds))
         dirs, norms = dirs[0], norms[0]
@@ -254,11 +337,11 @@ class TestDirectionBank:
         grad = np.ones((3, params.size))
         weights = np.tile(params, (3, 1))
         grad[1, 4] = np.inf
-        dirs, norms, finite = bank.step(grad, weights)
+        dirs, norms, finite = bank_step(bank, grad, weights)
         np.testing.assert_array_equal(finite, [True, False, True])
         assert dirs.shape == (3, 2, params.size) and norms.shape == (3, len(spec.components()), 2)
         assert all(arr.shape == (3, params.size) for arr in bank._state[1].values())
-        clean_dirs, clean_norms, _ = clean.step(np.ones_like(grad), weights)
+        clean_dirs, clean_norms, _ = bank_step(clean, np.ones_like(grad), weights)
         np.testing.assert_array_equal(dirs[[0, 2]], clean_dirs[[0, 2]])
         np.testing.assert_array_equal(norms[[0, 2]], clean_norms[[0, 2]])
 
@@ -270,7 +353,7 @@ class TestDirectionBank:
         bank = make_bank([OptimizerKind.SGD], spec.offsets(), rows=2)
         grad = np.ones((2, params.size))
         grad[1] = 1e200
-        dirs, norms, finite = bank.step(grad, np.tile(params, (2, 1)))
+        dirs, norms, finite = bank_step(bank, grad, np.tile(params, (2, 1)))
         assert np.isfinite(dirs).all() and np.isinf(norms[1]).all()
         np.testing.assert_array_equal(finite, [True, False])
 
@@ -279,9 +362,9 @@ class TestDirectionBank:
         bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], spec.offsets())
         grad = np.ones((1, params.size))
         assert bank.step_count == 0
-        bank.step(grad, params[None])
+        bank_step(bank, grad, params[None])
         assert bank.step_count == 1
-        bank.step(grad, params[None])
+        bank_step(bank, grad, params[None])
         assert bank.step_count == 2
 
     def test_rows_with_own_betas_match_single_row_banks(self):
@@ -297,10 +380,10 @@ class TestDirectionBank:
         batched = DirectionBank(kinds, betas, offsets)
         single = [DirectionBank(kinds, b[None], offsets) for b in betas]
         for g, w in zip(grads, weights):
-            dirs, norms, finite = batched.step(g, w)
+            dirs, norms, finite = bank_step(batched, g, w)
             assert finite.all()
             for c, bank in enumerate(single):
-                d1, n1, _ = bank.step(g[c:c + 1], w[c:c + 1])
+                d1, n1, _ = bank_step(bank, g[c:c + 1], w[c:c + 1])
                 np.testing.assert_array_equal(dirs[c], d1[0])
                 np.testing.assert_array_equal(norms[c], n1[0])
 

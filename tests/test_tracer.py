@@ -57,3 +57,11 @@ def test_every_entry_installs_runs_and_uninstalls():
     assert calls["meta.CandidateEvaluator.__call__"] == 1
     assert calls["meta.pretrain_checkpoint"] == calls["meta.nes_update"] == 1
     assert calls["meta.inner_loop_eval"] == 1
+    # one controller step per step of the block and of the handle run, and
+    # each runs the bank, the tracker, decide and compose exactly once: a
+    # rewrite that bypasses one of these names reads 0 in a trace
+    controller_steps = block_steps + meta.make_task(DIST, 1).K
+    assert calls["controller.ControllerContext.step"] == controller_steps
+    for name in ("optdir.DirectionBank.step", "controller.ControllerContext.decide",
+                 "controller.EmaTracker.update", "controller.compose_update"):
+        assert calls[name] == controller_steps, name
