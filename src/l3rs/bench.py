@@ -44,25 +44,23 @@ class OptimizerHandle:
     optimizer on one task, or on every row of a block task."""
 
     label: str
-    factory: object  # callable(task, record=False) -> stepper of the task rows
+    factory: object  # callable(task) -> stepper of the task rows
 
-    def run(self, task: Task, record_trajectory: bool = False) -> InnerRunResult:
-        return inner_loop_eval(self.factory, task, record_trajectory=record_trajectory)
+    def run(self, task: Task) -> InnerRunResult:
+        return inner_loop_eval(self.factory, task)
 
 
 def baseline_handle(spec: BaselineSpec) -> OptimizerHandle:
-    def factory(task: Task, record: bool = False):
-        del record
-        return BaselineStepper(spec, task.spec.offsets(), task.horizons)
-
-    return OptimizerHandle(label=spec.label, factory=factory)
+    return OptimizerHandle(label=spec.label, factory=lambda task: BaselineStepper(
+        spec, task.spec.offsets(), task.horizons))
 
 
 def controller_handle(psi_flat: np.ndarray, layout: PsiLayout, label: str = "l3rs",
-                      renormalize: bool = False) -> OptimizerHandle:
-    return OptimizerHandle(
-        label=label,
-        factory=controller_stepper_factory(psi_flat, layout, renormalize=renormalize))
+                      renormalize: bool = False, record: bool = False) -> OptimizerHandle:
+    """The controller of ``psi_flat``; with ``record``, each run's result
+    carries its trajectory."""
+    return OptimizerHandle(label=label, factory=controller_stepper_factory(
+        psi_flat, layout, renormalize=renormalize, record=record))
 
 
 @dataclass
@@ -97,32 +95,28 @@ def evaluation_task_seeds(eval_seed: int, n_tasks: int) -> list[int]:
 
 class StackedStepper:
     """One stepper per optimizer, each with one candidate: stepper h steps
-    the slice [..., h:h+1, :] of the grid [*rows, H, n], given to it as its
-    own C-contiguous copy, so it keeps its own prefix state and computes the
-    bits of its own run. Its new rows are written back into
-    ``params``, the loop's own array, so no second grid is held."""
+    the view [..., h:h+1, :] of the grid [*rows, H, n] in place, so it
+    keeps its own prefix state and computes the bits of its own run."""
 
     def __init__(self, steppers):
         self.steppers = steppers
         self.n_candidates = len(steppers)
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
+             k: int) -> np.ndarray:
         finite = np.empty(losses.shape, dtype=bool)
         for h, stepper in enumerate(self.steppers):
             own = slice(h, h + 1)
-            params[..., own, :], finite[..., own] = stepper.step(
-                np.ascontiguousarray(params[..., own, :]),
-                np.ascontiguousarray(grads[..., own, :]),
-                np.ascontiguousarray(losses[..., own]), k)
-        return params, finite
+            finite[..., own] = stepper.step(params[..., own, :], grads[..., own, :],
+                                            losses[..., own], k)
+        return finite
 
 
 def _stacked_factory(handles):
     """Stepper factory running every handle on each task row, as the
     candidates of one inner loop; a handle must step one candidate."""
-    def make(task: Task, record: bool = False):
-        steppers = [handle.factory(task, record) for handle in handles]
+    def make(task: Task):
+        steppers = [handle.factory(task) for handle in handles]
         for handle, stepper in zip(handles, steppers):
             if stepper.n_candidates != 1:
                 raise ValueError(f"optimizer {handle.label!r} steps {stepper.n_candidates} "
@@ -267,11 +261,15 @@ class AblationCell:
     variant: Variant
     gammas: tuple[float, ...] = DEFAULT_GAMMAS
 
+    def columns(self) -> tuple[str, str, str]:
+        """The base optimizers, variant and gammas as ablation.csv writes them."""
+        gammas = ";".join(f"{g:g}" for g in self.gammas) if self.gammas else "none"
+        return "+".join(k.value for k in self.base_kinds), self.variant.value, gammas
+
     @property
     def label(self) -> str:
-        bases = "+".join(k.value for k in self.base_kinds)
-        gam = ";".join(f"{g:g}" for g in self.gammas) if self.gammas else "none"
-        return f"{bases}|{self.variant.value}|g={gam}"
+        bases, variant, gammas = self.columns()
+        return f"{bases}|{variant}|g={gammas}"
 
 
 @dataclass
@@ -323,20 +321,19 @@ def run_ablation_battery(cfg: AblationConfig) -> AblationResult:
                            gammas=cell.gammas, variant=cell.variant)
         psi, _ = meta_mod.meta_train(cfg.nes, cfg.dist, layout,
                                      init_from=checkpoint, workers=cfg.workers)
-        handle = controller_handle(psi, layout, label=cell.label)
-        report = evaluate_suite(handle, cfg.dist, cfg.eval_n_tasks, [cfg.eval_k],
-                                cfg.eval_seed, init_from=checkpoint)
+        report = evaluate_suite(controller_handle(psi, layout, label=cell.label), cfg.dist,
+                                cfg.eval_n_tasks, [cfg.eval_k], cfg.eval_seed,
+                                init_from=checkpoint)
         c = report.cells[0]
+        bases, variant, gammas = cell.columns()
         rows.append(AblationRow(
-            label=cell.label,
-            base_optimizers="+".join(k.value for k in cell.base_kinds),
-            variant=cell.variant.value,
-            gammas=";".join(f"{g:g}" for g in cell.gammas) if cell.gammas else "none",
+            label=cell.label, base_optimizers=bases, variant=variant, gammas=gammas,
             mean_acc=c.mean_acc, std_acc=c.std_acc,
             mean_loss=c.mean_loss, std_loss=c.std_loss))
         probe = make_task(cfg.dist, c.task_seeds[0], split="metatest",
                           init_from=checkpoint, k_override=cfg.eval_k)
-        trajectories[cell.label] = handle.run(probe, record_trajectory=True).trajectory or []
+        recorder = controller_handle(psi, layout, label=cell.label, record=True)
+        trajectories[cell.label] = recorder.run(probe).trajectory or []
     return AblationResult(rows=rows, trajectories=trajectories)
 
 

@@ -208,16 +208,28 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
     if ev["regime"] not in REGIMES:
         raise ConfigError(f"unknown regime {ev['regime']!r}")
     # the bounds that the types do not give
+    dist = cfg["distribution"]
     for where, value, least in [
             ("seed", cfg["seed"], 0), ("workers", cfg["workers"], 1),
             ("pretrain.steps", cfg["pretrain"]["steps"], 0),
+            ("distribution.train_batch_size", dist["train_batch_size"], 1),
+            ("distribution.eval_batch_size", dist["eval_batch_size"], 1),
             ("evaluate.n_tasks", ev["n_tasks"], 1), ("ablate.eval_n_tasks", ab["eval_n_tasks"], 1),
             *(("every evaluate.k_list entry", k, 0) for k in ev["k_list"]),
             ("ablate.eval_k", ab["eval_k"], 0)]:
         if value < least:
             raise ConfigError(f"{where} must be >= {least}, got {value!r}")
+    if cfg["nes"]["decay_factor"] <= 0:
+        raise ConfigError(f"nes.decay_factor must be > 0, got {cfg['nes']['decay_factor']!r}")
+    gammas, gamma_sets = cfg["layout"]["gammas"], ab["gamma_sets"]
+    if not all(0 <= g < 1 for g in gammas):
+        raise ConfigError(f"every layout.gammas entry must lie in [0, 1), got {gammas!r}")
+    # 1 passes here, as the pinned overridden config of the golden tests holds
+    # it, though ablate cannot run it
+    if not all(0 <= g <= 1 for one_set in gamma_sets or () for g in one_set):
+        raise ConfigError(f"every ablate.gamma_sets gamma must lie in [0, 1], got {gamma_sets!r}")
     try:
-        dist = TaskDistributionSpec(**cfg["distribution"])
+        dist = TaskDistributionSpec(**dist)
         run = RunConfig(raw=cfg, seed=cfg["seed"], out_dir=Path(cfg["out_dir"]),
                         workers=cfg["workers"], dist=dist,
                         nes=NesConfig(**cfg["nes"], seed=cfg["seed"]),
@@ -432,9 +444,9 @@ def cmd_inspect(args) -> int:
     _write_config_snapshot(run)
     task = meta.make_task(run.dist, args.task_seed, split="metatest",
                           init_from=init_from, k_override=args.k)
-    handle = bench.controller_handle(psi.flat, psi.layout,
-                                     renormalize=run.renormalize)
-    result = handle.run(task, record_trajectory=True)
+    handle = bench.controller_handle(psi.flat, psi.layout, renormalize=run.renormalize,
+                                     record=True)
+    result = handle.run(task)
     traj_path = run.out_dir / f"trajectory_{args.task_seed}.csv"
     bench.write_trajectory_csv(result.trajectory or [], psi.layout.n_providers,
                                traj_path)

@@ -11,20 +11,21 @@ always positive.
 
 ControllerContext is the inner loop's stepper. It takes row-batched psi
 only: C candidates, each run on every task row of a block, [T] or [J, T],
-at that row's horizon. One step advances the whole live grid at once on
-flat vectors: parameters and gradients are [*rows, C, n], the bank's
-directions [*rows, C, P, n], all split into components at the segment
-offsets; every per-component norm comes from optdir.segment_norms, the
-EMAs are [*rows, C, L, 2, G], and the update is one flat expression over
-the directions. The controller MLPs are stacked (a leading n_mlps axis: 1,
-or L for per_layer_mlp) behind the candidate axis, and the frames
+at that row's horizon. One step advances the whole live grid at once, in
+place, on flat vectors: parameters and gradients are [*rows, C, n], the
+bank's directions [*rows, C, P, n], all split into components at the
+segment offsets; every per-component norm comes from
+optdir.segment_norms, the EMAs are [*rows, C, L, 2, G], and the update is
+one flat expression over the directions, added to the parameters. The
+controller MLPs are stacked (a leading n_mlps axis: 1, or L for
+per_layer_mlp) behind the candidate axis, and the frames
 [*rows, C, L, F] of every variant take one batched matmul per MLP layer;
 the MLPs and betas broadcast over the task rows, and the time features,
-one set per task row, over the candidates. Every per-row array keeps the
-live task rows, a prefix of the first axis, until their horizon: a row
+one set per task row, over the candidates. A step reads only the live
+task rows, a prefix of the first axis, of every per-row array: a row
 whose directions, segment norms, logits or lambdas stop being finite is
-only reported in the step's finite mask, and the others are not
-disturbed.
+only reported in the finite mask that the step returns, and the others
+are not disturbed.
 
 Meta-parameters (MLP weights, per-component embeddings, squashed base
 optimizer betas) live in one flat vector so an evolution-strategies outer
@@ -102,20 +103,14 @@ class EmaTracker:
         self._comp = np.zeros((*rows, n_components, 2, len(self.gammas)))
         self._loss = np.zeros((*rows, len(self.gammas)))
 
-    def keep(self, rows: int) -> None:
-        """Keep the first ``rows`` entries of the first axis only: the rows
-        past them finished their run."""
-        self._comp, self._loss = self._comp[:rows], self._loss[:rows]
-
     def update(self, loss, comp_stats: np.ndarray) -> None:
         """loss is [*rows]; comp_stats is [*rows, L, 2]: (log||w||, log||g||)
-        per component."""
-        if comp_stats.shape != self._comp.shape[:-1]:
-            raise ValueError("component statistics have the wrong shape")
+        per component. Only the first len(comp_stats) entries of the first
+        axis are kept: the rows past them finished their run."""
         self.k += 1
-        g = self.gammas
-        self._comp = g * self._comp + (1.0 - g) * comp_stats[..., None]
-        self._loss = g * self._loss + (1.0 - g) * np.asarray(loss)[..., None]
+        g, rows = self.gammas, len(comp_stats)
+        self._comp = g * self._comp[:rows] + (1.0 - g) * comp_stats[..., None]
+        self._loss = g * self._loss[:rows] + (1.0 - g) * np.asarray(loss)[..., None]
 
     def read(self) -> tuple[np.ndarray, np.ndarray]:
         """Corrected EMAs: ([*rows, L, 2, n_gammas], [*rows, n_gammas]).
@@ -354,12 +349,12 @@ class ControllerContext:
     """The inner loop's stepper: the direction bank, the EMA tracker and a
     read-only view of the meta-parameters of C candidates [C, flat_size],
     for the flat parameters of ``spec``. K holds the horizons of the task
-    rows, [T] or [J, T], or is one K with no task axes; every step takes
-    the parameter grid [*rows, C, n], each task row running every candidate,
-    and every per-candidate value (the MLPs, betas and their validity)
+    rows, [T] or [J, T]; every step updates the parameter grid
+    [*rows, C, n] in place, each task row running every candidate, and
+    every per-candidate value (the MLPs, betas and their validity)
     broadcasts over the task axes. Each step takes the task rows still
-    training, a prefix of the first axis that only shrinks, and every
-    per-row array (bank state, EMAs, horizons) keeps only that prefix; the
+    training, a prefix of the first axis that only shrinks, and reads only
+    that prefix of every per-row array (bank state, EMAs, horizons); the
     step count is shared, as every row starts at step 1.
 
     ``policy`` replaces the MLP head when set: it receives the component
@@ -408,13 +403,6 @@ class ControllerContext:
         self.trajectories: list[list[TrajectoryRow]] | None = (
             [[] for _ in range(self.K.size * cands)] if record else None)
 
-    def _keep(self, rows: int) -> None:
-        """Keep the state of the first ``rows`` task rows only: the rows
-        past them reached their horizon and are no longer stepped."""
-        self.K = self.K[:rows]
-        self.bank.keep(rows)
-        self.tracker.keep(rows)
-
     def _stats(self, wg_norms: np.ndarray) -> np.ndarray:
         """[..., L, 2] log (||w||, ||g||), or [..., 1, 2] whole-model norms
         for global, from the segment norms wg_norms [..., L, 2]."""
@@ -442,7 +430,7 @@ class ControllerContext:
 
         ema_comp, ema_loss = self.tracker.read()
         # one set of time features per task row, broadcast over the candidates
-        tf = time_features(k, self.K)[..., None, :]
+        tf = time_features(k, self.K[:len(norms)])[..., None, :]
         if layout.variant == Variant.GLOBAL:
             whole = 0.5 * np.log(np.maximum(np.sum(norms ** 2, axis=-2),
                                             optdir.NORM_FLOOR ** 2))
@@ -453,23 +441,20 @@ class ControllerContext:
         return controller_forward_batch(self.psi.mlp, frames)
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
-        """One update of the flat parameter grid params [*rows, C, n] from
-        the flat gradients grads [*rows, C, n] and the train losses
-        [*rows, C] of the task rows still training, a prefix of the first
-        axis; the state of any row past them is dropped.
+             k: int) -> np.ndarray:
+        """Update the flat parameter grid params [*rows, C, n] of the task
+        rows still training, a prefix of the first axis, in place from the
+        flat gradients grads [*rows, C, n] and the train losses [*rows, C].
 
-        Returns (new params [*rows, C, n], finite [*rows, C]); a row whose
-        directions, segment norms (of weights, gradients or directions),
-        logits or lambda are not finite, or whose betas round to 0 or 1, is
-        False in ``finite``, and its new params are meaningless.
+        Returns finite [*rows, C]; a row whose directions, segment norms
+        (of weights, gradients or directions), logits or lambda are not
+        finite, or whose betas round to 0 or 1, is False there, and its new
+        params are meaningless.
 
         Order of effects: directions from pre-update weights and gradients,
         then the EMA recursion on pre-update statistics, then the controller
         and the composed update.
         """
-        if params.shape[:-2] != self.K.shape:
-            self._keep(len(params))
         offsets = self.bank.offsets
         with np.errstate(over="ignore"):  # a norm that overflows kills its row below
             wg_norms = segment_norms(np.stack([params, grads], axis=-2), offsets)
@@ -479,7 +464,7 @@ class ControllerContext:
         with np.errstate(invalid="ignore"):
             self.tracker.update(losses, self._stats(wg_norms))
             mu, lam, ok = self.decide(norms, k)
-            new = params + compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
+            params += compose_update(lam, mu, dirs, norms, offsets, self.renormalize)
         finite = finite & ok & self._betas_valid & np.isfinite(wg_norms).all(axis=(-2, -1))
         if self.trajectories is not None:
             mu, lam = mu.reshape(-1, *mu.shape[-2:]), lam.reshape(-1, lam.shape[-1])
@@ -488,7 +473,7 @@ class ControllerContext:
                 self.trajectories[row].extend(
                     TrajectoryRow(step=k, component=name, mu=tuple(m), lam=l, train_loss=loss)
                     for name, m, l in zip(self._names, mu[row].tolist(), lam[row].tolist()))
-        return new, finite
+        return finite
 
 
 class CheckpointError(ValueError):

@@ -22,12 +22,14 @@ sharing its draws by broadcasting; an evaluation suite runs its optimizers
 the same way, as the candidates of one loop over [J, T] task rows (K
 level, task), every level reading the one block drawn at the largest K.
 A row stops at its own horizon: the task rows still training are a prefix
-of the first axis, and a row leaving it keeps its parameters until the one
-scoring at the end. Divergence is one mask over the grid that the loop
-owns, and a row that stops being finite is masked dead, scores
-DIVERGENCE_PENALTY and leaves the others untouched. Single runs
-(inspection, probes) are the same loop on a [1, 1, n] grid; pretraining
-alone trains one unbatched network [n].
+of the first axis, the stepper updates the view of that prefix in place
+and returns only its finite mask, and a row leaving the prefix keeps its
+parameters where they are until the one scoring at the end. Divergence is
+one mask over the grid that the loop owns, and a row that stops being
+finite is masked dead, scores DIVERGENCE_PENALTY and leaves the others
+untouched. Single runs (inspection, probes) are the same loop on a
+[1, 1, n] grid; pretraining alone takes the gradient of one unbatched
+network [n] and steps it as the grid view [1, 1, n].
 """
 
 from __future__ import annotations
@@ -277,19 +279,19 @@ class InnerRunResult:
 
 
 def controller_stepper_factory(psi_flat: np.ndarray, layout: PsiLayout,
-                               renormalize: bool = False, policy=None):
+                               renormalize: bool = False, policy=None, record: bool = False):
     """Stepper factory for a flat meta-parameter vector [flat_size], or a
     block of C candidates [C, flat_size] trained side by side.
 
-    The returned callable takes (task, record=False) and yields a fresh
-    ControllerContext with zeroed optimizer and tracker state, as a new
-    fine-tuning run requires, for the C candidates on every task row, each
-    at its task row's horizon.
+    The returned callable takes a task and yields a fresh ControllerContext
+    with zeroed optimizer and tracker state, as a new fine-tuning run
+    requires, for the C candidates on every task row, each at its task
+    row's horizon; with ``record`` it keeps every row's trajectory.
     """
     flat = np.atleast_2d(np.asarray(psi_flat, dtype=float))
     psi = unflatten(flat, layout)
 
-    def make(task: Task, record: bool = False) -> ControllerContext:
+    def make(task: Task) -> ControllerContext:
         return ControllerContext(psi, task.spec, task.horizons,
                                  renormalize=renormalize, policy=policy, record=record)
 
@@ -328,12 +330,11 @@ def cosine_lr(k: int, K: int, lr0: float) -> float:
 class BaselineStepper:
     """Plain SGD/Adam as the one candidate of the inner loop, on its flat
     parameter grid [*rows, 1, n], for parameters split at ``offsets`` and
-    the horizons K of the task rows [*rows] (one K: no task axes, parameters
-    [1, n]). Every operation is elementwise, so each row gets the bits of
-    its own one-row run; adam_cosine's learning rate is one column per task
-    row, at that row's horizon. head_only freezes everything except the
-    final kernel+bias pair, leaving the rest bit-identical for the whole
-    run.
+    the horizons K of the task rows [*rows]. Every operation is
+    elementwise, so each row gets the bits of its own one-row run;
+    adam_cosine's learning rate is one column per task row, at that row's
+    horizon. head_only freezes everything except the final kernel+bias
+    pair, leaving the rest bit-identical for the whole run.
 
     Written apart from the direction bank, so equivalence tests between the
     controller path and a plain optimizer run compare two separately
@@ -349,24 +350,21 @@ class BaselineStepper:
             self.m = np.zeros((*self.K.shape, 1, offsets[-1] - self.start))
             self.v = np.zeros_like(self.m)
 
-    def _lr(self, k: int):
+    def _lr(self, k: int, K: np.ndarray):
         """The step's learning rate: lr0, or a cosine column [*rows, 1, 1]
-        with the bits of cosine_lr at each task row's horizon."""
+        with the bits of cosine_lr at each task row's horizon K [*rows]."""
         if self.spec.kind == BaselineKind.ADAM_COSINE:
-            lrs = [cosine_lr(k, K, self.spec.lr0) for K in self.K.ravel().tolist()]
-            return np.reshape(lrs, (*self.K.shape, 1, 1))
+            lrs = [cosine_lr(k, horizon, self.spec.lr0) for horizon in K.ravel().tolist()]
+            return np.reshape(lrs, (*K.shape, 1, 1))
         return self.spec.lr0
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
-             k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(new params [*rows, 1, n], finite [*rows, 1]) for the task rows
-        still training, a prefix of the first axis; the state of the rows
-        past them is dropped."""
+             k: int) -> np.ndarray:
+        """Update params [*rows, 1, n], the task rows still training (a
+        prefix of the first axis), in place; returns finite [*rows, 1]."""
         del losses
         rows = len(params)
-        if params.shape[:-2] != self.K.shape:
-            self.K = self.K[:rows]
-        lr = self._lr(k)
+        lr = self._lr(k, self.K[:rows])
         g = grads[..., self.start:]
         with np.errstate(over="ignore", invalid="ignore"):
             if self.spec.kind == BaselineKind.SGD_CONST:
@@ -374,37 +372,33 @@ class BaselineStepper:
             else:
                 self.m = ADAM_BETA1 * self.m[:rows] + (1 - ADAM_BETA1) * g
                 self.v = ADAM_BETA2 * self.v[:rows] + (1 - ADAM_BETA2) * g * g
-                # the bits of lr * m_hat / (sqrt(v_hat) + eps), in place, and
-                # its temporaries freed before the new parameters exist
+                # the bits of lr * m_hat / (sqrt(v_hat) + eps), in place
                 denom = self.v / (1 - ADAM_BETA2 ** k)
                 np.sqrt(denom, out=denom)
                 denom += ADAM_EPS
                 update = lr * (self.m / (1 - ADAM_BETA1 ** k))
                 update /= denom
-                del denom
-            new = params.copy()
-            new[..., self.start:] -= update
-        return new, np.isfinite(new[..., self.start:]).all(axis=-1)
+            params[..., self.start:] -= update
+        return np.isfinite(params[..., self.start:]).all(axis=-1)
 
 
-def inner_loop_batch(make_stepper, task: Task,
-                     record_trajectory: bool = False) -> list[InnerRunResult]:
+def inner_loop_batch(make_stepper, task: Task) -> list[InnerRunResult]:
     """The inner loop: run every candidate of the stepper on every task row
     for that row's horizon, one train batch per step, then score the eval
     batch. Returns one result per (task row, candidate), candidate-minor.
 
-    ``make_stepper(task, record)`` yields a stepper with ``n_candidates``,
-    C, and ``step(params [*rows, C, n], grads [*rows, C, n], losses
-    [*rows, C], k)``, which returns (new params [*rows, C, n], finite
-    [*rows, C]). The parameters are one grid: the task rows [*rows], then
-    the candidates, whose parameters share their task row's theta0 and
-    batches by broadcasting.
+    ``make_stepper(task)`` yields a stepper with ``n_candidates``, C, and
+    ``step(params [*rows, C, n], grads [*rows, C, n], losses [*rows, C],
+    k)``, which updates params in place and returns finite [*rows, C]. The
+    parameters are one grid: the task rows [*rows], then the candidates,
+    whose parameters share their task row's theta0 and batches by
+    broadcasting.
 
     Task rows are ordered by horizon, longest first, along the first axis,
-    so the rows still training at step k are a prefix of it. A row that
-    reaches its horizon leaves the prefix and its parameters freeze; the
-    stepper sees only the prefix and keeps only its state. The loop owns the
-    one ``alive`` mask and ANDs every finite mask into it.
+    so the rows still training at step k are a prefix of it, and the
+    stepper steps the view of that prefix. A row that reaches its horizon
+    leaves the prefix and its parameters freeze where they are. The loop
+    owns the one ``alive`` mask and ANDs every finite mask into it.
 
     A row whose loss, gradient, direction, logits or lambda stops being
     finite, or whose final meta-loss is not finite, is dead: it scores the
@@ -413,21 +407,16 @@ def inner_loop_batch(make_stepper, task: Task,
     them finite again, and every stage is row-wise, so the other rows keep
     their bits. Every row is scored once, at the end.
     """
-    stepper = make_stepper(task, record_trajectory)
-    # the rows still training, [*rows, C, n]
-    live = np.repeat(task.theta0[..., None, :], stepper.n_candidates, axis=-2)
-    left: list[np.ndarray] = []  # the rows past them, each group as it reached its horizon
-    alive = np.ones(live.shape[:-1], dtype=bool)
+    stepper = make_stepper(task)
+    params = np.repeat(task.theta0[..., None, :], stepper.n_candidates, axis=-2)
+    alive = np.ones(params.shape[:-1], dtype=bool)
     train_losses: list[list[float]] = [[] for _ in range(alive.size)]
     for k, batch in enumerate(task.train_batches, start=1):
         rows = len(batch.y)
-        if rows < len(live):  # the rows past ``rows`` reached their horizon
-            left.append(live[rows:].copy())
-            live = live[:rows]
+        live, live_alive = params[:rows], alive[:rows]  # views of the rows still training
         # [..., C, n] against [..., 1, B, d]: a task row's candidates share its batch
         losses, grads, finite = loss_and_grad(
             task.spec, live, Batch(x=batch.x[..., None, :, :], y=batch.y[..., None, :]))
-        live_alive = alive[:rows]  # a view: updating it updates alive
         live_alive &= finite
         training = np.flatnonzero(live_alive)
         for row, loss in zip(training.tolist(), losses.ravel()[training].tolist()):
@@ -435,12 +424,12 @@ def inner_loop_batch(make_stepper, task: Task,
         if len(training) < live_alive.size:
             dead = ~live_alive
             live[dead] = grads[dead] = losses[dead] = np.nan
-        live, finite = stepper.step(live, grads, losses, k)
-        del grads  # freed before the next step's pass allocates its own
-        live_alive &= finite
+        # grads stays alive through the next step's pass: freed here, it lets
+        # malloc hand the top of the heap back to the system every step and
+        # fault it in again (4-5x the page faults at 8 candidates)
+        live_alive &= stepper.step(live, grads, losses, k)
         if not live_alive.any():
             break
-    params = np.concatenate([live, *left[::-1]])  # [*rows, C, n], the final parameters
     # scored one task row at a time: an eval batch is larger than a train
     # batch (256 against 32 examples by default), and its activations for
     # every row at once would be the run's largest array
@@ -460,9 +449,9 @@ def inner_loop_batch(make_stepper, task: Task,
                 train_losses, trajectories)]
 
 
-def inner_loop_eval(make_stepper, task: Task, record_trajectory: bool = False) -> InnerRunResult:
+def inner_loop_eval(make_stepper, task: Task) -> InnerRunResult:
     """inner_loop_batch of one candidate on a one-row task."""
-    (result,) = inner_loop_batch(make_stepper, task, record_trajectory)
+    (result,) = inner_loop_batch(make_stepper, task)
     return result
 
 
@@ -665,7 +654,7 @@ def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> np
     theta = init_params(spec, int(derived_rng(seed, _TAG_INIT).integers(0, _MASK)))
     means = dist.class_means()
     pool = dist.split_classes("pretrain")
-    adam = BaselineStepper(BaselineSpec(BaselineKind.ADAM_CONST, 1e-3), spec.offsets(), steps)
+    adam = BaselineStepper(BaselineSpec(BaselineKind.ADAM_CONST, 1e-3), spec.offsets(), [steps])
     batch = Batch(x=np.empty((dist.train_batch_size, dist.input_dim)),
                   y=np.empty(dist.train_batch_size, dtype=np.int64))
     for k in range(1, steps + 1):
@@ -675,7 +664,7 @@ def pretrain_checkpoint(dist: TaskDistributionSpec, steps: int, seed: int) -> np
         loss, grad, finite = loss_and_grad(spec, theta, batch)
         if not finite:
             raise DivergenceError(f"pretraining diverged at step {k}")
-        (theta,), _ = adam.step(theta[None], grad[None], loss, k)
+        adam.step(theta[None, None], grad[None, None], loss, k)  # a view: theta moves
     return theta
 
 

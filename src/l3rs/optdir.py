@@ -11,8 +11,9 @@ pass on a whole parameter grid [*rows, C, n] at once: C candidates of a
 population, each with its own hyperparameters, on every task row. It returns
 all directions as one [*rows, C, P, n] array together with their
 [*rows, C, L, P] segment norms from segment_norms(). A row whose directions
-stop being finite is reported in a per-row mask; task rows are only dropped
-from the end of the first axis, once they finish their run (keep).
+stop being finite is reported in a per-row mask. The task rows stepped are
+the ones still training, a prefix of the first axis that only shrinks, and
+only that prefix of each provider's state advances.
 """
 
 from __future__ import annotations
@@ -162,11 +163,6 @@ class DirectionBank:
         self._state = [{name: np.zeros(shape) for name in _SLOTS.get(kind, ())}
                        for kind in kinds]
 
-    def keep(self, rows: int) -> None:
-        """Keep the first ``rows`` task rows only: the others finished their
-        run."""
-        self._state = [{name: s[:rows] for name, s in state.items()} for state in self._state]
-
     @property
     def n_providers(self) -> int:
         return len(self.kinds)
@@ -204,7 +200,9 @@ class DirectionBank:
              w_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every provider once on the flat pre-update gradients and
         weights [*rows, C, n] of the current step, whose segment norms
-        w_norms [*rows, C, L] LAMB reads.
+        w_norms [*rows, C, L] LAMB reads. The task rows are the ones still
+        training, a prefix of the first axis of the states, and only that
+        prefix of each state advances.
 
         Returns (directions [*rows, C, P, n], norms [*rows, C, L, P], finite
         [*rows, C]), where ``finite`` is False for a row with any segment
@@ -214,9 +212,11 @@ class DirectionBank:
         provider state.
         """
         self.step_count += 1
+        rows = len(grad)
         dirs = np.empty((*grad.shape[:-1], self.n_providers, grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for p, (kind, betas, state) in enumerate(zip(self.kinds, self._betas, self._state)):
-                self._direction(kind, betas, state, grad, weights, w_norms, dirs[..., p, :])
+                live = {name: s[:rows] for name, s in state.items()}
+                self._direction(kind, betas, live, grad, weights, w_norms, dirs[..., p, :])
             norms = segment_norms(dirs, self.offsets)
         return dirs, norms, np.isfinite(norms).all(axis=(-2, -1))

@@ -155,10 +155,11 @@ def test_criterion_2_update_invariants():
 
 
 def _final_theta(task, stepper):
-    params = task.theta0[:, None]  # [1, 1, n]: one task row, one candidate
+    # [1, 1, n]: one task row, one candidate; a copy, as steps run in place
+    params = task.theta0[:, None].copy()
     for k in range(1, task.K + 1):
         losses, grads, _ = loss_and_grad(task.spec, params, task.train_batches[k - 1])
-        params, _ = stepper.step(params, grads, losses, k)
+        stepper.step(params, grads, losses, k)
     return params[0, 0]
 
 

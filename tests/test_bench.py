@@ -66,7 +66,7 @@ class TestRunBaseline:
         task = make_task(DIST, seed=1, k_override=7)
         res = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=0.0)).run(task)
         expected = inner_loop_eval(
-            lambda t, record=False: _NullStepper(), task)
+            lambda t: _NullStepper(), task)
         assert res.meta_loss == expected.meta_loss
 
     def test_head_only_freezes_body_bitwise(self):
@@ -75,24 +75,24 @@ class TestRunBaseline:
         spec = BaselineSpec(BaselineKind.ADAM_CONST, lr0=1e-2, head_only=True)
         stepper_holder = {}
 
-        def factory(t, record=False):
+        def factory(t):
             from l3rs.bench import BaselineStepper
 
-            stepper_holder["s"] = BaselineStepper(spec, t.spec.offsets(), t.K)
+            stepper_holder["s"] = BaselineStepper(spec, t.spec.offsets(), t.horizons)
             return stepper_holder["s"]
 
         # replay the run manually to capture the final params
         from l3rs.nnlite import loss_and_grad
 
-        flat = task.theta0
+        flat = task.theta0[:, None].copy()  # the step runs in place: theta0 stays
         stepper = factory(task)
         for k in range(1, task.K + 1):
             losses, grads, _ = loss_and_grad(task.spec, flat, task.train_batches[k - 1])
-            flat, _ = stepper.step(flat, grads, losses, k)
+            stepper.step(flat, grads, losses, k)
         off = task.spec.offsets()
         for a, b in zip(off[:-3], off[1:-2]):
-            assert np.array_equal(flat[0, a:b], task.theta0[0, a:b])
-        assert not np.array_equal(flat[0, off[-3]:off[-2]], task.theta0[0, off[-3]:off[-2]])
+            assert np.array_equal(flat[0, 0, a:b], task.theta0[0, a:b])
+        assert not np.array_equal(flat[0, 0, off[-3]:off[-2]], task.theta0[0, off[-3]:off[-2]])
 
     def test_adam_const_matches_controller_stub(self):
         # lambda = lr * ||d_adam|| with a one-hot mix reproduces plain Adam
@@ -115,7 +115,7 @@ class _NullStepper:
     n_candidates = 1
 
     def step(self, params, grads, losses, k):
-        return params, np.ones(len(params), dtype=bool)
+        return np.ones(losses.shape, dtype=bool)
 
 
 class TestEvaluateSuite:
@@ -159,22 +159,30 @@ class TestEvaluateSuite:
 
     def test_handles_never_interact(self):
         # a diverging optimizer leaves every other optimizer's bits alone,
-        # and its own cells are its suite run alone
+        # and each handle's cells in a mixed suite are its suite run alone;
+        # the controller between the baselines steps its uncopied view of
+        # the grid, strided across the other handles' rows
+        layout = layout_for(DIST)
+        psi = flatten(init_meta_params(layout, seed=0))
+        psi += 0.1 * np.random.default_rng(7).standard_normal(psi.shape)
         handles = [baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1)),
+                   controller_handle(psi, layout, label="ctrl"),
                    baseline_handle(BaselineSpec(BaselineKind.ADAM_CONST, lr0=1e-2))]
         wild = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e6))
-        k_list = [30, 8, 1]
-        calm = evaluate_suite(handles, DIST, n_tasks=3, k_list=k_list, eval_seed=6)
-        mixed = evaluate_suite([handles[0], wild, handles[1]], DIST, n_tasks=3,
-                               k_list=k_list, eval_seed=6)
-        alone = evaluate_suite(wild, DIST, n_tasks=3, k_list=k_list, eval_seed=6)
+
+        def suite(handles):
+            return evaluate_suite(handles, DIST, n_tasks=3, k_list=[30, 8, 1], eval_seed=6)
+
+        calm, mixed = suite(handles), suite([handles[0], wild, *handles[1:]])
         others = [c for c in mixed.cells if c.optimizer != wild.label]
         assert [dataclasses.astuple(c) for c in others] == [
             dataclasses.astuple(c) for c in calm.cells]
-        wild_cells = [c for c in mixed.cells if c.optimizer == wild.label]
-        assert [dataclasses.astuple(c) for c in wild_cells] == [
-            dataclasses.astuple(c) for c in alone.cells]
-        assert meta.DIVERGENCE_PENALTY in alone.cell(wild.label, 30).task_loss
+        for handle in [*handles, wild]:
+            own = [c for c in mixed.cells if c.optimizer == handle.label]
+            assert [dataclasses.astuple(c) for c in own] == [
+                dataclasses.astuple(c) for c in suite(handle).cells]
+        assert meta.DIVERGENCE_PENALTY in mixed.cell(wild.label, 30).task_loss
+        assert meta.DIVERGENCE_PENALTY not in mixed.cell("ctrl", 30).task_loss
 
     def test_empty_handle_list_gives_an_empty_report(self):
         assert evaluate_suite([], DIST, n_tasks=2, k_list=[3, 1], eval_seed=0).cells == []

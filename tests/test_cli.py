@@ -135,11 +135,14 @@ class TestConfig:
     @pytest.mark.parametrize("assignment", [
         "seed=0.5", "seed=-1", "workers=0", "pretrain.steps=1.5", 'layout.renormalize="yes"',
         "ablate.gamma_sets=[0.5]", "nes.sigma0=NaN", "distribution.blob_std=Infinity",
-        'ablate.base_sets=[["bogus"]]', 'ablate.variants=["bogus"]'])
+        'ablate.base_sets=[["bogus"]]', 'ablate.variants=["bogus"]', "layout.gammas=[1.5]",
+        "ablate.gamma_sets=[[0.5,2.0]]", "distribution.train_batch_size=0",
+        "distribution.eval_batch_size=0", "nes.decay_factor=-0.5"])
     def test_values_of_a_wrong_type_or_below_the_minimum(self, tmp_path, capsys, assignment):
         # pretrain took each of these (seed 0.5 trained as seed 0, 1.5 steps
-        # as 1, "yes" as true, sigma0 NaN), and ablate ended in a traceback
-        # on several, after writing config.json
+        # as 1, "yes" as true, sigma0 NaN, decay factor -0.5 into complex
+        # alpha and sigma), and ablate ended in a traceback on several,
+        # after writing config.json
         cfg = write_config(tmp_path)
         capsys.readouterr()
         for command in ("pretrain", "ablate"):

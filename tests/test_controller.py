@@ -313,7 +313,7 @@ class TestBankBetas:
         raw = block[:, layout.flat_size - layout.n_hyper:]
         raw[1, 0] = 40.0
         raw[3, 5] = -800.0
-        ctx = ControllerContext(unflatten(block, layout), spec, K=5)
+        ctx = ControllerContext(unflatten(block, layout), spec, K=[5])
         learned = [p for p, kind in enumerate(kinds) if kind in KINDS_WITH_BETAS]
         defaults = default_betas(kinds)
         for c in range(len(block)):
@@ -325,10 +325,10 @@ class TestBankBetas:
                     i = 2 * learned.index(p)
                     want = (float(sigmoid(raw[c, i])), float(sigmoid(raw[c, i + 1])))
                     assert got == want
-        params = np.tile(init_params(spec, seed=0), (len(block), 1))
+        params = np.tile(init_params(spec, seed=0), (1, len(block), 1))
         grads = np.random.default_rng(10).normal(size=params.shape)
-        _, finite = ctx.step(params, grads, np.ones(len(block)), 1)
-        np.testing.assert_array_equal(finite, [True, False, True, False, True])
+        finite = ctx.step(params, grads, np.ones((1, len(block))), 1)
+        np.testing.assert_array_equal(finite, [[True, False, True, False, True]])
 
 
 class TestControllerForward:
@@ -510,9 +510,9 @@ class TestVariants:
             return np.ones(1), 0.0
 
         psi = unflatten(init_meta_params(layout, seed=0).flat[None], layout)
-        ctx = ControllerContext(psi, spec, K=1, policy=record_policy)
-        zeros = np.zeros((1, params.size))
-        ctx.step(params[None], zeros, losses=np.zeros(1), k=1)
+        ctx = ControllerContext(psi, spec, K=[1], policy=record_policy)
+        zeros = np.zeros((1, 1, params.size))
+        ctx.step(params[None, None], zeros, losses=np.zeros((1, 1)), k=1)
         assert len(seen) == len(spec.components())
         for log_norms in seen:
             assert log_norms.shape == (1,)
@@ -523,7 +523,7 @@ class TestVariants:
         spec = NetworkSpec(3, (4,), 2)
         layout = PsiLayout(n_components=len(spec.components()), base_kinds=SGD_ADAM)
         with pytest.raises(ValueError, match="row-batched"):
-            ControllerContext(init_meta_params(layout, seed=0), spec, K=1)
+            ControllerContext(init_meta_params(layout, seed=0), spec, K=[1])
 
     def test_global_identical_across_components(self):
         spec = NetworkSpec(6, (5,), 3)
@@ -532,13 +532,13 @@ class TestVariants:
                            variant=Variant.GLOBAL)
         psi = init_meta_params(layout, seed=2)
         psi.flat[:] += np.random.default_rng(3).normal(scale=0.3, size=layout.flat_size)
-        ctx = ControllerContext(unflatten(psi.flat[None], layout), spec, K=4, record=True)
+        ctx = ControllerContext(unflatten(psi.flat[None], layout), spec, K=[4], record=True)
         rng = np.random.default_rng(4)
-        flat = params[None]
+        flat = params[None, None]
         for k in range(1, 5):
             grads = rng.normal(size=flat.shape)
-            flat, finite = ctx.step(flat, grads, losses=np.ones(1), k=k)
-            assert finite.tolist() == [True]
+            finite = ctx.step(flat, grads, losses=np.ones((1, 1)), k=k)
+            assert finite.tolist() == [[True]]
             rows = [r for r in ctx.trajectories[0] if r.step == k]
             assert len(rows) == len(spec.components())
             assert all(r.mu == rows[0].mu and r.lam == rows[0].lam for r in rows)

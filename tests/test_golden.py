@@ -142,11 +142,11 @@ def run_digest(variant: str, renormalize: bool, dist=DIST) -> str:
     under a perturbed fresh controller with all six base optimizers."""
     layout = layout_for(variant, dist)
     psi = perturbed_psi(layout)
-    factory = controller_stepper_factory(psi, layout, renormalize=renormalize)
+    factory = controller_stepper_factory(psi, layout, renormalize=renormalize, record=True)
     items = []
     for seed in TASK_SEEDS:
         task = make_task(dist, seed, split="metatest", k_override=K)
-        items.extend(result_items(inner_loop_eval(factory, task, record_trajectory=True)))
+        items.extend(result_items(inner_loop_eval(factory, task)))
     return sha(items)
 
 
@@ -158,7 +158,7 @@ def diverging_block():
     noise = np.random.default_rng(3).standard_normal((len(BLOCK_SCALES), len(psi)))
     cands = psi + np.asarray(BLOCK_SCALES)[:, None] * noise
     task = make_task(DIST, seed=11, split="metatrain", k_override=20)
-    return inner_loop_batch(controller_stepper_factory(cands, layout), task, True)
+    return inner_loop_batch(controller_stepper_factory(cands, layout, record=True), task)
 
 
 def overflowing_block() -> list:
@@ -168,9 +168,9 @@ def overflowing_block() -> list:
     psi = init_meta_params(layout, seed=1).flat
     noise = np.random.default_rng(5).standard_normal((len(OVERFLOW_SCALES), len(psi)))
     factory = controller_stepper_factory(psi + np.asarray(OVERFLOW_SCALES)[:, None] * noise,
-                                         layout, renormalize=True)
+                                         layout, renormalize=True, record=True)
     return [res for seed in generation_task_seeds(OVERFLOW_NES, 3)
-            for res in inner_loop_batch(factory, make_task(OVERFLOW_DIST, seed), True)]
+            for res in inner_loop_batch(factory, make_task(OVERFLOW_DIST, seed))]
 
 
 def diverging_sgd_run():

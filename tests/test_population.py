@@ -68,12 +68,12 @@ def test_candidates_diverge_at_different_steps_without_disturbing_others():
     layout = layout_for(Variant.NO_EMBEDDING)
     cands = population(layout, scales=(0.0, 0.5, 0.5, 0.5, 1.0, 2.0), seed=3)
     task = make_task(DIST, seed=11, split="metatrain", k_override=20)
-    block = inner_loop_batch(controller_stepper_factory(cands, layout), task, True)
+    block = inner_loop_batch(controller_stepper_factory(cands, layout, record=True), task)
     steps = {len(r.train_losses) for r in block if r.diverged}
     assert len(steps) >= 2, steps
     assert any(not r.diverged for r in block)
     for cand, res in zip(cands, block):
-        single = controller_handle(cand, layout).run(task, record_trajectory=True)
+        single = controller_handle(cand, layout, record=True).run(task)
         assert outcome(res) == outcome(single)
         assert res.trajectory == single.trajectory
         if res.diverged:
@@ -119,11 +119,11 @@ def test_beta_rounding_to_one_or_zero_kills_only_its_row(raw_beta):
     cands = population(layout, scales=(0.0, 0.05, 0.1), seed=6)
     cands[1, -1] = raw_beta
     task = make_task(DIST, seed=13, split="metatrain")
-    block = inner_loop_batch(controller_stepper_factory(cands, layout), task, True)
+    block = inner_loop_batch(controller_stepper_factory(cands, layout, record=True), task)
     assert block[1].diverged and block[1].trajectory == []
     assert (block[1].meta_loss, block[1].eval_accuracy) == (DIVERGENCE_PENALTY, 0.0)
     for i in (0, 2):
-        single = controller_handle(cands[i], layout).run(task, record_trajectory=True)
+        single = controller_handle(cands[i], layout, record=True).run(task)
         assert outcome(block[i]) == outcome(single)
         assert block[i].trajectory == single.trajectory
 
@@ -211,15 +211,15 @@ def test_grid_rows_equal_single_runs(variant, renormalize):
     layout = layout_for(variant)
     cands = population(layout)
     cands[1, -1] = 40.0
-    factory = controller_stepper_factory(cands, layout, renormalize)
-    results = inner_loop_batch(factory, grid_block(), record_trajectory=True)
+    factory = controller_stepper_factory(cands, layout, renormalize, record=True)
+    results = inner_loop_batch(factory, grid_block())
     assert len(results) == len(GRID_TASKS) * len(cands)
     for t, (seed, K) in enumerate(GRID_TASKS):
         task = single_task(seed, K)
         for c, cand in enumerate(cands):
             res = results[t * len(cands) + c]
-            single = controller_handle(cand, layout, renormalize=renormalize).run(
-                task, record_trajectory=True)
+            single = controller_handle(cand, layout, renormalize=renormalize,
+                                       record=True).run(task)
             assert outcome(res) == outcome(single)
             assert res.diverged is single.diverged
             assert res.trajectory == single.trajectory
@@ -302,7 +302,7 @@ class RecordingStepper:
     def step(self, params, grads, losses, k):
         assert grads.shape == params.shape and losses.shape == params.shape[:-1]
         self.shapes.append(params.shape)
-        return params, np.ones(losses.shape, dtype=bool)
+        return np.ones(losses.shape, dtype=bool)
 
 
 def test_steppers_step_the_task_row_grid():
@@ -312,16 +312,16 @@ def test_steppers_step_the_task_row_grid():
     n = DIST.task_network().offsets()[-1]
     block = make_task_block(DIST, [41, 42, 43, 44], (5, 3, 3, 0))
     recorder = RecordingStepper(3)
-    assert len(inner_loop_batch(lambda task, record=False: recorder, block)) == 4 * 3
+    assert len(inner_loop_batch(lambda task: recorder, block)) == 4 * 3
     assert recorder.shapes == [(3, 3, n)] * 3 + [(1, 3, n)] * 2
 
     levels = bench._level_task(make_task_block(DIST, [45, 46], 5), [5, 2, 0])
     recorder = RecordingStepper(2)
-    inner_loop_batch(lambda task, record=False: recorder, levels)
+    inner_loop_batch(lambda task: recorder, levels)
     assert recorder.shapes == [(2, 2, 2, n)] * 2 + [(1, 2, 2, n)] * 3
     # the stack of an evaluation suite gives each handle its own [J_k, T, 1, n]
     recorders = [RecordingStepper(1), RecordingStepper(1)]
-    handles = [bench.OptimizerHandle(f"h{h}", lambda task, record=False, r=r: r)
+    handles = [bench.OptimizerHandle(f"h{h}", lambda task, r=r: r)
                for h, r in enumerate(recorders)]
     bench.evaluate_suite(handles, DIST, n_tasks=2, k_list=[5, 2, 0], eval_seed=0)
     assert [r.shapes for r in recorders] == [[(2, 2, 1, n)] * 2 + [(1, 2, 1, n)] * 3] * 2
