@@ -1,6 +1,10 @@
 """Optimizer handles, paired evaluation suites, speedup and state-size
 reports, and the ablation battery.
 
+An evaluation suite runs a list of handles as the candidates of one
+StackedStepper; the ablation battery returns one (cell, evaluation cell,
+trajectory) run per cell.
+
 The baseline optimizers live in meta, written apart from the direction
 providers, so equivalence tests between the controller path and a plain
 optimizer run compare two separately written implementations.
@@ -8,6 +12,7 @@ optimizer run compare two separately written implementations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,13 +99,18 @@ def evaluation_task_seeds(eval_seed: int, n_tasks: int) -> list[int]:
 
 
 class StackedStepper:
-    """One stepper per optimizer, each with one candidate: stepper h steps
+    """Every handle run on each row of ``task``, as the candidates of one
+    inner loop: handle h's stepper, which must step one candidate, steps
     the view [..., h:h+1, :] of the grid [*rows, H, n] in place, so it
     keeps its own prefix state and computes the bits of its own run."""
 
-    def __init__(self, steppers):
-        self.steppers = steppers
-        self.n_candidates = len(steppers)
+    def __init__(self, handles, task: Task):
+        self.steppers = [handle.factory(task) for handle in handles]
+        for handle, stepper in zip(handles, self.steppers):
+            if stepper.n_candidates != 1:
+                raise ValueError(f"optimizer {handle.label!r} steps {stepper.n_candidates} "
+                                 f"candidates; an evaluation suite needs one")
+        self.n_candidates = len(handles)
 
     def step(self, params: np.ndarray, grads: np.ndarray, losses: np.ndarray,
              k: int) -> np.ndarray:
@@ -110,20 +120,6 @@ class StackedStepper:
             finite[..., own] = stepper.step(params[..., own, :], grads[..., own, :],
                                             losses[..., own], k)
         return finite
-
-
-def _stacked_factory(handles):
-    """Stepper factory running every handle on each task row, as the
-    candidates of one inner loop; a handle must step one candidate."""
-    def make(task: Task):
-        steppers = [handle.factory(task) for handle in handles]
-        for handle, stepper in zip(handles, steppers):
-            if stepper.n_candidates != 1:
-                raise ValueError(f"optimizer {handle.label!r} steps {stepper.n_candidates} "
-                                 f"candidates; an evaluation suite needs one")
-        return StackedStepper(steppers)
-
-    return make
 
 
 def _level_task(block: Task, levels: list[int]) -> Task:
@@ -145,31 +141,30 @@ def _level_task(block: Task, levels: list[int]) -> Task:
                 seed=block.seed * n_levels, class_ids=block.class_ids * n_levels)
 
 
-def evaluate_suite(handles, dist: TaskDistributionSpec, n_tasks: int,
+def evaluate_suite(handles: list[OptimizerHandle], dist: TaskDistributionSpec, n_tasks: int,
                    k_list, eval_seed: int, split: str = "metatest",
                    init_from: np.ndarray | None = None) -> EvalReport:
-    """Paired evaluation: the same task seeds are used for every optimizer
-    and every K, so per-task differences are well-defined. The n_tasks
-    tasks are drawn once, as one block at the largest K, and the whole
-    suite is one inner loop over [J, T] task rows (K level, task): the
-    distinct K of k_list, longest first, each level reading the block's
-    draws, with the optimizers as the candidates of one shared
-    forward/backward pass per step. Every row equals its task's own
-    handle.run at that K, bit for bit. Cells come in k_list order, then
-    handle order, duplicates included."""
+    """Paired evaluation of a list of handles: the same task seeds are used
+    for every optimizer and every K, so per-task differences are
+    well-defined. The n_tasks tasks are drawn once, as one block at the
+    largest K, and the whole suite is one inner loop over [J, T] task rows
+    (K level, task): the distinct K of k_list, longest first, each level
+    reading the block's draws, with the optimizers as the candidates of one
+    StackedStepper, one shared forward/backward pass per step. Every row
+    equals its task's own handle.run at that K, bit for bit. Cells come in
+    k_list order, then handle order, duplicates included."""
     if n_tasks < 1:
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if min(k_list, default=0) < 0:
         raise ValueError(f"every K must be >= 0, got {min(k_list)}")
-    if isinstance(handles, OptimizerHandle):
-        handles = [handles]
     report = EvalReport()
     if not handles or not k_list:
         return report
     seeds = evaluation_task_seeds(eval_seed, n_tasks)
     levels = sorted({int(K) for K in k_list}, reverse=True)
     block = make_task_block(dist, seeds, levels[0], split=split, init_from=init_from)
-    results = inner_loop_batch(_stacked_factory(handles), _level_task(block, levels))
+    results = inner_loop_batch(functools.partial(StackedStepper, handles),
+                               _level_task(block, levels))
     grid = (len(levels), n_tasks, len(handles))
     all_accs = np.reshape([r.eval_accuracy for r in results], grid)
     all_losses = np.reshape([r.meta_loss for r in results], grid)
@@ -285,56 +280,36 @@ class AblationConfig:
     workers: int = 1
 
 
-@dataclass
-class AblationRow:
-    label: str
-    base_optimizers: str
-    variant: str
-    gammas: str
-    mean_acc: float
-    std_acc: float
-    mean_loss: float
-    std_loss: float
-
-
-@dataclass
-class AblationResult:
-    rows: list[AblationRow]
-    trajectories: dict[str, list[TrajectoryRow]]
-
-
 def cross_cells(base_sets, variants, gammas=DEFAULT_GAMMAS) -> list[AblationCell]:
     return [AblationCell(base_kinds=tuple(bs), variant=v, gammas=tuple(gammas))
             for bs in base_sets for v in variants]
 
 
-def run_ablation_battery(cfg: AblationConfig) -> AblationResult:
+AblationRun = tuple[AblationCell, EvalCell, list[TrajectoryRow]]
+
+
+def run_ablation_battery(cfg: AblationConfig) -> list[AblationRun]:
     """One meta-train + paired evaluation per cell, plus a probe trajectory
-    of the trained controller on the first evaluation task."""
+    of the trained controller on the first evaluation task: one
+    (cell, evaluation cell, trajectory) per cell, in cell order."""
     checkpoint = meta_mod.pretrain_checkpoint(cfg.dist, cfg.pretrain_steps,
                                               cfg.pretrain_seed)
     n_components = len(cfg.dist.task_network().components())
-    rows: list[AblationRow] = []
-    trajectories: dict[str, list[TrajectoryRow]] = {}
+    runs: list[AblationRun] = []
     for cell in cfg.cells:
         layout = PsiLayout(n_components=n_components, base_kinds=cell.base_kinds,
                            gammas=cell.gammas, variant=cell.variant)
         psi, _ = meta_mod.meta_train(cfg.nes, cfg.dist, layout,
                                      init_from=checkpoint, workers=cfg.workers)
-        report = evaluate_suite(controller_handle(psi, layout, label=cell.label), cfg.dist,
+        report = evaluate_suite([controller_handle(psi, layout, label=cell.label)], cfg.dist,
                                 cfg.eval_n_tasks, [cfg.eval_k], cfg.eval_seed,
                                 init_from=checkpoint)
         c = report.cells[0]
-        bases, variant, gammas = cell.columns()
-        rows.append(AblationRow(
-            label=cell.label, base_optimizers=bases, variant=variant, gammas=gammas,
-            mean_acc=c.mean_acc, std_acc=c.std_acc,
-            mean_loss=c.mean_loss, std_loss=c.std_loss))
         probe = make_task(cfg.dist, c.task_seeds[0], split="metatest",
                           init_from=checkpoint, k_override=cfg.eval_k)
         recorder = controller_handle(psi, layout, label=cell.label, record=True)
-        trajectories[cell.label] = recorder.run(probe).trajectory or []
-    return AblationResult(rows=rows, trajectories=trajectories)
+        runs.append((cell, c, recorder.run(probe).trajectory or []))
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +342,11 @@ def write_trajectory_csv(rows: list[TrajectoryRow], n_providers: int, path) -> N
                + [_fmt(r.lam), _fmt(r.train_loss)] for r in rows))
 
 
-def write_ablation_csv(result: AblationResult, path) -> None:
+def write_ablation_csv(runs: list[AblationRun], path) -> None:
     write_csv(path, ["label", "base_optimizers", "variant", "gammas", "mean_acc", "std_acc",
                      "mean_loss", "std_loss"],
-              ([r.label, r.base_optimizers, r.variant, r.gammas, _fmt(r.mean_acc),
-                _fmt(r.std_acc), _fmt(r.mean_loss), _fmt(r.std_loss)] for r in result.rows))
+              ([cell.label, *cell.columns(), _fmt(c.mean_acc), _fmt(c.std_acc),
+                _fmt(c.mean_loss), _fmt(c.std_loss)] for cell, c, _ in runs))
 
 
 def write_history_csv(history, path) -> None:

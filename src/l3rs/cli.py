@@ -224,10 +224,8 @@ def load_config(path: str | None, sets: list[str], out_dir: str | None = None,
     gammas, gamma_sets = cfg["layout"]["gammas"], ab["gamma_sets"]
     if not all(0 <= g < 1 for g in gammas):
         raise ConfigError(f"every layout.gammas entry must lie in [0, 1), got {gammas!r}")
-    # 1 passes here, as the pinned overridden config of the golden tests holds
-    # it, though ablate cannot run it
-    if not all(0 <= g <= 1 for one_set in gamma_sets or () for g in one_set):
-        raise ConfigError(f"every ablate.gamma_sets gamma must lie in [0, 1], got {gamma_sets!r}")
+    if not all(0 <= g < 1 for one_set in gamma_sets or () for g in one_set):
+        raise ConfigError(f"every ablate.gamma_sets gamma must lie in [0, 1), got {gamma_sets!r}")
     try:
         dist = TaskDistributionSpec(**dist)
         run = RunConfig(raw=cfg, seed=cfg["seed"], out_dir=Path(cfg["out_dir"]),
@@ -358,7 +356,8 @@ def _slug(label: str) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    run = load_config(args.config, args.set, args.out_dir, args.workers)
+    sets = args.set + ([f"evaluate.regime={args.regime}"] if args.regime else [])
+    run = load_config(args.config, sets, args.out_dir, args.workers)
     reference = _read_reference(args.paired) if args.paired else None
     if args.psi:
         psi = _configured_psi(run, args.psi)
@@ -375,18 +374,17 @@ def cmd_evaluate(args) -> int:
     if args.label:
         handle = dataclasses.replace(handle, label=args.label)
     ev = run.raw["evaluate"]
-    regime = args.regime or ev["regime"]
-    dist, split, init_from = _regime_setting(run, regime, args.checkpoint)
+    dist, split, init_from = _regime_setting(run, ev["regime"], args.checkpoint)
     _write_config_snapshot(run)
 
-    report = bench.evaluate_suite(handle, dist, ev["n_tasks"], ev["k_list"],
+    report = bench.evaluate_suite([handle], dist, ev["n_tasks"], ev["k_list"],
                                   eval_seed=run.seed, split=split,
                                   init_from=init_from)
     slug = _slug(handle.label)
     bench.write_eval_csv(report, run.out_dir / f"eval_{slug}.csv")
     bench.write_eval_tasks_csv(report, run.out_dir / f"eval_{slug}_tasks.csv")
     summary = {
-        "regime": regime,
+        "regime": ev["regime"],
         "optimizer": handle.label,
         "cells": [{"K": c.K, "mean_acc": c.mean_acc, "std_acc": c.std_acc,
                    "mean_loss": c.mean_loss, "std_loss": c.std_loss}
@@ -474,14 +472,12 @@ def cmd_ablate(args) -> int:
         pretrain_steps=run.pretrain_steps, pretrain_seed=run.seed,
         eval_n_tasks=ab["eval_n_tasks"], eval_k=ab["eval_k"],
         eval_seed=run.seed, workers=run.workers)
-    result = bench.run_ablation_battery(cfg)
-    bench.write_ablation_csv(result, run.out_dir / "ablation.csv")
-    for label, rows in result.trajectories.items():
-        n_providers = len(rows[0].mu) if rows else 0
-        bench.write_trajectory_csv(rows, n_providers,
-                                   run.out_dir / f"ablation_traj_{_slug(label)}.csv")
-    for r in result.rows:
-        print(f"{r.label}: acc={r.mean_acc:.4f}+-{r.std_acc:.4f}")
+    runs = bench.run_ablation_battery(cfg)
+    bench.write_ablation_csv(runs, run.out_dir / "ablation.csv")
+    for cell, c, rows in runs:
+        bench.write_trajectory_csv(rows, len(rows[0].mu) if rows else 0,
+                                   run.out_dir / f"ablation_traj_{_slug(cell.label)}.csv")
+        print(f"{cell.label}: acc={c.mean_acc:.4f}+-{c.std_acc:.4f}")
     print(f"wrote {run.out_dir / 'ablation.csv'}")
     return 0
 

@@ -89,17 +89,17 @@ class EmaTracker:
 
     Per component: log||w||_2 and log||g||_2 for every smoothing factor in
     gammas; the loss EMAs are global. Every statistic leads with the row
-    axes ``rows``, a row count or a shape such as (task rows..., candidates).
+    axes of the shape ``rows``, such as (task rows..., candidates).
     Statistics must be the pre-update values for the step being recorded,
-    and update() runs exactly once per inner step.
+    and update() runs exactly once per inner step. The tracker counts no
+    steps: read(k) takes the inner loop's step index k, the number of
+    updates so far.
     """
 
-    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS, rows=1):
+    def __init__(self, n_components: int, gammas=DEFAULT_GAMMAS, rows=(1,)):
         self.gammas = np.asarray(tuple(gammas), dtype=float)
         if len(self.gammas) > 0 and (self.gammas.min() < 0 or self.gammas.max() >= 1):
             raise ValueError("gammas must lie in [0, 1)")
-        self.k = 0
-        rows = np.broadcast_shapes(rows)  # a count n is the shape (n,)
         self._comp = np.zeros((*rows, n_components, 2, len(self.gammas)))
         self._loss = np.zeros((*rows, len(self.gammas)))
 
@@ -107,17 +107,16 @@ class EmaTracker:
         """loss is [*rows]; comp_stats is [*rows, L, 2]: (log||w||, log||g||)
         per component. Only the first len(comp_stats) entries of the first
         axis are kept: the rows past them finished their run."""
-        self.k += 1
         g, rows = self.gammas, len(comp_stats)
         self._comp = g * self._comp[:rows] + (1.0 - g) * comp_stats[..., None]
         self._loss = g * self._loss[:rows] + (1.0 - g) * np.asarray(loss)[..., None]
 
-    def read(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corrected EMAs: ([*rows, L, 2, n_gammas], [*rows, n_gammas]).
-        Errors before any update."""
-        if self.k == 0:
-            raise ValueError("no samples recorded yet")
-        corr = 1.0 - self.gammas ** self.k  # gamma == 0 gives divisor 1 for k >= 1
+    def read(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Corrected EMAs after k updates: ([*rows, L, 2, n_gammas],
+        [*rows, n_gammas]). Errors for k < 1, before any update."""
+        if k < 1:
+            raise ValueError(f"no samples recorded at step {k}")
+        corr = 1.0 - self.gammas ** k  # gamma == 0 gives divisor 1 for k >= 1
         return self._comp / corr, self._loss / corr
 
 
@@ -174,12 +173,8 @@ class PsiLayout:
 
     @staticmethod
     def from_dict(d: dict) -> "PsiLayout":
-        return PsiLayout(
-            n_components=int(d["n_components"]),
-            base_kinds=tuple(OptimizerKind(k) for k in d["base_optimizers"]),
-            gammas=tuple(float(g) for g in d["gammas"]),
-            variant=Variant(d["variant"]),
-        )
+        return PsiLayout(n_components=int(d["n_components"]), base_kinds=d["base_optimizers"],
+                         gammas=d["gammas"], variant=d["variant"])
 
 
 @dataclass
@@ -354,16 +349,18 @@ class ControllerContext:
     every per-candidate value (the MLPs, betas and their validity)
     broadcasts over the task axes. Each step takes the task rows still
     training, a prefix of the first axis that only shrinks, and reads only
-    that prefix of every per-row array (bank state, EMAs, horizons); the
-    step count is shared, as every row starts at step 1.
+    that prefix of every per-row array (bank state, EMAs, horizons). Every
+    row starts at step 1, so the bank and the EMA tracker read the loop's
+    step index k and keep no count of their own.
 
-    ``policy`` replaces the MLP head when set: it receives the component
-    index and that component's direction log-norms and returns (mu, lambda).
-    Used by equivalence tests to force known optimizers through the update
-    path. With ``record``, every step appends per-component TrajectoryRows
-    to ``trajectories[row]``, rows of the grid [*rows, C] in row-major
-    order, for the rows it reports finite (dead rows come in as NaN and
-    never are).
+    ``policy`` replaces the MLP head when set: it receives the direction
+    log-norms [*rows, C, L, P] of the whole live grid and returns
+    (mu [*rows, C, L, P], lambda [*rows, C, L]), or values that broadcast
+    to those shapes. Used by equivalence tests to force known optimizers
+    through the update path. With ``record``, every step appends
+    per-component TrajectoryRows to ``trajectories[row]``, rows of the grid
+    [*rows, C] in row-major order, for the rows it reports finite (dead
+    rows come in as NaN and never are).
 
     A candidate whose betas round to 0 or 1 has no valid hyperparameters:
     its bank rows run on the defaults and it is never reported finite, so
@@ -421,14 +418,11 @@ class ControllerContext:
         n_comp = self.n_model_components
         log_norms = np.log(np.maximum(norms, optdir.NORM_FLOOR))
         if self.policy is not None:
-            mu = np.zeros(norms.shape)
-            lam = np.zeros(norms.shape[:-1])
-            for row in np.ndindex(norms.shape[:-2]):
-                for i in range(n_comp):
-                    mu[row][i], lam[row][i] = self.policy(i, log_norms[row][i])
-            return mu, lam, np.ones(norms.shape[:-2], dtype=bool)
+            mu, lam = self.policy(log_norms)
+            return (np.broadcast_to(mu, norms.shape), np.broadcast_to(lam, norms.shape[:-1]),
+                    np.ones(norms.shape[:-2], dtype=bool))
 
-        ema_comp, ema_loss = self.tracker.read()
+        ema_comp, ema_loss = self.tracker.read(k)
         # one set of time features per task row, broadcast over the candidates
         tf = time_features(k, self.K[:len(norms)])[..., None, :]
         if layout.variant == Variant.GLOBAL:
@@ -456,12 +450,12 @@ class ControllerContext:
         and the composed update.
         """
         offsets = self.bank.offsets
-        with np.errstate(over="ignore"):  # a norm that overflows kills its row below
+        # a norm that overflows kills its row below; a row that is not finite
+        # may carry inf into its EMAs and its update, and the NaN that inf
+        # makes there stays in that dead row
+        with np.errstate(over="ignore", invalid="ignore"):
             wg_norms = segment_norms(np.stack([params, grads], axis=-2), offsets)
-        dirs, norms, finite = self.bank.step(grads, params, wg_norms[..., 0])
-        # a row that is not finite may carry inf into its EMAs and its
-        # update; the NaN that inf makes there stays in that dead row
-        with np.errstate(invalid="ignore"):
+            dirs, norms, finite = self.bank.step(grads, params, wg_norms[..., 0], k)
             self.tracker.update(losses, self._stats(wg_norms))
             mu, lam, ok = self.decide(norms, k)
             params += compose_update(lam, mu, dirs, norms, offsets, self.renormalize)

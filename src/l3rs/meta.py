@@ -171,10 +171,6 @@ class Task:
         return len(self.train_batches)
 
     @property
-    def n_rows(self) -> int:
-        return math.prod(self.theta0.shape[:-1])
-
-    @property
     def horizons(self) -> np.ndarray:
         """Per-row horizons, in the task rows' shape theta0.shape[:-1]: the
         number of train batches that hold the row."""

@@ -13,7 +13,9 @@ all directions as one [*rows, C, P, n] array together with their
 [*rows, C, L, P] segment norms from segment_norms(). A row whose directions
 stop being finite is reported in a per-row mask. The task rows stepped are
 the ones still training, a prefix of the first axis that only shrinks, and
-only that prefix of each provider's state advances.
+only that prefix of each provider's state advances. The bank counts no
+steps: each step takes the inner loop's step index k, which the bias
+corrections of Adam, Adamax and LAMB read.
 """
 
 from __future__ import annotations
@@ -156,20 +158,14 @@ class DirectionBank:
         # per provider: (beta1, beta2), each a [C, 1] column that broadcasts
         # over the task rows
         self._betas = [(betas[:, p, 0:1], betas[:, p, 1:2]) for p in range(len(kinds))]
-        self.step_count = 0
         self.offsets = np.asarray(offsets)
         self.sizes = np.diff(self.offsets)
         shape = (*rows, len(betas), int(self.offsets[-1]))
         self._state = [{name: np.zeros(shape) for name in _SLOTS.get(kind, ())}
                        for kind in kinds]
 
-    @property
-    def n_providers(self) -> int:
-        return len(self.kinds)
-
     def _direction(self, kind: OptimizerKind, betas, state: dict, grad: np.ndarray,
-                   weights: np.ndarray, w_norms: np.ndarray, out: np.ndarray) -> None:
-        k = self.step_count
+                   weights: np.ndarray, w_norms: np.ndarray, k: int, out: np.ndarray) -> None:
         beta1, beta2 = betas
         if kind == OptimizerKind.SGD:
             dir_sgd(grad, out=out)
@@ -196,13 +192,13 @@ class DirectionBank:
         else:
             raise ValueError(f"unknown optimizer kind {kind}")
 
-    def step(self, grad: np.ndarray, weights: np.ndarray,
-             w_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, grad: np.ndarray, weights: np.ndarray, w_norms: np.ndarray,
+             k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every provider once on the flat pre-update gradients and
-        weights [*rows, C, n] of the current step, whose segment norms
-        w_norms [*rows, C, L] LAMB reads. The task rows are the ones still
-        training, a prefix of the first axis of the states, and only that
-        prefix of each state advances.
+        weights [*rows, C, n] of step k (1 on the first call, then one more
+        per call), whose segment norms w_norms [*rows, C, L] LAMB reads.
+        The task rows are the ones still training, a prefix of the first
+        axis of the states, and only that prefix of each state advances.
 
         Returns (directions [*rows, C, P, n], norms [*rows, C, L, P], finite
         [*rows, C]), where ``finite`` is False for a row with any segment
@@ -211,12 +207,11 @@ class DirectionBank:
         its direction straight into its slot, and no direction aliases
         provider state.
         """
-        self.step_count += 1
         rows = len(grad)
-        dirs = np.empty((*grad.shape[:-1], self.n_providers, grad.shape[-1]))
+        dirs = np.empty((*grad.shape[:-1], len(self.kinds), grad.shape[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
             for p, (kind, betas, state) in enumerate(zip(self.kinds, self._betas, self._state)):
                 live = {name: s[:rows] for name, s in state.items()}
-                self._direction(kind, betas, live, grad, weights, w_norms, dirs[..., p, :])
+                self._direction(kind, betas, live, grad, weights, w_norms, k, dirs[..., p, :])
             norms = segment_norms(dirs, self.offsets)
         return dirs, norms, np.isfinite(norms).all(axis=(-2, -1))

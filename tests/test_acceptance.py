@@ -6,7 +6,6 @@ fixture; everything is seeded, so reruns reproduce these numbers exactly.
 """
 
 import json
-import math
 import time
 
 import numpy as np
@@ -180,11 +179,11 @@ def test_criterion_3_optimizer_equivalence():
     layout = PsiLayout(n_components=4, base_kinds=SGD_ADAM)
     eta = 1e-2
 
-    def sgd_stub(i, log_norms):
-        return np.array([1.0, 0.0]), eta * math.exp(log_norms[0])
+    def sgd_stub(log_norms):
+        return np.array([1.0, 0.0]), eta * np.exp(log_norms[..., 0])
 
-    def adam_stub(i, log_norms):
-        return np.array([0.0, 1.0]), eta * math.exp(log_norms[1])
+    def adam_stub(log_norms):
+        return np.array([0.0, 1.0]), eta * np.exp(log_norms[..., 1])
 
     worst = 0.0
     for stub, kind in ((sgd_stub, BaselineKind.SGD_CONST),
@@ -240,14 +239,14 @@ def test_criterion_5_ema_and_time_features():
             xi = float(rng.normal(scale=5))
             tr = EmaTracker(1, gammas=(gamma,))
             tr.update(np.array([xi]), np.array([[[xi, xi]]]))
-            comp, loss = tr.read()
+            comp, loss = tr.read(1)
             for got in (comp[0, 0, 0, 0], comp[0, 0, 1, 0], loss[0, 0]):
                 assert abs(got - xi) <= 4e-16 * abs(xi)
     # a constant stream stays at the constant after correction
     tr = EmaTracker(2, gammas=(0.0, 0.9, 0.99))
-    for _ in range(200):
+    for k in range(1, 201):
         tr.update(np.array([3.25]), np.array([[[1.5, -0.5], [0.25, 2.0]]]))
-        comp, loss = tr.read()
+        comp, loss = tr.read(k)
         assert np.abs(comp[0, 0, 0, :] - 1.5).max() <= 1e-12
         assert np.abs(loss - 3.25).max() <= 1e-12
     # 15 features strictly inside (-1, 1) with the stated monotonicities
@@ -390,18 +389,16 @@ def test_criterion_10_ablation_battery(tmp_path):
         dist=dist,
         nes=NesConfig(population=8, meta_batch=2, generations=25, seed=0),
         cells=cells, pretrain_steps=100, eval_n_tasks=8, eval_k=10, eval_seed=0)
-    result = run_ablation_battery(cfg)
-    assert len(result.rows) == 4
-    assert [r.label for r in result.rows] == [c.label for c in cells]
+    runs = run_ablation_battery(cfg)
+    assert [cell for cell, _, _ in runs] == cells
     path = tmp_path / "ablation.csv"
-    write_ablation_csv(result, path)
+    write_ablation_csv(runs, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("label,base_optimizers,variant,gammas")
     assert len(lines) == 5
-    for cell in cells:
+    for cell, _, rows in runs:
         if cell.variant != Variant.GLOBAL:
             continue
-        rows = result.trajectories[cell.label]
         assert rows
         by_step = {}
         for r in rows:

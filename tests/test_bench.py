@@ -103,8 +103,8 @@ class TestRunBaseline:
         layout = layout_for(DIST)
         psi = flatten(init_meta_params(layout, seed=0))
 
-        def adam_stub(i, log_norms):
-            return np.array([0.0, 1.0]), eta * math.exp(log_norms[1])
+        def adam_stub(log_norms):
+            return np.array([0.0, 1.0]), eta * np.exp(log_norms[..., 1])
 
         stub = inner_loop_eval(
             controller_stepper_factory(psi, layout, policy=adam_stub), task)
@@ -121,7 +121,7 @@ class _NullStepper:
 class TestEvaluateSuite:
     def test_single_task_std_zero(self):
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
-        report = evaluate_suite(handle, DIST, n_tasks=1, k_list=[3], eval_seed=0)
+        report = evaluate_suite([handle], DIST, n_tasks=1, k_list=[3], eval_seed=0)
         cell = report.cells[0]
         assert cell.std_acc == 0.0 and cell.std_loss == 0.0
         assert cell.n_tasks == 1
@@ -180,7 +180,7 @@ class TestEvaluateSuite:
         for handle in [*handles, wild]:
             own = [c for c in mixed.cells if c.optimizer == handle.label]
             assert [dataclasses.astuple(c) for c in own] == [
-                dataclasses.astuple(c) for c in suite(handle).cells]
+                dataclasses.astuple(c) for c in suite([handle]).cells]
         assert meta.DIVERGENCE_PENALTY in mixed.cell(wild.label, 30).task_loss
         assert meta.DIVERGENCE_PENALTY not in mixed.cell("ctrl", 30).task_loss
 
@@ -193,7 +193,7 @@ class TestEvaluateSuite:
         psi = np.stack([flatten(init_meta_params(layout, seed=s)) for s in (0, 1)])
         handle = controller_handle(psi, layout, label="two-psi")
         with pytest.raises(ValueError, match="'two-psi'"):
-            evaluate_suite(handle, DIST, n_tasks=3, k_list=[2], eval_seed=0)
+            evaluate_suite([handle], DIST, n_tasks=3, k_list=[2], eval_seed=0)
 
     def test_levels_share_the_block_draws(self, monkeypatch):
         # every K level reads the one block drawn at the largest K
@@ -204,9 +204,9 @@ class TestEvaluateSuite:
         monkeypatch.setattr(bench, "inner_loop_batch",
                             lambda f, task: tasks.append(task) or run(f, task))
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-1))
-        evaluate_suite(handle, DIST, n_tasks=3, k_list=[2, 5, 3], eval_seed=2)
+        evaluate_suite([handle], DIST, n_tasks=3, k_list=[2, 5, 3], eval_seed=2)
         (block,), (task,) = blocks, tasks
-        assert task.n_rows == 9 and task.horizons.ravel().tolist() == [5] * 3 + [3] * 3 + [2] * 3
+        assert task.horizons.shape == (3, 3) and task.horizons.ravel().tolist() == [5] * 3 + [3] * 3 + [2] * 3
         assert np.shares_memory(task.theta0, block.theta0)
         for mine, drawn in zip([*task.train_batches, task.eval_batch],
                                [*block.train_batches, block.eval_batch]):
@@ -227,7 +227,7 @@ class TestEvaluateSuite:
     def test_needs_a_task(self, n_tasks):
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
         with pytest.raises(ValueError, match="n_tasks"):
-            evaluate_suite(handle, DIST, n_tasks=n_tasks, k_list=[2], eval_seed=0)
+            evaluate_suite([handle], DIST, n_tasks=n_tasks, k_list=[2], eval_seed=0)
 
     def test_tasks_are_drawn_once_per_suite(self, monkeypatch):
         calls = []
@@ -265,18 +265,18 @@ class TestEvaluateSuite:
 
     def test_empty_k_list_gives_an_empty_report(self):
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
-        assert evaluate_suite(handle, DIST, n_tasks=2, k_list=[], eval_seed=0).cells == []
+        assert evaluate_suite([handle], DIST, n_tasks=2, k_list=[], eval_seed=0).cells == []
 
     def test_negative_k_rejected(self):
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
         with pytest.raises(ValueError, match=">= 0"):
-            evaluate_suite(handle, DIST, n_tasks=2, k_list=[3, -1], eval_seed=0)
+            evaluate_suite([handle], DIST, n_tasks=2, k_list=[3, -1], eval_seed=0)
 
     def test_spread_that_overflows_stays_finite(self):
         # SGD at lr 1e4 blows one task's loss up to about 5e235 without a
         # non-finite value, and np.std of the losses overflows in its square
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e4))
-        report = evaluate_suite(handle, TaskDistributionSpec(hidden=(32, 32)), n_tasks=4,
+        report = evaluate_suite([handle], TaskDistributionSpec(hidden=(32, 32)), n_tasks=4,
                                 k_list=[7], eval_seed=3)
         losses = np.array(report.cells[0].task_loss)
         assert np.isfinite(losses).all() and losses.max() > 1e200
@@ -292,7 +292,7 @@ class TestEvaluateSuite:
 
     def test_csv_written(self, tmp_path):
         handle = baseline_handle(BaselineSpec(BaselineKind.SGD_CONST, lr0=1e-2))
-        report = evaluate_suite(handle, DIST, n_tasks=2, k_list=[2], eval_seed=1)
+        report = evaluate_suite([handle], DIST, n_tasks=2, k_list=[2], eval_seed=1)
         path = tmp_path / "eval.csv"
         write_eval_csv(report, path)
         lines = path.read_text().strip().splitlines()
@@ -369,20 +369,18 @@ class TestAblation:
         cells = cross_cells([[OptimizerKind.SGD], SGD_ADAM],
                             [Variant.FULL, Variant.GLOBAL])
         cfg = tiny_ablation_config(cells)
-        result = run_ablation_battery(cfg)
-        assert len(result.rows) == 4
-        assert [r.label for r in result.rows] == [c.label for c in cells]
-        write_ablation_csv(result, tmp_path / "ablation.csv")
+        runs = run_ablation_battery(cfg)
+        assert [cell for cell, _, _ in runs] == cells
+        write_ablation_csv(runs, tmp_path / "ablation.csv")
         lines = (tmp_path / "ablation.csv").read_text().strip().splitlines()
         assert len(lines) == 5
-        for row, line in zip(result.rows, lines[1:]):
-            assert line.startswith(f"{row.label},")
+        for cell, line in zip(cells, lines[1:]):
+            assert line.startswith(f"{cell.label},")
 
     def test_global_rows_have_component_identical_mu_lambda(self):
         cells = cross_cells([SGD_ADAM], [Variant.GLOBAL])
         cfg = tiny_ablation_config(cells)
-        result = run_ablation_battery(cfg)
-        rows = result.trajectories[cells[0].label]
+        ((_, _, rows),) = run_ablation_battery(cfg)
         assert rows
         by_step = {}
         for r in rows:
@@ -407,7 +405,7 @@ class TestAblation:
                                      generations=80, seed=0),
             cells=cells, pretrain_steps=300, eval_n_tasks=20, eval_k=10,
             eval_seed=0)
-        rows = {r.variant: r for r in run_ablation_battery(cfg).rows}
+        rows = {cell.variant.value: c for cell, c, _ in run_ablation_battery(cfg)}
         emb = rows["full"]
         per_layer = rows["per_layer_mlp"]
         glob = rows["global"]

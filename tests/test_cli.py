@@ -136,7 +136,8 @@ class TestConfig:
         "seed=0.5", "seed=-1", "workers=0", "pretrain.steps=1.5", 'layout.renormalize="yes"',
         "ablate.gamma_sets=[0.5]", "nes.sigma0=NaN", "distribution.blob_std=Infinity",
         'ablate.base_sets=[["bogus"]]', 'ablate.variants=["bogus"]', "layout.gammas=[1.5]",
-        "ablate.gamma_sets=[[0.5,2.0]]", "distribution.train_batch_size=0",
+        "ablate.gamma_sets=[[0.5,2.0]]", "ablate.gamma_sets=[[1]]",
+        "distribution.train_batch_size=0",
         "distribution.eval_batch_size=0", "nes.decay_factor=-0.5"])
     def test_values_of_a_wrong_type_or_below_the_minimum(self, tmp_path, capsys, assignment):
         # pretrain took each of these (seed 0.5 trained as seed 0, 1.5 steps
@@ -437,6 +438,23 @@ class TestEvaluate:
                        "--baseline", "adam_const", "--regime", "random_init",
                        "--label", "adam") == 0
         assert (out / "eval_adam_summary.json").exists()
+
+    def test_regime_flag_is_the_recorded_config(self, tmp_path):
+        # config.json once recorded the config's regime, though --regime ran
+        # another; the flag now runs as the key it sets
+        cfg = write_config(tmp_path)
+        flag, key = tmp_path / "flag", tmp_path / "key"
+        for out, how in ((flag, ["--regime", "random_init"]),
+                         (key, ["--set", "evaluate.regime=random_init"])):
+            assert run_cli("evaluate", "--config", cfg, "--out-dir", str(out),
+                           "--baseline", "adam_const", "--label", "adam", *how) == 0
+        config = json.loads((flag / "config.json").read_text())
+        summary = json.loads((flag / "eval_adam_summary.json").read_text())
+        assert config["evaluate"]["regime"] == summary["regime"] == "random_init"
+        assert {**config, "out_dir": None} == {
+            **json.loads((key / "config.json").read_text()), "out_dir": None}
+        for name in ("eval_adam.csv", "eval_adam_tasks.csv", "eval_adam_summary.json"):
+            assert (flag / name).read_bytes() == (key / name).read_bytes()
 
 
 def rewrite_json(path, edit):

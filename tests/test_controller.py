@@ -79,9 +79,9 @@ def compose_reference(lam, mu, dirs, offsets, renormalize):
 class TestEmaTracker:
     def test_gamma_zero_tracks_latest(self):
         tr = EmaTracker(1, gammas=(0.0,))
-        for xi in [2.0, -1.0, 5.5]:
+        for k, xi in enumerate([2.0, -1.0, 5.5], 1):
             tr.update(np.array([xi]), np.array([[[xi, xi]]]))
-            comp, loss = tr.read()
+            comp, loss = tr.read(k)
             assert comp[0, 0, 0, 0] == xi
             assert loss[0, 0] == xi
 
@@ -91,7 +91,7 @@ class TestEmaTracker:
         tr.update(np.array([1.0]), np.array([[[1.0, 1.0]]]))
         tr.update(np.array([3.0]), np.array([[[3.0, 3.0]]]))
         assert tr._loss[0, 0] == pytest.approx(0.39, abs=1e-15)
-        _, loss = tr.read()
+        _, loss = tr.read(2)
         assert loss[0, 0] == pytest.approx(0.39 / 0.19, abs=1e-12)
         assert loss[0, 0] == pytest.approx(2.052632, abs=1e-6)
 
@@ -102,7 +102,7 @@ class TestEmaTracker:
             tr.update(np.array([xi]), np.array([[[xi, xi]]]))
             # raw accumulator follows the geometric series xi * (1 - gamma^k)
             assert tr._loss[0, 0] == pytest.approx(xi * (1 - 0.9 ** k), rel=1e-13)
-            _, loss = tr.read()
+            _, loss = tr.read(k)
             assert abs(loss[0, 0] - xi) < 1e-12
 
     def test_first_read_equals_first_sample(self):
@@ -110,32 +110,32 @@ class TestEmaTracker:
             tr = EmaTracker(2, gammas=(gamma,))
             stats = np.array([[1.5, -2.0], [0.25, 3.0]])
             tr.update(np.array([7.0]), stats[None])
-            comp, loss = tr.read()
+            comp, loss = tr.read(1)
             np.testing.assert_allclose(comp[0, :, :, 0], stats, rtol=0, atol=1e-15)
             assert loss[0, 0] == pytest.approx(7.0, abs=1e-15)
 
     def test_read_before_update_errors(self):
         with pytest.raises(ValueError):
-            EmaTracker(1).read()
+            EmaTracker(1).read(0)
 
     def test_rows_match_single_trackers(self):
         rng = np.random.default_rng(16)
-        batched = EmaTracker(3, rows=4)
+        batched = EmaTracker(3, rows=(4,))
         single = [EmaTracker(3) for _ in range(4)]
         for _ in range(6):
             losses, stats = rng.normal(size=4), rng.normal(size=(4, 3, 2))
             batched.update(losses, stats)
             for tr, loss, st in zip(single, losses, stats):
                 tr.update(np.array([loss]), st[None])
-        comp, loss = batched.read()
+        comp, loss = batched.read(6)
         for row, tr in zip(comp, single):
-            np.testing.assert_array_equal(row, tr.read()[0][0])
-        np.testing.assert_array_equal(loss, [t.read()[1][0] for t in single])
+            np.testing.assert_array_equal(row, tr.read(6)[0][0])
+        np.testing.assert_array_equal(loss, [t.read(6)[1][0] for t in single])
 
     def test_empty_gamma_set(self):
         tr = EmaTracker(3, gammas=())
         tr.update(np.array([1.0]), np.zeros((1, 3, 2)))
-        comp, loss = tr.read()
+        comp, loss = tr.read(1)
         assert comp.shape == (1, 3, 2, 0)
         assert loss.shape == (1, 0)
 
@@ -505,7 +505,7 @@ class TestVariants:
         layout = PsiLayout(n_components=len(spec.components()), base_kinds=(OptimizerKind.SGD,))
         seen = []
 
-        def record_policy(i, log_norms):
+        def record_policy(log_norms):
             seen.append(log_norms.copy())
             return np.ones(1), 0.0
 
@@ -513,11 +513,10 @@ class TestVariants:
         ctx = ControllerContext(psi, spec, K=[1], policy=record_policy)
         zeros = np.zeros((1, 1, params.size))
         ctx.step(params[None, None], zeros, losses=np.zeros((1, 1)), k=1)
-        assert len(seen) == len(spec.components())
-        for log_norms in seen:
-            assert log_norms.shape == (1,)
-            assert log_norms[0] == pytest.approx(math.log(NORM_FLOOR))
-            assert log_norms[0] == pytest.approx(-27.631, abs=1e-3)
+        (log_norms,) = seen
+        assert log_norms.shape == (1, 1, len(spec.components()), 1)
+        assert log_norms == pytest.approx(math.log(NORM_FLOOR))
+        assert log_norms == pytest.approx(-27.631, abs=1e-3)
 
     def test_one_dimensional_psi_rejected(self):
         spec = NetworkSpec(3, (4,), 2)
@@ -542,6 +541,25 @@ class TestVariants:
             rows = [r for r in ctx.trajectories[0] if r.step == k]
             assert len(rows) == len(spec.components())
             assert all(r.mu == rows[0].mu and r.lam == rows[0].lam for r in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_global_whole_model_norm_that_overflows_kills_only_its_row(self):
+        # candidate 1's two weight segments each have the finite norm
+        # 1.2e154, but the sum of their squares, the global variant's
+        # whole-model norm, overflows; once that raised a RuntimeWarning
+        spec = NetworkSpec(3, (4,), 2)
+        layout = PsiLayout(n_components=len(spec.components()), base_kinds=SGD_ADAM,
+                           variant=Variant.GLOBAL)
+        psi = init_meta_params(layout, seed=0).flat
+        ctx = ControllerContext(unflatten(np.stack([psi, psi]), layout), spec, K=[3])
+        params = np.tile(init_params(spec, seed=1), (1, 2, 1))
+        offsets = spec.offsets()
+        params[0, 1, :offsets[2]] = 0.0
+        params[0, 1, offsets[:2]] = 1.2e154
+        weight_norms = segment_norms(params[..., None, :], offsets)[0, 1, :2, 0]
+        assert weight_norms.tolist() == [1.2e154, 1.2e154]
+        grads = np.random.default_rng(2).normal(size=params.shape)
+        assert ctx.step(params, grads, np.ones((1, 2)), 1).tolist() == [[True, False]]
 
     def test_embeddings_differentiate_components(self):
         # identical statistics, different embedding rows: mu/lambda may differ;

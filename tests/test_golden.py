@@ -78,7 +78,7 @@ CLI_FILES = ("checkpoint_pretrain.json", "psi_final.json", "history.csv")
 # and a null key set, all written as config.json
 CONFIG_SETS = {
     "default": [],
-    "overridden": ["nes.sigma0=1", "layout.gammas=[0.5, 0.9]", "ablate.gamma_sets=[[0.5], [1]]",
+    "overridden": ["nes.sigma0=1", "layout.gammas=[0.5, 0.9]", "ablate.gamma_sets=[[0.5], [0.9]]",
                    "evaluate.regime=alt_both", "distribution.hidden=[8, 8]"],
 }
 
@@ -103,8 +103,8 @@ PINNED_EVAL_REPORTS = {
 PINNED_CONFIGS = {
     "default": ("ea84200bac869091",
                 "18cd0f21b1682b7ee39ea031c9bb2201f1bc3d0c242c9b280de775f8bcfe3b72"),
-    "overridden": ("5fb54b751e47dccd",
-                   "862fb083c4a3e8e769c0af000d2d716a1b86378fe944c98689fedfca456aa3c9"),
+    "overridden": ("039ab3db35db9dbe",
+                   "974ffc651fd377ca6f4f71ced7ccfa305758de695420525dca0e7299b15629e7"),
 }
 PINNED_FILES = {
     "checkpoint_pretrain.json": "f8f0c4f066e0094d67b60894fc402ff453628f7958a7d157111d28b7e222fca4",

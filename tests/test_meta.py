@@ -43,7 +43,7 @@ class TestTaskSampling:
     def test_regeneration_is_bit_identical(self):
         t1 = make_task(DIST, seed=77, split="metatest")
         t2 = make_task(DIST, seed=77, split="metatest")
-        assert t1.seed == (77,) and t1.n_rows == 1
+        assert t1.seed == (77,) and t1.horizons.shape == (1,)
         assert t1.K == t2.K and t1.class_ids == t2.class_ids
         assert np.array_equal(t1.theta0, t2.theta0)
         for ba, bb in zip(t1.train_batches, t2.train_batches):
@@ -125,7 +125,7 @@ class TestInnerLoopEval:
         psi = flatten(init_meta_params(layout, seed=0))
         task = make_task(DIST, seed=6)
 
-        def freeze_policy(i, log_norms):
+        def freeze_policy(log_norms):
             return np.array([1.0, 0.0]), 0.0
 
         res = inner_loop_eval(
@@ -149,7 +149,7 @@ class TestInnerLoopEval:
         psi = flatten(init_meta_params(layout, seed=0))
         task = make_task(DIST, seed=3)
 
-        def explode_policy(i, log_norms):
+        def explode_policy(log_norms):
             return np.array([1.0, 0.0]), 1e200
 
         res = inner_loop_eval(

@@ -33,15 +33,15 @@ def make_bank(kinds, offsets, rows=1):
     return DirectionBank(kinds, np.tile(default_betas(kinds), (rows, 1, 1)), offsets)
 
 
-def bank_step(bank, grad, weights):
-    """bank.step with the weights' segment norms, which ControllerContext.step
-    hands it from its own weight/gradient norms."""
-    return bank.step(grad, weights, segment_norms(weights[..., None, :], bank.offsets)[..., 0])
+def bank_step(bank, grad, weights, k):
+    """bank.step at step k with the weights' segment norms, which
+    ControllerContext.step hands it from its own weight/gradient norms."""
+    return bank.step(grad, weights, segment_norms(weights[..., None, :], bank.offsets)[..., 0], k)
 
 
 def lamb_first_step(grad, weights, offsets=None):
     offsets = np.array([0, grad.size]) if offsets is None else offsets
-    dirs, _, _ = bank_step(make_bank([OptimizerKind.LAMB], offsets), grad[None], weights[None])
+    dirs, _, _ = bank_step(make_bank([OptimizerKind.LAMB], offsets), grad[None], weights[None], 1)
     return dirs[0, 0]
 
 
@@ -228,7 +228,7 @@ class TestOutArgument:
             monkeypatch.setattr(optdir, name, spy)
         spec, params = small_params()
         bank_step(make_bank(list(OptimizerKind), spec.offsets()), np.ones((1, params.size)),
-                  params[None])
+                  params[None], 1)
         # LAMB scales the direction of its own dir_adam call
         assert sorted(called) == sorted(DIRECTION_FUNCTIONS + ("dir_adam",))
 
@@ -242,9 +242,9 @@ class TestOutArgument:
         weights = rng.normal(size=(3, 2, 3, params.size))
         bank = DirectionBank(kinds, betas, offsets, rows=(2,))
         fresh = DirectionBank(kinds, betas, offsets, rows=(2,))
-        for g, w in zip(grads, weights):
-            dirs, norms, _ = bank_step(bank, g, w)
-            fresh_dirs, fresh_norms, _ = bank_step(fresh, g, w)
+        for k, (g, w) in enumerate(zip(grads, weights), 1):
+            dirs, norms, _ = bank_step(bank, g, w, k)
+            fresh_dirs, fresh_norms, _ = bank_step(fresh, g, w, k)
             assert dirs.tobytes() == fresh_dirs.tobytes()
             assert norms.tobytes() == fresh_norms.tobytes()
             dirs[...] = 1e300
@@ -277,7 +277,7 @@ class TestDirectionBank:
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD], spec.offsets())
         grad = np.full(params.size, 0.5)
-        dirs, norms, _ = bank_step(bank, grad[None], params[None])
+        dirs, norms, _ = bank_step(bank, grad[None], params[None], 1)
         assert dirs.shape == (1, 1, params.size)
         assert norms.shape == (1, len(spec.components()), 1)
         np.testing.assert_array_equal(dirs[0, 0], -grad)
@@ -289,7 +289,8 @@ class TestDirectionBank:
 
         def run(kinds):
             bank = make_bank(kinds, spec.offsets())
-            return [bank_step(bank, g[None], params[None])[:2] for g in grad_stream]
+            return [bank_step(bank, g[None], params[None], k)[:2]
+                    for k, g in enumerate(grad_stream, 1)]
 
         solo = run([OptimizerKind.ADAM])
         mixed = run([OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.LION])
@@ -300,7 +301,7 @@ class TestDirectionBank:
     def test_zero_direction_log_norm_floor(self):
         spec, params = small_params()
         bank = make_bank([OptimizerKind.SGD], spec.offsets())
-        _, norms, _ = bank_step(bank, np.zeros((1, params.size)), params[None])
+        _, norms, _ = bank_step(bank, np.zeros((1, params.size)), params[None], 1)
         # the floored logarithm the controller takes of it is pinned in
         # test_controller.py::TestVariants::test_zero_direction_log_norm_floor
         assert norms[0, 0, 0] == 0.0
@@ -310,7 +311,7 @@ class TestDirectionBank:
         kinds = [OptimizerKind.SGD, OptimizerKind.ADAM, OptimizerKind.ADAMAX,
                  OptimizerKind.LION, OptimizerKind.LAMB, OptimizerKind.WEIGHT_DECAY]
         bank = make_bank(kinds, spec.offsets())
-        dirs, norms, _ = bank_step(bank, np.ones((1, params.size)), params[None])
+        dirs, norms, _ = bank_step(bank, np.ones((1, params.size)), params[None], 1)
         assert dirs.shape == (1, len(kinds), params.size)
         assert norms.shape == (1, len(spec.components()), len(kinds))
         dirs, norms = dirs[0], norms[0]
@@ -337,11 +338,11 @@ class TestDirectionBank:
         grad = np.ones((3, params.size))
         weights = np.tile(params, (3, 1))
         grad[1, 4] = np.inf
-        dirs, norms, finite = bank_step(bank, grad, weights)
+        dirs, norms, finite = bank_step(bank, grad, weights, 1)
         np.testing.assert_array_equal(finite, [True, False, True])
         assert dirs.shape == (3, 2, params.size) and norms.shape == (3, len(spec.components()), 2)
         assert all(arr.shape == (3, params.size) for arr in bank._state[1].values())
-        clean_dirs, clean_norms, _ = bank_step(clean, np.ones_like(grad), weights)
+        clean_dirs, clean_norms, _ = bank_step(clean, np.ones_like(grad), weights, 1)
         np.testing.assert_array_equal(dirs[[0, 2]], clean_dirs[[0, 2]])
         np.testing.assert_array_equal(norms[[0, 2]], clean_norms[[0, 2]])
 
@@ -353,19 +354,9 @@ class TestDirectionBank:
         bank = make_bank([OptimizerKind.SGD], spec.offsets(), rows=2)
         grad = np.ones((2, params.size))
         grad[1] = 1e200
-        dirs, norms, finite = bank_step(bank, grad, np.tile(params, (2, 1)))
+        dirs, norms, finite = bank_step(bank, grad, np.tile(params, (2, 1)), 1)
         assert np.isfinite(dirs).all() and np.isinf(norms[1]).all()
         np.testing.assert_array_equal(finite, [True, False])
-
-    def test_step_counter_shared(self):
-        spec, params = small_params()
-        bank = make_bank([OptimizerKind.SGD, OptimizerKind.ADAM], spec.offsets())
-        grad = np.ones((1, params.size))
-        assert bank.step_count == 0
-        bank_step(bank, grad, params[None])
-        assert bank.step_count == 1
-        bank_step(bank, grad, params[None])
-        assert bank.step_count == 2
 
     def test_rows_with_own_betas_match_single_row_banks(self):
         # every row of a C-row bank, with its own betas, gets the bits of a
@@ -379,11 +370,11 @@ class TestDirectionBank:
         weights = rng.normal(size=(6, 3, params.size))
         batched = DirectionBank(kinds, betas, offsets)
         single = [DirectionBank(kinds, b[None], offsets) for b in betas]
-        for g, w in zip(grads, weights):
-            dirs, norms, finite = bank_step(batched, g, w)
+        for k, (g, w) in enumerate(zip(grads, weights), 1):
+            dirs, norms, finite = bank_step(batched, g, w, k)
             assert finite.all()
             for c, bank in enumerate(single):
-                d1, n1, _ = bank_step(bank, g[c:c + 1], w[c:c + 1])
+                d1, n1, _ = bank_step(bank, g[c:c + 1], w[c:c + 1], k)
                 np.testing.assert_array_equal(dirs[c], d1[0])
                 np.testing.assert_array_equal(norms[c], n1[0])
 

@@ -165,7 +165,7 @@ def block_handle(name):
 def test_task_block_rows_are_the_tasks(K):
     block = make_task_block(DIST, BLOCK_SEEDS, K, split="metatest")
     horizons = np.broadcast_to(K, len(BLOCK_SEEDS)).tolist()
-    assert block.n_rows == len(BLOCK_SEEDS) and block.horizons.tolist() == horizons
+    assert block.horizons.tolist() == horizons
     assert block.K == len(block.train_batches) == max(horizons)
     for r, (seed, k_r) in enumerate(zip(BLOCK_SEEDS, horizons)):
         task = make_task(DIST, seed, split="metatest", k_override=k_r)
