@@ -93,8 +93,8 @@ class EvalReport:
         raise KeyError((optimizer, K))
 
 
-def evaluation_task_seeds(eval_seed: int, n_tasks: int) -> list[int]:
-    rng = meta_mod.derived_rng(eval_seed, _TAG_EVAL_TASKS)
+def evaluation_task_seeds(seed: int, n_tasks: int) -> list[int]:
+    rng = meta_mod.derived_rng(seed, _TAG_EVAL_TASKS)
     return [int(s) for s in rng.integers(0, 1 << 63, n_tasks)]
 
 
@@ -267,19 +267,6 @@ class AblationCell:
         return f"{bases}|{variant}|g={gammas}"
 
 
-@dataclass
-class AblationConfig:
-    dist: TaskDistributionSpec
-    nes: NesConfig
-    cells: list[AblationCell]
-    pretrain_steps: int = 500
-    pretrain_seed: int = 0
-    eval_n_tasks: int = 20
-    eval_k: int = 10
-    eval_seed: int = 0
-    workers: int = 1
-
-
 def cross_cells(base_sets, variants, gammas=DEFAULT_GAMMAS) -> list[AblationCell]:
     return [AblationCell(base_kinds=tuple(bs), variant=v, gammas=tuple(gammas))
             for bs in base_sets for v in variants]
@@ -288,25 +275,26 @@ def cross_cells(base_sets, variants, gammas=DEFAULT_GAMMAS) -> list[AblationCell
 AblationRun = tuple[AblationCell, EvalCell, list[TrajectoryRow]]
 
 
-def run_ablation_battery(cfg: AblationConfig) -> list[AblationRun]:
+def run_ablation_battery(dist: TaskDistributionSpec, nes: NesConfig, cells: list[AblationCell],
+                         pretrain_steps: int, eval_n_tasks: int, eval_k: int,
+                         workers: int = 1) -> list[AblationRun]:
     """One meta-train + paired evaluation per cell, plus a probe trajectory
     of the trained controller on the first evaluation task: one
-    (cell, evaluation cell, trajectory) per cell, in cell order."""
-    checkpoint = meta_mod.pretrain_checkpoint(cfg.dist, cfg.pretrain_steps,
-                                              cfg.pretrain_seed)
-    n_components = len(cfg.dist.task_network().components())
+    (cell, evaluation cell, trajectory) per cell, in cell order. The
+    pretrained checkpoint and the evaluation tasks are drawn from
+    ``nes.seed``."""
+    checkpoint = meta_mod.pretrain_checkpoint(dist, pretrain_steps, nes.seed)
+    n_components = len(dist.task_network().components())
     runs: list[AblationRun] = []
-    for cell in cfg.cells:
+    for cell in cells:
         layout = PsiLayout(n_components=n_components, base_kinds=cell.base_kinds,
                            gammas=cell.gammas, variant=cell.variant)
-        psi, _ = meta_mod.meta_train(cfg.nes, cfg.dist, layout,
-                                     init_from=checkpoint, workers=cfg.workers)
-        report = evaluate_suite([controller_handle(psi, layout, label=cell.label)], cfg.dist,
-                                cfg.eval_n_tasks, [cfg.eval_k], cfg.eval_seed,
-                                init_from=checkpoint)
+        psi, _ = meta_mod.meta_train(nes, dist, layout, init_from=checkpoint, workers=workers)
+        report = evaluate_suite([controller_handle(psi, layout, label=cell.label)], dist,
+                                eval_n_tasks, [eval_k], nes.seed, init_from=checkpoint)
         c = report.cells[0]
-        probe = make_task(cfg.dist, c.task_seeds[0], split="metatest",
-                          init_from=checkpoint, k_override=cfg.eval_k)
+        probe = make_task(dist, c.task_seeds[0], split="metatest", init_from=checkpoint,
+                          k_override=eval_k)
         recorder = controller_handle(psi, layout, label=cell.label, record=True)
         runs.append((cell, c, recorder.run(probe).trajectory or []))
     return runs

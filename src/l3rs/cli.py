@@ -120,8 +120,13 @@ class RunConfig:
         gamma_sets = ab["gamma_sets"]
         if gamma_sets is None:
             gamma_sets = [self.raw["layout"]["gammas"]]
-        return [cell for gammas in gamma_sets
-                for cell in bench.cross_cells(base_sets, variants, gammas=tuple(gammas))]
+        cells = [cell for gammas in gamma_sets
+                 for cell in bench.cross_cells(base_sets, variants, gammas=tuple(gammas))]
+        labels = [cell.label for cell in cells]
+        if len(set(labels)) < len(labels):
+            raise ConfigError("ablate.base_sets, ablate.variants and ablate.gamma_sets repeat the "
+                              f"cell {next(x for x in labels if labels.count(x) > 1)}")
+        return cells
 
     def config_hash(self) -> str:
         # out_dir and workers shape execution, not results; checkpoints made
@@ -246,12 +251,12 @@ def _write_config_snapshot(run: RunConfig) -> None:
 
 
 def _configured_psi(run: RunConfig, path: str):
-    """The psi checkpoint at ``path``; refused unless its layout is the
-    configuration's."""
-    psi, _ = load_psi(path)
+    """(psi, document) of the psi checkpoint at ``path``; refused unless its
+    layout is the configuration's."""
+    psi, doc = load_psi(path)
     if psi.layout != run.layout_for(run.dist):
         raise ConfigError("psi checkpoint layout does not match the configuration")
-    return psi
+    return psi, doc
 
 
 def _main_checkpoint(run: RunConfig, path: str | None):
@@ -288,9 +293,7 @@ def cmd_meta_train(args) -> int:
     layout = run.layout_for(run.dist)
     state = None
     if args.resume:
-        psi, doc = load_psi(args.resume)
-        if psi.layout != layout:
-            raise ConfigError("resume checkpoint layout does not match the configuration")
+        psi, doc = _configured_psi(run, args.resume)
         if doc.get("config_hash") != run.config_hash():
             raise ConfigError("resume checkpoint was produced by a different configuration")
         history = _resume_history(doc, args.resume)
@@ -358,9 +361,11 @@ def _slug(label: str) -> str:
 def cmd_evaluate(args) -> int:
     sets = args.set + ([f"evaluate.regime={args.regime}"] if args.regime else [])
     run = load_config(args.config, sets, args.out_dir, args.workers)
-    reference = _read_reference(args.paired) if args.paired else None
+    ev = run.raw["evaluate"]
+    seeds = bench.evaluation_task_seeds(run.seed, ev["n_tasks"])
+    reference = _read_reference(args.paired, ev["k_list"], seeds) if args.paired else None
     if args.psi:
-        psi = _configured_psi(run, args.psi)
+        psi, _ = _configured_psi(run, args.psi)
         handle = bench.controller_handle(psi.flat, psi.layout, renormalize=run.renormalize)
     elif args.baseline:
         try:
@@ -373,7 +378,6 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --psi FILE or --baseline KIND")
     if args.label:
         handle = dataclasses.replace(handle, label=args.label)
-    ev = run.raw["evaluate"]
     dist, split, init_from = _regime_setting(run, ev["regime"], args.checkpoint)
     _write_config_snapshot(run)
 
@@ -399,9 +403,10 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_reference(ref_tasks_csv: str) -> dict:
+def _read_reference(ref_tasks_csv: str, k_list, seeds) -> dict:
     """(K, task_index) -> (task_seed, acc, loss) of a reference run's
-    eval_*_tasks.csv."""
+    eval_*_tasks.csv; refused unless it holds task i at seeds[i] for every
+    K of ``k_list``."""
     ref = {}
     with open(ref_tasks_csv) as fh:
         for row in csv.DictReader(fh):
@@ -412,32 +417,32 @@ def _read_reference(ref_tasks_csv: str) -> dict:
                 raise ConfigError(f"{ref_tasks_csv} lacks the column {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{ref_tasks_csv}: bad row {row!r}: {exc}") from None
+    for K in k_list:
+        for i, seed in enumerate(seeds):
+            if (K, i) not in ref:
+                raise ConfigError(f"reference run lacks K={K} task {i}")
+            if ref[K, i][0] != seed:
+                raise ConfigError("paired comparison requires identical task seeds")
     return ref
 
 
 def _write_paired(report: bench.EvalReport, ref: dict, path) -> None:
     """Per-task differences against a reference run (_read_reference),
-    matched on (K, task_index) with the seeds cross-checked."""
-    rows = []
-    for c in report.cells:
-        for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc, c.task_loss)):
-            key = (c.K, i)
-            if key not in ref:
-                raise ConfigError(f"reference run lacks K={c.K} task {i}")
-            ref_seed, ref_acc, ref_loss = ref[key]
-            if ref_seed != seed:
-                raise ConfigError("paired comparison requires identical task seeds")
-            rows.append([c.optimizer, c.K, i, seed, repr(acc), repr(loss),
-                         repr(acc - ref_acc), repr(loss - ref_loss)])
+    matched on (K, task_index)."""
     write_csv(path, ["optimizer", "K", "task_index", "task_seed", "acc", "loss",
-                     "acc_diff", "loss_diff"], rows)
+                     "acc_diff", "loss_diff"],
+              ([c.optimizer, c.K, i, seed, repr(acc), repr(loss),
+                repr(acc - ref[c.K, i][1]), repr(loss - ref[c.K, i][2])]
+               for c in report.cells
+               for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc,
+                                                         c.task_loss))))
 
 
 def cmd_inspect(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
     if args.k is not None and args.k < 0:
         raise ConfigError(f"--k must be >= 0, got {args.k}")
-    psi = _configured_psi(run, args.psi)
+    psi, _ = _configured_psi(run, args.psi)
     init_from = _main_checkpoint(run, args.checkpoint)
     _write_config_snapshot(run)
     task = meta.make_task(run.dist, args.task_seed, split="metatest",
@@ -467,15 +472,12 @@ def cmd_ablate(args) -> int:
     run = load_config(args.config, args.set, args.out_dir, args.workers)
     _write_config_snapshot(run)
     ab = run.raw["ablate"]
-    cfg = bench.AblationConfig(
-        dist=run.dist, nes=run.nes, cells=run.ablation_cells(),
-        pretrain_steps=run.pretrain_steps, pretrain_seed=run.seed,
-        eval_n_tasks=ab["eval_n_tasks"], eval_k=ab["eval_k"],
-        eval_seed=run.seed, workers=run.workers)
-    runs = bench.run_ablation_battery(cfg)
+    runs = bench.run_ablation_battery(run.dist, run.nes, run.ablation_cells(),
+                                      run.pretrain_steps, ab["eval_n_tasks"], ab["eval_k"],
+                                      workers=run.workers)
     bench.write_ablation_csv(runs, run.out_dir / "ablation.csv")
     for cell, c, rows in runs:
-        bench.write_trajectory_csv(rows, len(rows[0].mu) if rows else 0,
+        bench.write_trajectory_csv(rows, len(cell.base_kinds),
                                    run.out_dir / f"ablation_traj_{_slug(cell.label)}.csv")
         print(f"{cell.label}: acc={c.mean_acc:.4f}+-{c.std_acc:.4f}")
     print(f"wrote {run.out_dir / 'ablation.csv'}")

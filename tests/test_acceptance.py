@@ -13,7 +13,6 @@ import pytest
 
 from l3rs import cli
 from l3rs.bench import (
-    AblationConfig,
     BaselineKind,
     BaselineSpec,
     BaselineStepper,
@@ -385,11 +384,9 @@ def test_criterion_10_ablation_battery(tmp_path):
     dist = TaskDistributionSpec(k_min=5, k_max=10)
     cells = cross_cells([(OptimizerKind.SGD,), SGD_ADAM],
                         [Variant.FULL, Variant.GLOBAL])
-    cfg = AblationConfig(
-        dist=dist,
-        nes=NesConfig(population=8, meta_batch=2, generations=25, seed=0),
-        cells=cells, pretrain_steps=100, eval_n_tasks=8, eval_k=10, eval_seed=0)
-    runs = run_ablation_battery(cfg)
+    runs = run_ablation_battery(
+        dist, NesConfig(population=8, meta_batch=2, generations=25, seed=0), cells,
+        pretrain_steps=100, eval_n_tasks=8, eval_k=10)
     assert [cell for cell, _, _ in runs] == cells
     path = tmp_path / "ablation.csv"
     write_ablation_csv(runs, path)

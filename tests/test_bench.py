@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from l3rs.bench import (
-    AblationConfig,
     BaselineKind,
     BaselineSpec,
     baseline_handle,
@@ -351,11 +350,10 @@ class TestStateSize:
         assert rep.slots_ratio == 7.0
 
 
-def tiny_ablation_config(cells):
+def tiny_ablation_battery(cells):
     dist = dataclasses.replace(DIST, k_min=3, k_max=4)
     nes = NesConfig(population=4, meta_batch=1, generations=2, seed=0)
-    return AblationConfig(dist=dist, nes=nes, cells=cells, pretrain_steps=5,
-                          eval_n_tasks=2, eval_k=3, eval_seed=0)
+    return run_ablation_battery(dist, nes, cells, pretrain_steps=5, eval_n_tasks=2, eval_k=3)
 
 
 class TestAblation:
@@ -368,8 +366,7 @@ class TestAblation:
     def test_mini_battery_rows_and_labels(self, tmp_path):
         cells = cross_cells([[OptimizerKind.SGD], SGD_ADAM],
                             [Variant.FULL, Variant.GLOBAL])
-        cfg = tiny_ablation_config(cells)
-        runs = run_ablation_battery(cfg)
+        runs = tiny_ablation_battery(cells)
         assert [cell for cell, _, _ in runs] == cells
         write_ablation_csv(runs, tmp_path / "ablation.csv")
         lines = (tmp_path / "ablation.csv").read_text().strip().splitlines()
@@ -379,8 +376,7 @@ class TestAblation:
 
     def test_global_rows_have_component_identical_mu_lambda(self):
         cells = cross_cells([SGD_ADAM], [Variant.GLOBAL])
-        cfg = tiny_ablation_config(cells)
-        ((_, _, rows),) = run_ablation_battery(cfg)
+        ((_, _, rows),) = tiny_ablation_battery(cells)
         assert rows
         by_step = {}
         for r in rows:
@@ -400,12 +396,10 @@ class TestAblation:
         dist = dataclasses.replace(DIST, k_min=10, k_max=10)
         cells = cross_cells([SGD_ADAM], [Variant.FULL, Variant.PER_LAYER_MLP,
                                          Variant.GLOBAL])
-        cfg = AblationConfig(
-            dist=dist, nes=NesConfig(population=8, meta_batch=2,
-                                     generations=80, seed=0),
-            cells=cells, pretrain_steps=300, eval_n_tasks=20, eval_k=10,
-            eval_seed=0)
-        rows = {cell.variant.value: c for cell, c, _ in run_ablation_battery(cfg)}
+        runs = run_ablation_battery(
+            dist, NesConfig(population=8, meta_batch=2, generations=80, seed=0), cells,
+            pretrain_steps=300, eval_n_tasks=20, eval_k=10)
+        rows = {cell.variant.value: c for cell, c, _ in runs}
         emb = rows["full"]
         per_layer = rows["per_layer_mlp"]
         glob = rows["global"]

@@ -138,7 +138,8 @@ class TestConfig:
         'ablate.base_sets=[["bogus"]]', 'ablate.variants=["bogus"]', "layout.gammas=[1.5]",
         "ablate.gamma_sets=[[0.5,2.0]]", "ablate.gamma_sets=[[1]]",
         "distribution.train_batch_size=0",
-        "distribution.eval_batch_size=0", "nes.decay_factor=-0.5"])
+        "distribution.eval_batch_size=0", "nes.decay_factor=-0.5",
+        'ablate.variants=["full","full"]'])
     def test_values_of_a_wrong_type_or_below_the_minimum(self, tmp_path, capsys, assignment):
         # pretrain took each of these (seed 0.5 trained as seed 0, 1.5 steps
         # as 1, "yes" as true, sigma0 NaN, decay factor -0.5 into complex
@@ -325,6 +326,19 @@ class TestMetaTrain:
         assert "different configuration" in capsys.readouterr().err
         assert (out / "config.json").read_bytes() == snapshot
 
+    def test_resume_of_another_layout_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "CHECKPOINT_EVERY", 2)
+        cfg = write_config(tmp_path, {"nes": {"generations": 4}})
+        out = tmp_path / "run"
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("meta-train", "--config", cfg, "--out-dir", str(tmp_path / "again"),
+                       "--set", "layout.variant=global",
+                       "--resume", str(out / "psi_gen00002.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "layout does not match" in err
+        assert not (tmp_path / "again").exists()
+
     def test_worker_override_does_not_change_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
@@ -425,6 +439,24 @@ class TestEvaluate:
         assert self._paired(tmp_path, ref) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2.5" in err
+
+    @pytest.mark.parametrize("assignment,message", [
+        ("evaluate.n_tasks=3", "reference run lacks K=2 task 2"),
+        ("seed=4", "paired comparison requires identical task seeds")])
+    def test_paired_reference_of_other_tasks_writes_nothing(self, tmp_path, capsys,
+                                                            assignment, message):
+        # the mismatch was found only after config.json and the eval CSVs
+        # had been written
+        cfg = write_config(tmp_path)
+        ref = tmp_path / "ref"
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(ref),
+                       "--baseline", "adam_const", "--label", "adam") == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(tmp_path / "p"),
+                       "--baseline", "adam_const", "--set", assignment,
+                       "--paired", str(ref / "eval_adam_tasks.csv")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "p").exists()
 
     @staticmethod
     def _paired(tmp_path, ref):
@@ -561,6 +593,16 @@ class TestAblate:
         assert len(rows) == 1
         assert rows[0]["base_optimizers"] == "sgd"
         assert rows[0]["variant"] == "full"
+
+    def test_empty_probe_keeps_its_mu_columns(self, tmp_path):
+        # with eval_k 0 the probe records no rows, and the header once lost
+        # its mu columns
+        cfg = write_config(tmp_path, {"ablate": {"base_sets": [["sgd", "adam"]],
+                                                 "eval_k": 0}})
+        out = tmp_path / "ablate"
+        assert run_cli("ablate", "--config", cfg, "--out-dir", str(out)) == 0
+        (traj,) = out.glob("ablation_traj_*.csv")
+        assert traj.read_text().splitlines() == ["step,component,mu_0,mu_1,lambda,loss"]
 
     def test_rerun_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path)
