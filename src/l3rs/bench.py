@@ -12,6 +12,7 @@ optimizer run compare two separately written implementations.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
@@ -304,40 +305,40 @@ def run_ablation_battery(dist: TaskDistributionSpec, nes: NesConfig, cells: list
 # report files: deterministic CSV emission
 
 
-def _fmt(v) -> str:
-    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+TASK_COLUMNS = ["optimizer", "K", "task_index", "task_seed", "acc", "loss"]
+
+
+def task_rows(report: EvalReport):
+    """One TASK_COLUMNS row per task of every cell, cell by cell."""
+    for c in report.cells:
+        for i, row in enumerate(zip(c.task_seeds, c.task_acc, c.task_loss)):
+            yield [c.optimizer, c.K, i, *row]
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
     write_csv(path, ["optimizer", "K", "mean_acc", "std_acc", "mean_loss", "std_loss",
                      "n_tasks"],
-              ([c.optimizer, c.K, _fmt(c.mean_acc), _fmt(c.std_acc), _fmt(c.mean_loss),
-                _fmt(c.std_loss), c.n_tasks] for c in report.cells))
+              ([c.optimizer, c.K, c.mean_acc, c.std_acc, c.mean_loss, c.std_loss, c.n_tasks]
+               for c in report.cells))
 
 
 def write_eval_tasks_csv(report: EvalReport, path) -> None:
-    write_csv(path, ["optimizer", "K", "task_index", "task_seed", "acc", "loss"],
-              ([c.optimizer, c.K, i, seed, _fmt(acc), _fmt(loss)]
-               for c in report.cells
-               for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc,
-                                                         c.task_loss))))
+    write_csv(path, TASK_COLUMNS, task_rows(report))
 
 
 def write_trajectory_csv(rows: list[TrajectoryRow], n_providers: int, path) -> None:
     write_csv(path, ["step", "component"] + [f"mu_{p}" for p in range(n_providers)]
               + ["lambda", "loss"],
-              ([r.step, r.component] + [_fmt(m) for m in r.mu]
-               + [_fmt(r.lam), _fmt(r.train_loss)] for r in rows))
+              ([r.step, r.component, *r.mu, r.lam, r.train_loss] for r in rows))
 
 
 def write_ablation_csv(runs: list[AblationRun], path) -> None:
     write_csv(path, ["label", "base_optimizers", "variant", "gammas", "mean_acc", "std_acc",
                      "mean_loss", "std_loss"],
-              ([cell.label, *cell.columns(), _fmt(c.mean_acc), _fmt(c.std_acc),
-                _fmt(c.mean_loss), _fmt(c.std_loss)] for cell, c, _ in runs))
+              ([cell.label, *cell.columns(), c.mean_acc, c.std_acc, c.mean_loss, c.std_loss]
+               for cell, c, _ in runs))
 
 
 def write_history_csv(history, path) -> None:
     write_csv(path, ["generation", "mean_fitness", "best_fitness", "alpha", "sigma"],
-              ([h.generation, _fmt(h.mean_fitness), _fmt(h.best_fitness), _fmt(h.alpha),
-                _fmt(h.sigma)] for h in history))
+              map(dataclasses.astuple, history))

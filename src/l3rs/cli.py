@@ -24,7 +24,6 @@ from pathlib import Path
 from . import bench, meta
 from .controller import (
     DEFAULT_GAMMAS,
-    CheckpointError,
     PsiLayout,
     Variant,
     load_psi,
@@ -32,7 +31,7 @@ from .controller import (
     time_features,
     unflatten,
 )
-from .files import write_csv, write_json
+from .files import CheckpointError, write_csv, write_json
 from .meta import NesConfig, NesState, TaskDistributionSpec
 
 CHECKPOINT_EVERY = 50
@@ -429,13 +428,9 @@ def _read_reference(ref_tasks_csv: str, k_list, seeds) -> dict:
 def _write_paired(report: bench.EvalReport, ref: dict, path) -> None:
     """Per-task differences against a reference run (_read_reference),
     matched on (K, task_index)."""
-    write_csv(path, ["optimizer", "K", "task_index", "task_seed", "acc", "loss",
-                     "acc_diff", "loss_diff"],
-              ([c.optimizer, c.K, i, seed, repr(acc), repr(loss),
-                repr(acc - ref[c.K, i][1]), repr(loss - ref[c.K, i][2])]
-               for c in report.cells
-               for i, (seed, acc, loss) in enumerate(zip(c.task_seeds, c.task_acc,
-                                                         c.task_loss))))
+    write_csv(path, bench.TASK_COLUMNS + ["acc_diff", "loss_diff"],
+              ([opt, K, i, seed, acc, loss, acc - ref[K, i][1], loss - ref[K, i][2]]
+               for opt, K, i, seed, acc, loss in bench.task_rows(report)))
 
 
 def cmd_inspect(args) -> int:
@@ -457,11 +452,11 @@ def cmd_inspect(args) -> int:
     k_grid = [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000]
     write_csv(run.out_dir / "time_features_by_step.csv",
               ["k"] + [f"rel_{i}" for i in range(11)] + [f"abs_{j}" for j in range(4)],
-              ([k] + [repr(float(v)) for v in time_features(k, task.K)]
+              ([k] + time_features(k, task.K).tolist()
                for k in range(1, task.K + 1)))
     write_csv(run.out_dir / "time_features_by_horizon.csv",
               ["K"] + [f"abs_{j}" for j in range(4)],
-              ([K] + [repr(float(v)) for v in time_features(K, K)[11:]] for K in k_grid))
+              ([K] + time_features(K, K)[11:].tolist() for K in k_grid))
     print(f"task seed={args.task_seed} K={task.K} meta_loss={result.meta_loss!r} "
           f"acc={result.eval_accuracy!r}")
     print(f"wrote {traj_path}")

@@ -34,7 +34,6 @@ loop can perturb them; flatten/unflatten is an exact bijection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +41,7 @@ from enum import Enum
 import numpy as np
 
 from . import optdir
-from .files import write_json
+from .files import read_checkpoint, write_checkpoint
 from .nnlite import NetworkSpec, row_max
 from .optdir import DirectionBank, OptimizerKind, segment_norms
 
@@ -52,7 +51,6 @@ HIDDEN_1 = 32
 HIDDEN_2 = 16
 N_TIME_FEATURES = 15
 LAMBDA_INIT = 1e-3
-CHECKPOINT_VERSION = 1
 # reference points of the progress features: 11 linear alphas in [0, 1] feed
 # tanh(10*(k/K - alpha)); 4 log-spaced betas in [1e-4, 1e-1] feed tanh(log(K*beta))
 TIME_ALPHAS = np.arange(11) / 10.0
@@ -470,48 +468,9 @@ class ControllerContext:
         return finite
 
 
-class CheckpointError(ValueError):
-    """A checkpoint file that cannot be read as the format it claims."""
-
-
-def _write_checkpoint(path, header: dict, key: str, values: np.ndarray,
-                      extra: dict | None = None) -> None:
-    """One JSON document: format version, header, the float vector under
-    ``key`` as decimal text with 17 significant digits, then ``extra``,
-    whose ``history`` rows, if any, come last, one per line.
-
-    float64 -> %.17g -> float64 is the identity, so loads are value-exact.
-    """
-    doc = {"format_version": CHECKPOINT_VERSION, **header,
-           key: [format(v, ".17g") for v in values]}
-    if extra:
-        doc.update(extra)
-    write_json(path, doc, sort_keys=False, rows_key="history")
-
-
-def _read_checkpoint(path, header_key: str, parse, key: str):
-    """(parsed header, float vector, full document) of a checkpoint written
-    by _write_checkpoint. ``parse(header)`` returns (object, expected value
-    count); the count is checked before the caller reshapes anything."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        obj, size = parse(doc[header_key])
-        values = np.array([float(v) for v in doc[key]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
-    if values.shape != (size,):
-        raise CheckpointError(
-            f"{path}: {len(values)} values, but its {header_key} needs {size}")
-    return obj, values, doc
-
-
 def save_psi(path, psi: MetaParams, extra: dict | None = None) -> None:
     """Checkpoint the layout and the flat vector, value-exact on reload."""
-    _write_checkpoint(path, {"layout": psi.layout.to_dict()}, "psi", psi.flat, extra)
+    write_checkpoint(path, {"layout": psi.layout.to_dict()}, "psi", psi.flat, extra)
 
 
 def load_psi(path) -> tuple[MetaParams, dict]:
@@ -522,5 +481,5 @@ def load_psi(path) -> tuple[MetaParams, dict]:
         layout = PsiLayout.from_dict(d)
         return layout, layout.flat_size
 
-    layout, flat, doc = _read_checkpoint(path, "layout", parse, "psi")
+    layout, flat, doc = read_checkpoint(path, "layout", parse, "psi")
     return unflatten(flat, layout), doc

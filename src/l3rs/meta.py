@@ -45,12 +45,11 @@ from .controller import (
     ControllerContext,
     PsiLayout,
     TrajectoryRow,
-    _read_checkpoint,
-    _write_checkpoint,
     flatten,
     init_meta_params,
     unflatten,
 )
+from .files import read_checkpoint, write_checkpoint
 from .nnlite import (
     Batch,
     DivergenceError,
@@ -680,7 +679,7 @@ def save_pretrained(path, spec: NetworkSpec, params: np.ndarray) -> None:
     reload."""
     network = {"input_dim": spec.input_dim, "hidden": list(spec.hidden),
                "output_dim": spec.output_dim}
-    _write_checkpoint(path, {"network": network}, "values", params)
+    write_checkpoint(path, {"network": network}, "values", params)
 
 
 def load_pretrained(path) -> tuple[NetworkSpec, np.ndarray]:
@@ -690,5 +689,5 @@ def load_pretrained(path) -> tuple[NetworkSpec, np.ndarray]:
         spec = NetworkSpec(int(net["input_dim"]), tuple(net["hidden"]), int(net["output_dim"]))
         return spec, spec.offsets()[-1]
 
-    spec, flat, _ = _read_checkpoint(path, "network", parse, "values")
+    spec, flat, _ = read_checkpoint(path, "network", parse, "values")
     return spec, flat

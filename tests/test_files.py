@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from l3rs import files
-from l3rs.files import write_csv, write_json, write_text
+from l3rs.files import write_checkpoint, write_csv, write_json, write_text
 
 SRC = Path(files.__file__).parent
 MODE = re.compile(r"[rwxabt+]+")
@@ -40,8 +40,13 @@ def test_csv_and_json_formats(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == b'x,y\r\n1,"a,b"\r\n2,c\r\n'
     write_json(tmp_path / "a.json", {"b": 1, "a": [0.1]})
     assert (tmp_path / "a.json").read_bytes() == b'{\n "a": [\n  0.1\n ],\n "b": 1\n}\n'
-    write_json(tmp_path / "b.json", {"b": 1, "a": 2}, sort_keys=False)
-    assert (tmp_path / "b.json").read_text() == '{\n "b": 1,\n "a": 2\n}\n'
+    # a checkpoint keeps its keys in insertion order and puts its history
+    # rows last, one per line
+    write_checkpoint(tmp_path / "c.json", {"b": 1}, "v", [0.1],
+                     extra={"history": [[1, 0.5], [2, 0.25]], "a": 2})
+    assert (tmp_path / "c.json").read_text() == (
+        '{\n "format_version": 1,\n "b": 1,\n "v": [\n  "0.10000000000000001"\n ],\n'
+        ' "a": 2,\n "history": [\n  [1, 0.5],\n  [2, 0.25]\n ]\n}\n')
 
 
 def test_write_that_dies_halfway_keeps_the_previous_file(tmp_path):
