@@ -278,25 +278,27 @@ AblationRun = tuple[AblationCell, EvalCell, list[TrajectoryRow]]
 
 def run_ablation_battery(dist: TaskDistributionSpec, nes: NesConfig, cells: list[AblationCell],
                          pretrain_steps: int, eval_n_tasks: int, eval_k: int,
-                         workers: int = 1) -> list[AblationRun]:
+                         workers: int = 1, renormalize: bool = False) -> list[AblationRun]:
     """One meta-train + paired evaluation per cell, plus a probe trajectory
     of the trained controller on the first evaluation task: one
     (cell, evaluation cell, trajectory) per cell, in cell order. The
     pretrained checkpoint and the evaluation tasks are drawn from
-    ``nes.seed``."""
+    ``nes.seed``; ``renormalize`` holds for the training, the evaluation
+    and the probe alike."""
     checkpoint = meta_mod.pretrain_checkpoint(dist, pretrain_steps, nes.seed)
     n_components = len(dist.task_network().components())
     runs: list[AblationRun] = []
     for cell in cells:
         layout = PsiLayout(n_components=n_components, base_kinds=cell.base_kinds,
                            gammas=cell.gammas, variant=cell.variant)
-        psi, _ = meta_mod.meta_train(nes, dist, layout, init_from=checkpoint, workers=workers)
-        report = evaluate_suite([controller_handle(psi, layout, label=cell.label)], dist,
+        psi, _ = meta_mod.meta_train(nes, dist, layout, init_from=checkpoint, workers=workers,
+                                     renormalize=renormalize)
+        report = evaluate_suite([controller_handle(psi, layout, cell.label, renormalize)], dist,
                                 eval_n_tasks, [eval_k], nes.seed, init_from=checkpoint)
         c = report.cells[0]
         probe = make_task(dist, c.task_seeds[0], split="metatest", init_from=checkpoint,
                           k_override=eval_k)
-        recorder = controller_handle(psi, layout, label=cell.label, record=True)
+        recorder = controller_handle(psi, layout, cell.label, renormalize, record=True)
         runs.append((cell, c, recorder.run(probe).trajectory or []))
     return runs
 

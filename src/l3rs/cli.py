@@ -33,6 +33,7 @@ from .controller import (
 )
 from .files import CheckpointError, write_csv, write_json
 from .meta import NesConfig, NesState, TaskDistributionSpec
+from .nnlite import DivergenceError
 
 CHECKPOINT_EVERY = 50
 
@@ -274,7 +275,7 @@ def _main_checkpoint(run: RunConfig, path: str | None):
 
 
 def cmd_pretrain(args) -> int:
-    run = load_config(args.config, args.set, args.out_dir, args.workers)
+    run = load_config(args.config, args.set, args.out_dir)
     _write_config_snapshot(run)
     params = meta.pretrain_checkpoint(run.dist, run.pretrain_steps, run.seed)
     path = run.out_dir / "checkpoint_pretrain.json"
@@ -359,7 +360,7 @@ def _slug(label: str) -> str:
 
 def cmd_evaluate(args) -> int:
     sets = args.set + ([f"evaluate.regime={args.regime}"] if args.regime else [])
-    run = load_config(args.config, sets, args.out_dir, args.workers)
+    run = load_config(args.config, sets, args.out_dir)
     ev = run.raw["evaluate"]
     seeds = bench.evaluation_task_seeds(run.seed, ev["n_tasks"])
     reference = _read_reference(args.paired, ev["k_list"], seeds) if args.paired else None
@@ -405,17 +406,21 @@ def cmd_evaluate(args) -> int:
 def _read_reference(ref_tasks_csv: str, k_list, seeds) -> dict:
     """(K, task_index) -> (task_seed, acc, loss) of a reference run's
     eval_*_tasks.csv; refused unless it holds task i at seeds[i] for every
-    K of ``k_list``."""
+    K of ``k_list``, and refused if two of its rows for one (K, task_index)
+    differ."""
     ref = {}
     with open(ref_tasks_csv) as fh:
         for row in csv.DictReader(fh):
             try:
-                ref[(int(row["K"]), int(row["task_index"]))] = (
-                    int(row["task_seed"]), float(row["acc"]), float(row["loss"]))
+                K, i = int(row["K"]), int(row["task_index"])
+                value = (int(row["task_seed"]), float(row["acc"]), float(row["loss"]))
             except KeyError as exc:
                 raise ConfigError(f"{ref_tasks_csv} lacks the column {exc}") from None
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"{ref_tasks_csv}: bad row {row!r}: {exc}") from None
+            # a k_list that repeats a K repeats its rows, identically
+            if ref.setdefault((K, i), value) != value:
+                raise ConfigError(f"reference run holds two different rows for K={K} task {i}")
     for K in k_list:
         for i, seed in enumerate(seeds):
             if (K, i) not in ref:
@@ -434,7 +439,7 @@ def _write_paired(report: bench.EvalReport, ref: dict, path) -> None:
 
 
 def cmd_inspect(args) -> int:
-    run = load_config(args.config, args.set, args.out_dir, args.workers)
+    run = load_config(args.config, args.set, args.out_dir)
     if args.k is not None and args.k < 0:
         raise ConfigError(f"--k must be >= 0, got {args.k}")
     psi, _ = _configured_psi(run, args.psi)
@@ -469,7 +474,7 @@ def cmd_ablate(args) -> int:
     ab = run.raw["ablate"]
     runs = bench.run_ablation_battery(run.dist, run.nes, run.ablation_cells(),
                                       run.pretrain_steps, ab["eval_n_tasks"], ab["eval_k"],
-                                      workers=run.workers)
+                                      workers=run.workers, renormalize=run.renormalize)
     bench.write_ablation_csv(runs, run.out_dir / "ablation.csv")
     for cell, c, rows in runs:
         bench.write_trajectory_csv(rows, len(cell.base_kinds),
@@ -510,10 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="layer-wise learned optimizer experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, workers=False):
         p.add_argument("--config", help="run config JSON file")
         p.add_argument("--out-dir", help="override out_dir")
-        p.add_argument("--workers", type=int, help="evaluator pool size")
+        if workers:
+            p.add_argument("--workers", type=int, help="evaluator pool size")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (dotted path, JSON value)")
 
@@ -522,15 +528,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("meta-train", help="run the NES outer loop")
-    common(p)
+    common(p, workers=True)
     p.add_argument("--checkpoint", help="pretrained model file (default: recompute)")
     p.add_argument("--resume", help="psi checkpoint to resume from")
     p.set_defaults(fn=cmd_meta_train)
 
     p = sub.add_parser("evaluate", help="paired evaluation of one optimizer")
     common(p)
-    p.add_argument("--psi", help="controller checkpoint file")
-    p.add_argument("--baseline", choices=[k.value for k in bench.BaselineKind])
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--psi", help="controller checkpoint file")
+    which.add_argument("--baseline", choices=[k.value for k in bench.BaselineKind])
     p.add_argument("--lr", type=float, default=1e-2, help="baseline learning rate")
     p.add_argument("--head-only", action="store_true")
     p.add_argument("--regime", choices=REGIMES)
@@ -549,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_inspect)
 
     p = sub.add_parser("ablate", help="run the ablation battery")
-    common(p)
+    common(p, workers=True)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("report", help="merge evaluation CSVs")
@@ -564,7 +571,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, CheckpointError, DivergenceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

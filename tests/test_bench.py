@@ -350,10 +350,13 @@ class TestStateSize:
         assert rep.slots_ratio == 7.0
 
 
-def tiny_ablation_battery(cells):
-    dist = dataclasses.replace(DIST, k_min=3, k_max=4)
-    nes = NesConfig(population=4, meta_batch=1, generations=2, seed=0)
-    return run_ablation_battery(dist, nes, cells, pretrain_steps=5, eval_n_tasks=2, eval_k=3)
+TINY_ABLATION_DIST = dataclasses.replace(DIST, k_min=3, k_max=4)
+TINY_ABLATION_NES = NesConfig(population=4, meta_batch=1, generations=2, seed=0)
+
+
+def tiny_ablation_battery(cells, renormalize=False):
+    return run_ablation_battery(TINY_ABLATION_DIST, TINY_ABLATION_NES, cells, pretrain_steps=5,
+                                eval_n_tasks=2, eval_k=3, renormalize=renormalize)
 
 
 class TestAblation:
@@ -384,6 +387,23 @@ class TestAblation:
         for step, entries in by_step.items():
             assert len(entries) == 4  # one row per component
             assert all(e == entries[0] for e in entries)
+
+    def test_renormalize_reaches_the_training_the_suite_and_the_probe(self):
+        dist, nes = TINY_ABLATION_DIST, TINY_ABLATION_NES
+        (cell,) = cross_cells([SGD_ADAM], [Variant.FULL])
+        ((_, c, rows),) = tiny_ablation_battery([cell], renormalize=True)
+        checkpoint = pretrain_checkpoint(dist, 5, nes.seed)
+        layout = layout_for(dist)
+        psi, _ = meta.meta_train(nes, dist, layout, init_from=checkpoint, renormalize=True)
+        (direct,) = evaluate_suite([controller_handle(psi, layout, cell.label, renormalize=True)],
+                                   dist, 2, [3], nes.seed, init_from=checkpoint).cells
+        assert c == direct
+        probe = make_task(dist, c.task_seeds[0], split="metatest", init_from=checkpoint,
+                          k_override=3)
+        recorder = controller_handle(psi, layout, cell.label, renormalize=True, record=True)
+        assert rows == recorder.run(probe).trajectory
+        ((_, plain, _),) = tiny_ablation_battery([cell])
+        assert plain.task_loss != c.task_loss
 
     @pytest.mark.xfail(
         strict=False,

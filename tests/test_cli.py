@@ -203,6 +203,29 @@ class TestPretrain:
         assert "eval_loss=" in out and "eval_acc=" in out
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("pretrain", []), ("meta-train", []), ("evaluate", ["--baseline", "adam_const"]),
+    ("ablate", [])])
+def test_diverging_pretraining_is_an_error_line(tmp_path, capsys, command, flags):
+    with np.errstate(over="ignore"):  # the blobs themselves overflow
+        assert run_cli(command, "--config", write_config(tmp_path), "--out-dir",
+                       str(tmp_path / "o"), "--set", "distribution.blob_std=1e308",
+                       "--set", "pretrain.steps=5", *flags) == 1
+    assert capsys.readouterr().err == "error: pretraining diverged at step 1\n"
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("pretrain", []), ("evaluate", ["--baseline", "adam_const"]),
+    ("inspect", ["--psi", "psi.json", "--task-seed", "1"])])
+def test_workers_flag_belongs_to_meta_train_and_ablate(tmp_path, capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--config", write_config(tmp_path), "--out-dir", str(tmp_path / "o"),
+                "--workers", "7", *flags)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestMetaTrain:
     def test_history_rows_equal_generations(self, tmp_path):
         cfg = write_config(tmp_path, {"nes": {"generations": 1}})
@@ -372,6 +395,14 @@ class TestEvaluate:
                        str(tmp_path / "e")) == 1
         assert not (tmp_path / "e").exists()
 
+    def test_psi_and_baseline_together_are_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--config", write_config(tmp_path), "--out-dir",
+                    str(tmp_path / "e"), "--psi", "psi.json", "--baseline", "adam_const")
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
     def test_psi_of_another_layout_writes_nothing(self, tmp_path, capsys):
         cfg, psi_path = train_tiny_psi(tmp_path)
         capsys.readouterr()
@@ -457,6 +488,37 @@ class TestEvaluate:
                        "--paired", str(ref / "eval_adam_tasks.csv")) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "p").exists()
+
+    def test_paired_reference_with_conflicting_rows_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        ref = tmp_path / "ref"
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(ref),
+                       "--baseline", "adam_const", "--label", "adam") == 0
+        tasks = ref / "eval_adam_tasks.csv"
+        (first,) = [row for row in read_rows(tasks) if row["K"] == "2" and row["task_index"] == "0"]
+        with open(tasks, "a", newline="") as fh:
+            csv.writer(fh).writerow([*list(first.values())[:4], "0.0", first["loss"]])
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(tmp_path / "p"),
+                       "--baseline", "adam_const", "--paired", str(tasks)) == 1
+        assert capsys.readouterr().err == (
+            "error: reference run holds two different rows for K=2 task 0\n")
+        assert not (tmp_path / "p").exists()
+
+    def test_paired_reference_with_a_repeated_k(self, tmp_path):
+        # a k_list that repeats a K writes its rows twice, identically
+        cfg = write_config(tmp_path, {"evaluate": {"k_list": [2, 2]}})
+        ref = tmp_path / "ref"
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(ref),
+                       "--baseline", "adam_const", "--label", "adam") == 0
+        assert len(read_rows(ref / "eval_adam_tasks.csv")) == 4
+        out = tmp_path / "p"
+        assert run_cli("evaluate", "--config", cfg, "--out-dir", str(out), "--baseline",
+                       "adam_const", "--label", "adam",
+                       "--paired", str(ref / "eval_adam_tasks.csv")) == 0
+        diffs = [(row["acc_diff"], row["loss_diff"])
+                 for row in read_rows(out / "eval_adam_paired.csv")]
+        assert diffs == [("0.0", "0.0")] * 4
 
     @staticmethod
     def _paired(tmp_path, ref):
